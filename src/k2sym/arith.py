@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
+import numpy
+
 # Degree of the zero polynomial.  A distinguished marker, never -1, so that
 # accidental integer arithmetic on it is loud (it propagates as -inf).
 NEG_INF = float("-inf")
@@ -175,19 +177,14 @@ def legendre(a: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient-list arithmetic over F_p (bootstrap layer for Fq internals).
-# Lists are little-endian, no trailing zeros.
+# Coefficient-list arithmetic over F_p, for the Cartier operator in
+# charpforms.  Lists are little-endian, no trailing zeros.
 
 
 def _fp_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _fp_add(a, b, p):
-    n = max(len(a), len(b))
-    return _fp_trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)])
 
 
 def _fp_sub(a, b, p):
@@ -222,17 +219,6 @@ def _fp_divmod(a, b, p):
     return _fp_trim(q), a
 
 
-def _fp_powmod(a, e, mod, p):
-    result = [1]
-    base = _fp_divmod(a, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _fp_divmod(_fp_mul(result, base, p), mod, p)[1]
-        base = _fp_divmod(_fp_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
-
-
 def _fp_gcd(a, b, p):
     a, b = list(a), list(b)
     while b:
@@ -243,28 +229,15 @@ def _fp_gcd(a, b, p):
     return a
 
 
-def _fp_is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin's test: x^(p^n) = x mod f and gcd(x^(p^(n/l)) - x, f) = 1."""
-    n = len(f) - 1
-    if n < 1:
-        return False
-    x = [0, 1]
-    xq = _fp_powmod(x, p**n, f, p)
-    if _fp_sub(xq, _fp_divmod(x, f, p)[1], p):
-        return False
-    for ell in sorted({q for q, _ in _factor_positive(n).items()}):
-        xql = _fp_powmod(x, p ** (n // ell), f, p)
-        g = _fp_gcd(_fp_sub(xql, x, p), f, p)
-        if g != [1]:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Finite fields F_q, q = p^k.  Elements are encoded as integers in [0, q):
 # the element with polynomial-basis coordinates (c_0, ..., c_{k-1}) is
 # c_0 + c_1 p + ... + c_{k-1} p^{k-1}.  Integer order on encodings is the
 # fixed basis ordering used by generator().
+
+# Largest prime-power field.  Its arithmetic reads tables of O(q) entries;
+# prime fields compute directly and have no bound.
+FIELD_LIMIT = 10**6
 
 
 class Fq:
@@ -272,7 +245,9 @@ class Fq:
 
     For k > 1 the field is F_p[X]/(m) where m is the monic irreducible of
     degree k whose non-leading coefficient vector has the smallest integer
-    encoding (a deterministic, lexicographic choice).
+    encoding (a deterministic, lexicographic choice), and q <= FIELD_LIMIT.
+    Its arithmetic is table lookup: Zech logarithms to the base
+    generator(F), built on the first operation that needs them.
     """
 
     def __init__(self, p: int, k: int = 1):
@@ -288,29 +263,77 @@ class Fq:
         self.one = 1 % self.q
         if k == 1:
             self.modulus_coeffs: tuple[int, ...] | None = None
+        elif self.q > FIELD_LIMIT:
+            raise ValueError(f"prime-power field of size {p}^{k} exceeds the bound {FIELD_LIMIT}")
         else:
             self.modulus_coeffs = self._find_modulus()
 
-    def _find_modulus(self) -> tuple[int, ...]:
-        for n in range(self.p**self.k):
-            coeffs = self._digits(n) + [0] * (self.k - len(self._digits(n)))
-            f = coeffs[: self.k] + [1]
-            if _fp_is_irreducible(f, self.p):
-                return tuple(f)
-        raise RuntimeError("no irreducible polynomial found")  # unreachable
-
-    def _digits(self, n: int) -> list[int]:
+    def _coords(self, n: int) -> list[int]:
+        """The k base-p digits of the encoding n, lowest first."""
         out = []
-        while n:
-            out.append(n % self.p)
-            n //= self.p
+        for _ in range(self.k):
+            n, c = divmod(n, self.p)
+            out.append(c)
         return out
 
-    def _encode(self, coeffs: list[int]) -> int:
-        n = 0
-        for c in reversed(coeffs):
-            n = n * self.p + c % self.p
-        return n
+    def _find_modulus(self) -> tuple[int, ...]:
+        Fp = field(self.p)
+        for n in range(self.p**self.k):
+            f = Poly(Fp, self._coords(n) + [1])
+            if is_irreducible(f):
+                return f.coeffs
+        raise RuntimeError("no irreducible polynomial found")  # unreachable
+
+    @functools.cached_property
+    def _tables(self) -> tuple[list[int], list[int], list[int], int]:
+        """(exp, log, zech, log(-1)) to the base g = generator(self), k > 1.
+
+        exp[i] encodes g^i, with length 2(q - 1) so that exp[log a + log b]
+        needs no reduction; log[a] is the i in [0, q - 1) with g^i = a, and
+        log[0] = -1; zech[i] = log(1 + g^i), so -1 where 1 + g^i = 0.
+        """
+        p, k, n = self.p, self.k, self.q - 1
+        Fp = field(p)
+        m = Poly(Fp, self.modulus_coeffs)
+        one = Poly.const(Fp, Fp.one)
+        ells = list(_factor_positive(n))
+        # Encodings below p are the constants F_p^*, whose orders divide
+        # p - 1 < q - 1, so the smallest generator is found among the rest.
+        for a in range(p, self.q):
+            g = Poly(Fp, self._coords(a))
+            if all(g.pow_mod(n // ell, m) != one for ell in ells):
+                break
+        # Row i of mat holds the coordinates of X^i * h, for h = g^filled:
+        # a row vector of coordinates times mat is that element times h.
+        rows, h = [], g
+        for _ in range(k):
+            rows.append(list(h.coeffs) + [0] * (k - len(h.coeffs)))
+            h = (h * Poly.x(Fp)) % m
+        mat = numpy.array(rows, dtype=numpy.int64)
+        coords = numpy.zeros((n, k), dtype=numpy.int64)
+        coords[0, 0] = 1
+        filled = 1
+        while filled < n:
+            step = min(filled, n - filled)
+            coords[filled : filled + step] = coords[:step] @ mat % p
+            mat = mat @ mat % p
+            filled += step
+        enc = coords @ p ** numpy.arange(k, dtype=numpy.int64)
+        plus_one = numpy.where(coords[:, 0] == p - 1, enc - (p - 1), enc + 1).tolist()
+        del coords
+        log = numpy.full(self.q, -1, dtype=numpy.int64)
+        log[enc] = numpy.arange(n)
+        log = log.tolist()
+        exp = enc.tolist()
+        del enc
+        zech = list(map(log.__getitem__, plus_one))  # shares log's int objects
+        return exp + exp, log, zech, n // 2 if p > 2 else 0
+
+    def log(self, a: int) -> int:
+        """The i in [0, q - 1) with generator(self)^i = a, for k > 1."""
+        if self.k == 1 or not a:
+            raise ValueError("table logarithm needs a unit of a prime-power field")
+        return self._tables[1][a]
 
     # -- field operations on integer encodings --
 
@@ -321,14 +344,24 @@ class Fq:
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        n = max(len(da), len(db))
-        return self._encode([((da[i] if i < len(da) else 0) + (db[i] if i < len(db) else 0)) for i in range(n)])
+        if not a:
+            return b
+        if not b:
+            return a
+        exp, log, zech, _ = self._tables
+        la = log[a]
+        # a + b = g^la (1 + g^(lb - la)); a negative index into zech, which
+        # has length q - 1, is the difference reduced mod q - 1
+        z = zech[log[b] - la]
+        return exp[la + z] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        return self._encode([-c for c in self._digits(a)])
+        if not a:
+            return 0
+        exp, log, _, log_minus_one = self._tables
+        return exp[log[a] + log_minus_one]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -336,21 +369,26 @@ class Fq:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return a * b % self.p
-        prod = _fp_mul(self._digits(a), self._digits(b), self.p)
-        _, rem = _fp_divmod(prod, list(self.modulus_coeffs), self.p)
-        return self._encode(rem)
+        if not a or not b:
+            return 0
+        exp, log, _, _ = self._tables
+        return exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_q")
         if self.k == 1:
             return pow(a, -1, self.p)
-        return self.pow(a, self.q - 2)
+        exp, log, _, _ = self._tables
+        return exp[self.q - 1 - log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
+        if self.k > 1 and a:
+            exp, log, _, _ = self._tables
+            return exp[log[a] * e % (self.q - 1)]
         if e < 0:
             return self.pow(self.inv(a), -e)
         result = self.one
@@ -384,7 +422,8 @@ class Fq:
 
 @functools.lru_cache(maxsize=None)
 def field(q: int) -> Fq:
-    """The finite field with q elements; q must be a prime power."""
+    """The finite field with q elements; q must be a prime power, at most
+    FIELD_LIMIT unless prime."""
     sign, fac = factorize(q)
     if sign < 0 or len(fac.factors) != 1 or fac.factors[0][1] < 1:
         raise ValueError(f"{q} is not a prime power")
@@ -395,6 +434,8 @@ def field(q: int) -> Fq:
 def generator(q_or_field: int | Fq) -> int:
     """Smallest element (in the basis ordering) generating F_q^*."""
     F = field(q_or_field) if isinstance(q_or_field, int) else q_or_field
+    if F.k > 1:
+        return F._tables[0][1]
     n = F.q - 1
     if n == 1:
         return F.one

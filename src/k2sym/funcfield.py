@@ -13,7 +13,7 @@ infinity included, of the norms down to F_q^* of the tame values is 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Final
 
 from .arith import Fq, Poly, RatFunc, field, generator, is_irreducible, poly_factor
@@ -22,6 +22,11 @@ from .arith import Fq, Poly, RatFunc, field, generator, is_irreducible, poly_fac
 # relation {zeta, zeta} = {zeta, -zeta} = 0 is immediate and no quadratic
 # witness is needed.
 CHAR2: Final = "CHAR2"
+
+# Passed by this module for places whose polynomial is already known to be
+# monic irreducible (a factor from poly_factor, or T), so that they skip
+# the irreducibility test.  Places built elsewhere are always tested.
+_PROVEN: Final = object()
 
 
 # ---------------------------------------------------------------------------
@@ -33,9 +38,10 @@ class PlaceFq:
     """A place of F_q(T): a monic irreducible polynomial, or infinity."""
 
     pi: Poly | None  # None encodes the place at infinity
+    _proof: InitVar[object] = None  # _PROVEN skips the irreducibility test
 
-    def __post_init__(self):
-        if self.pi is not None:
+    def __post_init__(self, _proof):
+        if self.pi is not None and _proof is not _PROVEN:
             if not self.pi.is_monic() or not is_irreducible(self.pi):
                 raise ValueError(f"not a monic irreducible: {self.pi}")
 
@@ -157,8 +163,7 @@ def tame_ff(f, g, place: PlaceFq) -> Poly:
         raise ValueError("tame symbol needs nonzero arguments")
     F = f.field
     if place.is_infinite:
-        t = Poly.x(F)
-        inf_as_finite = PlaceFq.finite(t)
+        inf_as_finite = PlaceFq(Poly.x(F), _PROVEN)
         return tame_ff(_to_infinity_chart(f), _to_infinity_chart(g), inf_as_finite)
     pi = place.pi
     fn, a_num = _strip(f.num, pi)
@@ -322,8 +327,9 @@ def decompose(e: FFSymbolExpr, base: Fq | None = None) -> K2FFClass:
     for pi in _support_places(e):
         acc = one
         group_order = base.q**pi.degree - 1
+        place = PlaceFq(pi, _PROVEN)
         for f, g, m in e.terms:
-            t = tame_ff(f, g, PlaceFq.finite(pi))
+            t = tame_ff(f, g, place)
             acc = acc * _residue_pow(t, m % group_order, pi) % pi
         vals[pi] = acc
     return K2FFClass.make(base, vals)
@@ -358,7 +364,7 @@ def weil_check(f, g) -> WeilResult:
     factors = []
     prod = base.one
     for pi in _support_places(e):
-        place = PlaceFq.finite(pi)
+        place = PlaceFq(pi, _PROVEN)
         v = tame_ff(f, g, place)
         nm = residue_norm(v, place)
         factors.append(WeilFactor(place, v, nm))
@@ -507,7 +513,11 @@ def retraction(e: FFSymbolExpr) -> RetractionResult:
 
 
 def _discrete_log(F: Fq, zeta: int, a: int) -> int:
-    """Smallest m >= 0 with zeta^m = a, by stepping (fields here are tiny)."""
+    """Smallest m >= 0 with zeta^m = a: the field's log table when zeta is
+    the generator of a prime-power field, else by stepping (prime fields
+    here are tiny)."""
+    if F.k > 1 and a and zeta == generator(F):
+        return F.log(a)
     x = F.one
     for mm in range(F.q - 1):
         if x == a:

@@ -195,7 +195,7 @@ def invariants(f: DiagForm) -> FormInvariants:
             for j in range(i + 1, len(entries)):
                 s *= hilbert(entries[i], entries[j], v)
         hasse.append((v, s))
-    disc = square_class(_prod(entries))
+    disc = _disc_class(entries)
     pos = sum(1 for a in entries if a > 0)
     return FormInvariants(
         rank=len(entries),
@@ -205,10 +205,18 @@ def invariants(f: DiagForm) -> FormInvariants:
     )
 
 
-def _prod(xs):
-    out = Fraction(1)
-    for x in xs:
-        out *= x
+def _disc_class(entries) -> int:
+    """Square class of the product of the entries, from the sign and the
+    exponent parities of each entry's factorization: the product itself
+    may lie beyond the factorization bound."""
+    sign, odd = 1, set()
+    for a in entries:
+        s, fac = factorize(a)
+        sign *= s
+        odd ^= {p for p, e in fac.factors if e % 2}
+    out = sign
+    for p in odd:
+        out *= p
     return out
 
 

@@ -18,9 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import bernoulli, field, is_prime
+from .arith import FIELD_LIMIT, bernoulli, field, is_prime
 
-COUNT_LIMIT = 10**6
+# Point counts enumerate the degree-n extension, a prime-power field for
+# n > 1, so they share its size bound.
+COUNT_LIMIT = FIELD_LIMIT
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,122 @@ def multiplicative_order(a: int, mul, one, bound: int) -> int:
     raise AssertionError("order exceeds bound")
 
 
+# -- prime-power fields by digit-list arithmetic ----------------------------------
+# Elements of F_p[X]/(m) as little-endian coefficient lists over F_p, every
+# product reduced by long division: a reference for the Zech-logarithm
+# tables of k2sym.arith.Fq.
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_add(a, b, p):
+    n = max(len(a), len(b))
+    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)])
+
+
+def _poly_sub(a, b, p):
+    return _poly_add(a, [-c for c in b], p)
+
+
+def _poly_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return _trim(out)
+
+
+def _poly_mod(a, b, p):
+    a = list(a)
+    inv_lead = pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        c = a[-1] * inv_lead % p
+        d = len(a) - len(b)
+        for i, bi in enumerate(b):
+            a[d + i] = (a[d + i] - c * bi) % p
+        _trim(a)
+    return a
+
+
+def _poly_powmod(a, e, mod, p):
+    result, base = [1], _poly_mod(a, mod, p)
+    while e:
+        if e & 1:
+            result = _poly_mod(_poly_mul(result, base, p), mod, p)
+        base = _poly_mod(_poly_mul(base, base, p), mod, p)
+        e >>= 1
+    return result
+
+
+def _poly_gcd(a, b, p):
+    while b:
+        a, b = b, _poly_mod(a, b, p)
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def rabin_irreducible(f: list[int], p: int) -> bool:
+    """Rabin's test over F_p: x^(p^n) = x mod f, and gcd(x^(p^(n/l)) - x, f)
+    = 1 for each prime l dividing n = deg f."""
+    n = len(f) - 1
+    x = [0, 1]
+    if _poly_sub(_poly_powmod(x, p**n, f, p), _poly_mod(x, f, p), p):
+        return False
+    return all(_poly_gcd(_poly_sub(_poly_powmod(x, p ** (n // ell), f, p), x, p), f, p) == [1]
+               for ell in naive_factor(n))
+
+
+class DigitField:
+    """F_{p^k} on integer encodings c_0 + c_1 p + ..., with the modulus the
+    first monic irreducible of degree k in encoding order."""
+
+    def __init__(self, p: int, k: int):
+        self.p, self.k, self.q = p, k, p**k
+        self.modulus = next(f for f in (self._digits(n) + [1] for n in range(self.q))
+                            if rabin_irreducible(f, p))
+
+    def _digits(self, n: int) -> list[int]:
+        return [n // self.p**i % self.p for i in range(self.k)]
+
+    def _encode(self, coeffs: list[int]) -> int:
+        return sum(c % self.p * self.p**i for i, c in enumerate(coeffs))
+
+    def add(self, a, b):
+        return self._encode(_poly_add(self._digits(a), self._digits(b), self.p))
+
+    def neg(self, a):
+        return self._encode([-c for c in self._digits(a)])
+
+    def sub(self, a, b):
+        return self._encode(_poly_sub(self._digits(a), self._digits(b), self.p))
+
+    def mul(self, a, b):
+        prod = _poly_mul(self._digits(a), self._digits(b), self.p)
+        return self._encode(_poly_mod(prod, self.modulus, self.p))
+
+    def pow(self, a, e):
+        if e < 0:
+            a, e = self.inv(a), -e
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return self.pow(a, self.q - 2)
+
+
 def squarefree_part(n: int) -> int:
     """sign(n) * product of primes dividing n to an odd power (naive)."""
     assert n != 0

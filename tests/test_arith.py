@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k2sym.arith import (
+    FIELD_LIMIT,
     NEG_INF,
     Fq,
     Poly,
@@ -23,6 +24,7 @@ from k2sym.arith import (
     primes_below,
     valuation,
 )
+from k2sym.zeta import COUNT_LIMIT
 
 import oracles
 
@@ -164,6 +166,45 @@ def test_generator_is_smallest():
         for a in range(1, g):
             order = oracles.multiplicative_order(a, F.mul, F.one, F.q)
             assert order < F.q - 1, (q, a)
+
+
+PRIME_POWERS_TO_243 = [q for q in range(4, 244) if len(oracles.naive_factor(q)) == 1
+                       and not oracles.naive_is_prime(q)]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_243)
+def test_tables_match_digit_arithmetic(q):
+    (p, k), = oracles.naive_factor(q).items()
+    F, D = field(q), oracles.DigitField(p, k)
+    assert F.modulus_coeffs == tuple(D.modulus)
+    g = generator(F)
+    assert oracles.multiplicative_order(g, D.mul, 1, q) == q - 1
+    assert all(oracles.multiplicative_order(a, D.mul, 1, q) < q - 1 for a in range(1, g))
+    inverses = [None] + [D.inv(b) for b in F.units()]
+    for a in F.elements():
+        assert F.neg(a) == D.neg(a)
+        assert D.pow(F.frobenius_root(a), p) == a
+        for e in (0, 1, 2, p, q - 2, q - 1, q + 3):
+            assert F.pow(a, e) == D.pow(a, e), (a, e)
+        if a:
+            assert F.inv(a) == inverses[a]
+            assert F.pow(a, -3) == D.pow(a, -3)
+            assert D.pow(g, F.log(a)) == a
+        for b in F.elements():
+            assert F.add(a, b) == D.add(a, b), (a, b)
+            assert F.sub(a, b) == D.sub(a, b), (a, b)
+            assert F.mul(a, b) == D.mul(a, b), (a, b)
+            if b:
+                assert F.div(a, b) == D.mul(a, inverses[b]), (a, b)
+
+
+def test_prime_power_fields_are_bounded():
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        field(2**20)
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        field(1009**2)
+    assert field(1000003).mul(2, 500002) == 1  # prime fields have no bound
+    assert FIELD_LIMIT == COUNT_LIMIT
 
 
 # -- polynomials --------------------------------------------------------------

@@ -97,8 +97,9 @@ def test_dilog_catalan(capsys):
         ["zeta", "--q", "5", "--elliptic", "0", "0"],
         ["cartier", "--p", "3", "--degree", "1", "t", "0"],
         ["tame", "1/0", "3", "5"],
+        ["weil", "--q", "1048576", "T", "T+1"],
     ],
-    ids=["syntax", "bad-place", "singular-curve", "not-closed", "div-zero"],
+    ids=["syntax", "bad-place", "singular-curve", "not-closed", "div-zero", "field-too-large"],
 )
 def test_invalid_inputs_exit_2(capsys, argv):
     code, _, rep = run(capsys, argv)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from k2sym import funcfield
 from k2sym.arith import Poly, RatFunc, field, generator, irreducibles
 from k2sym.funcfield import (
     CHAR2,
@@ -227,6 +228,18 @@ def test_weil_random_pairs_all_q():
             assert weil_check(f, g).holds, (q, f, g)
 
 
+def test_weil_and_decompose_do_not_retest_factors(monkeypatch):
+    # their places are factors from poly_factor, already proven irreducible
+    rng = random.Random(71)
+    for q in (5, 9):
+        F = field(q)
+        f, g = random_ratfunc(F, rng, 4), random_ratfunc(F, rng, 4)
+        expected = weil_check(f, g), decompose(ff_symbol(f, g))
+        with monkeypatch.context() as m:
+            m.setattr(funcfield, "is_irreducible", lambda pi: pytest.fail(f"re-tested {pi}"))
+            assert (weil_check(f, g), decompose(ff_symbol(f, g))) == expected
+
+
 def test_residue_norm_surjects_onto_units():
     # norms of residue units at a degree-2 place hit every element of F_q^*
     for q in (3, 5):
@@ -268,6 +281,16 @@ def test_retraction_traces_vanish():
     r = retraction(e)
     assert r.constants == ((2, 1),)
     assert all(t.is_zero for t in r.traces)
+
+
+def test_discrete_log_prime_power_fields():
+    for q in (8, 9, 25):
+        F = field(q)
+        zeta = generator(F)
+        assert [funcfield._discrete_log(F, zeta, a) for a in F.units()] == [
+            next(m for m in range(q - 1) if F.pow(zeta, m) == a) for a in F.units()]
+        # a base other than the generator is stepped
+        assert funcfield._discrete_log(F, F.mul(zeta, zeta), F.pow(zeta, 6)) == 3
 
 
 # -- K_2(F_q) = 0 ------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Tests for quadratic form invariants and conic/quaternion decisions."""
+import math
 import random
 from fractions import Fraction
 
@@ -121,6 +122,16 @@ def test_invariants_rank_one_empty_product():
     inv = invariants(DiagForm.of(Fraction(3, 7)))
     assert inv.hasse_minus_set() == frozenset()
     assert inv.disc == 21  # 3/7 ~ 21
+
+
+def test_invariants_of_large_prime_entries():
+    # the product of the entries is beyond the factorization bound
+    inv = invariants(DiagForm.of(999983, 999979, 999961))
+    assert inv.disc == 999983 * 999979 * 999961
+    assert inv.signature == (3, 0)
+    assert math.prod(s for _, s in inv.hasse) == 1
+    for entries in [(-2, Fraction(3, 8), 6), (-1, -5, Fraction(-7, 5)), (12, Fraction(1, 3))]:
+        assert invariants(DiagForm.of(*entries)).disc == square_class(math.prod(entries))
 
 
 def test_hasse_product_formula():
