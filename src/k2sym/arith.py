@@ -177,8 +177,9 @@ def legendre(a: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient-list arithmetic over F_p, for the Cartier operator in
-# charpforms.  Lists are little-endian, no trailing zeros.
+# Coefficient-list arithmetic over F_p: the kernels of Poly over prime
+# fields (through Fq.poly_mul and Fq.poly_divmod) and of the Cartier
+# operator in charpforms.  Lists are little-endian, no trailing zeros.
 
 
 def _fp_trim(a: list[int]) -> list[int]:
@@ -206,17 +207,21 @@ def _fp_mul(a, b, p):
 def _fp_divmod(a, b, p):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
     a = list(a)
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        c = a[-1] * inv_lead % p
-        d = len(a) - len(b)
-        q[d] = c
-        for i, bi in enumerate(b):
-            a[d + i] = (a[d + i] - c * bi) % p
-        _fp_trim(a)
-    return _fp_trim(q), a
+    if len(a) <= db:
+        return [], _fp_trim(a)
+    inv_lead = pow(b[db], -1, p)
+    low = b[:db]
+    q = [0] * (len(a) - db)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = a[k] * inv_lead % p
+        if c:
+            q[k - db] = c
+            for i, bi in enumerate(low, k - db):
+                a[i] = (a[i] - c * bi) % p
+    del a[db:]
+    return _fp_trim(q), _fp_trim(a)
 
 
 def _fp_gcd(a, b, p):
@@ -410,6 +415,73 @@ class Fq:
         """The unique p-th root of a (inverse Frobenius)."""
         return self.pow(a, self.p ** (self.k - 1)) if self.k > 1 else a
 
+    # -- polynomial kernels on trimmed little-endian coefficient lists --
+
+    def poly_mul(self, a, b) -> list[int]:
+        """Product of two coefficient lists."""
+        if self.k == 1:
+            return _fp_mul(a, b, self.p)
+        if not a or not b:
+            return []
+        exp, log, zech, _ = self._tables
+        n = self.q - 1
+        log_b = [log[c] for c in b]
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            la = log[ai]
+            for j, lb in enumerate(log_b, i):
+                if lb < 0:
+                    continue
+                t = la + lb
+                o = out[j]
+                if o:
+                    # o + g^t = g^lo (1 + g^(t - lo))
+                    lo = log[o]
+                    z = zech[(t - lo) % n]
+                    out[j] = exp[lo + z] if z >= 0 else 0
+                else:
+                    out[j] = exp[t]
+        return out
+
+    def poly_divmod(self, a, b) -> tuple[list[int], list[int]]:
+        """(quotient, remainder) of two coefficient lists, b nonzero."""
+        if self.k == 1:
+            return _fp_divmod(a, b, self.p)
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        exp, log, zech, log_minus_one = self._tables
+        n = self.q - 1
+        db = len(b) - 1
+        rem = list(a)
+        if len(rem) <= db:
+            return [], rem
+        log_lead = log[b[db]]
+        log_b = [log[c] for c in b[:db]]
+        quot = [0] * (len(rem) - db)
+        for k in range(len(rem) - 1, db - 1, -1):
+            r = rem[k]
+            if not r:
+                continue
+            # the quotient digit c = r / lc(b); exp takes its log in (-n, n)
+            lc = log[r] - log_lead
+            quot[k - db] = exp[lc]
+            row = (lc + log_minus_one) % n  # log of -c: the row adds -c * b
+            for i, lb in enumerate(log_b, k - db):
+                if lb < 0:
+                    continue
+                t = row + lb
+                o = rem[i]
+                if o:
+                    lo = log[o]
+                    z = zech[(t - lo) % n]
+                    rem[i] = exp[lo + z] if z >= 0 else 0
+                else:
+                    rem[i] = exp[t]
+        del rem[db:]
+        return quot, _fp_trim(rem)
+
     def __repr__(self):
         return f"Fq({self.p}^{self.k})" if self.k > 1 else f"Fq({self.p})"
 
@@ -515,6 +587,14 @@ class Poly:
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
+    @staticmethod
+    def _trusted(field, coeffs) -> "Poly":
+        """A Poly on coefficients already free of trailing zeros."""
+        f = object.__new__(Poly)
+        _set_field(f, field)
+        _set_coeffs(f, tuple(coeffs))
+        return f
+
     # -- constructors --
 
     @staticmethod
@@ -561,7 +641,7 @@ class Poly:
     # -- arithmetic --
 
     def _check(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("mixed coefficient fields")
 
     def __add__(self, other):
@@ -581,6 +661,8 @@ class Poly:
     def __mul__(self, other):
         self._check(other)
         F = self.field
+        if isinstance(F, Fq):
+            return Poly._trusted(F, F.poly_mul(self.coeffs, other.coeffs))
         if self.is_zero() or other.is_zero():
             return Poly(F, [])
         out = [F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -612,6 +694,9 @@ class Poly:
         F = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if isinstance(F, Fq):
+            q, r = F.poly_divmod(self.coeffs, other.coeffs)
+            return Poly._trusted(F, q), Poly._trusted(F, r)
         rem = list(self.coeffs)
         d = other.coeffs
         inv_lead = F.inv(d[-1])
@@ -644,18 +729,16 @@ class Poly:
         while e:
             if e & 1:
                 result = (result * base) % mod
-            base = (base * base) % mod
             e >>= 1
+            if e:
+                base = (base * base) % mod
         return result
 
     def derivative(self) -> "Poly":
         F = self.field
         out = []
         for i in range(1, len(self.coeffs)):
-            term = F.zero
-            # i * c_i computed by repeated addition semantics: F.from_int(i)*c_i
-            term = F.mul(F.from_int(i) if F.char == 0 else F.from_int(i % F.char), self.coeffs[i])
-            out.append(term)
+            out.append(F.mul(F.from_int(i), self.coeffs[i]))
         return Poly(F, out)
 
     def evaluate(self, x):
@@ -684,6 +767,11 @@ class Poly:
     def sort_key(self):
         """Deterministic total order key: (degree, coefficient encodings)."""
         return (len(self.coeffs), tuple(reversed([_coeff_key(c) for c in self.coeffs])))
+
+
+# Poly's slot setters, which bypass the __setattr__ that makes it immutable.
+_set_field = Poly.field.__set__
+_set_coeffs = Poly.coeffs.__set__
 
 
 def _coeff_key(c):

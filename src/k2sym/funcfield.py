@@ -98,36 +98,30 @@ def ff_valuation(f, place: PlaceFq) -> int:
     return a - b
 
 
-def _poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b), g monic."""
-    F = a.field
-    one, zero = Poly.const(F, F.one), Poly(F, [])
-    r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
+def _residue_inv(a: Poly, pi: Poly) -> Poly:
+    """Inverse of a mod pi (pi irreducible, a not divisible by pi): by the
+    field inverse when a mod pi is constant, else by the extended Euclidean
+    algorithm, tracking only the cofactor of a."""
+    F = pi.field
+    r1 = a % pi
+    if r1.is_constant():
+        if r1.is_zero():
+            raise ZeroDivisionError("element not invertible mod pi")
+        return Poly.const(F, F.inv(r1.coeffs[0]))
+    # invariant: r_i = s_i * a mod pi
+    r0, s0, s1 = pi, Poly(F, []), Poly.const(F, F.one)
     while not r1.is_zero():
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    inv = F.inv(r0.lc())
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
-
-
-def _residue_inv(a: Poly, pi: Poly) -> Poly:
-    """Inverse of a mod pi (pi irreducible, a not divisible by pi)."""
-    g, s, _ = _poly_xgcd(a % pi, pi)
-    if g.degree != 0:
+    if r0.degree != 0:
         raise ZeroDivisionError("element not invertible mod pi")
-    # g is the constant 1 after normalization
-    return s % pi
+    # deg s0 < deg pi, so the scaled cofactor is already reduced
+    return s0.scale(F.inv(r0.coeffs[0]))
 
 
 def _residue_pow(a: Poly, e: int, pi: Poly) -> Poly:
-    if e < 0:
-        return _residue_pow(_residue_inv(a, pi), -e, pi)
+    """a^e mod pi for e >= 0."""
     return (a % pi).pow_mod(e, pi)
 
 
@@ -172,14 +166,16 @@ def tame_ff(f, g, place: PlaceFq) -> Poly:
     gd, b_den = _strip(g.den, pi)
     a = a_num - a_den
     b = b_num - b_den
-    # residues of the unit parts
-    u = (fn % pi) * _residue_inv(fd, pi) % pi
-    w = (gn % pi) * _residue_inv(gd, pi) % pi
-    sign = F.one if (a * b) % 2 == 0 else F.neg(F.one)
-    val = Poly.const(F, sign)
-    val = val * _residue_pow(u, b, pi) % pi
-    val = val * _residue_pow(w, -a, pi) % pi
-    return val
+    # (-1)^(ab) fn^b fd^-b gn^-a gd^a as top / bottom, with one inversion
+    top = Poly.const(F, F.one if (a * b) % 2 == 0 else F.neg(F.one))
+    bottom = None
+    for unit, e in ((fn, b), (fd, -b), (gn, -a), (gd, a)):
+        if e > 0:
+            top = top * _residue_pow(unit, e, pi) % pi
+        elif e < 0:
+            power = _residue_pow(unit, -e, pi)
+            bottom = power if bottom is None else bottom * power % pi
+    return top if bottom is None else top * _residue_inv(bottom, pi) % pi
 
 
 def residue_norm(value: Poly, place: PlaceFq) -> int:

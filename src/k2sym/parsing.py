@@ -10,7 +10,8 @@ Grammar, whitespace-insensitive, with ^ for powers and unary minus:
 Identifiers are single names resolved by the evaluation context (T for
 function fields, s and t in characteristic p, z and i over the Gaussian
 rationals; plain rational contexts have none).  The unicode minus sign is
-accepted as a synonym for '-'.  Errors carry the character offset.
+accepted as a synonym for '-'.  Parentheses and unary minus nest at most
+MAX_NESTING deep.  Errors carry the character offset.
 """
 from __future__ import annotations
 
@@ -20,6 +21,12 @@ from fractions import Fraction
 from .arith import Poly, RatFunc, field
 from .charpforms import BiPoly, MultiRatFunc
 from .regnum import CX, GaussRat, poly_z, ratfunc_z
+
+
+# Nesting budget for parentheses and unary minus together.  The parser
+# recurses about four frames per parenthesis, so the budget keeps it well
+# below the interpreter's recursion limit (1000 by default).
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -98,6 +105,12 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    def nest(self, tok: _Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", tok.offset)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -124,8 +137,10 @@ class _Parser:
     def factor(self):
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
-            self.take()
-            return Neg(self.factor())
+            self.nest(self.take())
+            node = Neg(self.factor())
+            self.depth -= 1
+            return node
         node = self.base()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
@@ -144,10 +159,12 @@ class _Parser:
         if tok.kind == "var":
             return Var(tok.text)
         if tok.kind == "op" and tok.text == "(":
+            self.nest(tok)
             node = self.expr()
             closing = self.take()
             if not (closing.kind == "op" and closing.text == ")"):
                 raise ParseError("expected ')'", closing.offset)
+            self.depth -= 1
             return node
         raise ParseError("expected an operand", tok.offset)
 
@@ -189,7 +206,21 @@ def format_expression(node) -> str:
 
 
 def evaluate(node, context):
-    """Fold the tree through a context with const/var/arithmetic hooks."""
+    """Fold the tree through a context with const/var/arithmetic hooks.
+
+    A chain a + b - c ... is a left-deep tree as deep as it is long, so its
+    left spine is folded in a loop; recursion goes only as deep as the
+    parser's nesting budget.
+    """
+    if isinstance(node, BinOp):
+        spine = []
+        while isinstance(node, BinOp):
+            spine.append(node)
+            node = node.left
+        acc = evaluate(node, context)
+        for op in reversed(spine):
+            acc = _apply(op.op, acc, evaluate(op.right, context), context)
+        return acc
     if isinstance(node, Num):
         return context.const(node.value)
     if isinstance(node, Var):
@@ -198,17 +229,17 @@ def evaluate(node, context):
         return context.neg(evaluate(node.arg, context))
     if isinstance(node, Pow):
         return context.pow(evaluate(node.base, context), node.exponent)
-    if isinstance(node, BinOp):
-        a = evaluate(node.left, context)
-        b = evaluate(node.right, context)
-        if node.op == "+":
-            return context.add(a, b)
-        if node.op == "-":
-            return context.sub(a, b)
-        if node.op == "*":
-            return context.mul(a, b)
-        return context.div(a, b)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _apply(op: str, a, b, context):
+    if op == "+":
+        return context.add(a, b)
+    if op == "-":
+        return context.sub(a, b)
+    if op == "*":
+        return context.mul(a, b)
+    return context.div(a, b)
 
 
 # -- evaluation contexts -----------------------------------------------------------

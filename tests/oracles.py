@@ -133,7 +133,8 @@ def rabin_irreducible(f: list[int], p: int) -> bool:
 
 class DigitField:
     """F_{p^k} on integer encodings c_0 + c_1 p + ..., with the modulus the
-    first monic irreducible of degree k in encoding order."""
+    first monic irreducible of degree k in encoding order (X for k = 1, so
+    that DigitField(p, 1) is F_p)."""
 
     def __init__(self, p: int, k: int):
         self.p, self.k, self.q = p, k, p**k
@@ -174,6 +175,66 @@ class DigitField:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return self.pow(a, self.q - 2)
+
+
+# -- polynomials over a DigitField, by schoolbook arithmetic on its elements ------
+
+
+def field_poly_add(D: DigitField, a: list[int], b: list[int]) -> list[int]:
+    n = max(len(a), len(b))
+    return _trim([D.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def field_poly_mul(D: DigitField, a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = D.add(out[i + j], D.mul(ai, bj))
+    return _trim(out)
+
+
+def field_poly_mod(D: DigitField, a: list[int], b: list[int]) -> list[int]:
+    a = list(a)
+    inv_lead = D.inv(b[-1])
+    while len(a) >= len(b):
+        c = D.mul(a[-1], inv_lead)
+        d = len(a) - len(b)
+        for i, bi in enumerate(b):
+            a[d + i] = D.sub(a[d + i], D.mul(c, bi))
+        _trim(a)
+    return a
+
+
+def order_and_unit_at(D: DigitField, coeffs: list[int], r: int) -> tuple[int, int]:
+    """(m, u) with P = (T - r)^m * U and u = U(r) != 0, for P nonzero, by
+    repeated synthetic division by T - r."""
+    m = 0
+    while True:
+        partial = []
+        acc = 0
+        for c in reversed(coeffs):
+            acc = D.add(D.mul(acc, r), c)
+            partial.append(acc)
+        if acc:
+            return m, acc
+        coeffs = partial[-2::-1]  # the quotient, lowest coefficient first
+        m += 1
+
+
+def tame_at_root(D: DigitField, f: tuple[list[int], list[int]], g: tuple[list[int], list[int]],
+                 r: int) -> int:
+    """The tame symbol of f = f_num/f_den and g = g_num/g_den at the place
+    T - r, by its definition (-1)^(ab) (f/(T-r)^a)^b (g/(T-r)^b)^(-a) at
+    T = r, where a and b are the orders of f and g at r."""
+    (mfn, ufn), (mfd, ufd) = (order_and_unit_at(D, c, r) for c in f)
+    (mgn, ugn), (mgd, ugd) = (order_and_unit_at(D, c, r) for c in g)
+    a, b = mfn - mfd, mgn - mgd
+    u = D.mul(ufn, D.inv(ufd))
+    w = D.mul(ugn, D.inv(ugd))
+    sign = D.neg(1) if a * b % 2 else 1
+    return D.mul(sign, D.mul(D.pow(u, b), D.pow(w, -a)))
 
 
 def squarefree_part(n: int) -> int:

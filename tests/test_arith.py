@@ -1,4 +1,5 @@
 """Tests for the exact-arithmetic substrate."""
+import random
 from fractions import Fraction
 from math import comb
 
@@ -239,6 +240,40 @@ def test_poly_divmod_invariant_f5(a, b):
     q, r = f.divmod(g)
     assert q * g + r == f
     assert r.is_zero() or r.degree < g.degree
+
+
+FIELDS_TO_81 = [q for q in range(2, 82) if len(oracles.naive_factor(q)) == 1]
+
+
+@pytest.mark.parametrize("q", FIELDS_TO_81)
+def test_poly_kernels_match_schoolbook(q):
+    """Poly *, //, % and divmod over F_q against schoolbook arithmetic: on
+    ints mod p for prime q, on DigitField elements for prime powers."""
+    (p, k), = oracles.naive_factor(q).items()
+    F, rng = field(q), random.Random(q)
+    if k == 1:
+        add, mul, mod = (lambda a, b, op=op: op(a, b, p)
+                         for op in (oracles._poly_add, oracles._poly_mul, oracles._poly_mod))
+    else:
+        D = oracles.DigitField(p, k)
+        add, mul, mod = (lambda a, b, op=op: op(D, a, b)
+                         for op in (oracles.field_poly_add, oracles.field_poly_mul, oracles.field_poly_mod))
+
+    def rand(degree):
+        return [rng.randrange(q) for _ in range(degree)] + [rng.randrange(1, q)]
+
+    cases = [(rand(rng.randint(0, 8)), rand(rng.randint(0, 8))) for _ in range(12)]
+    cases += [(rand(rng.randint(0, 8)), rand(0)) for _ in range(3)]             # constant divisor
+    cases += [(mul(rand(rng.randint(0, 4)), b), b) for b in (rand(rng.randint(1, 4)) for _ in range(3))]
+    cases += [(rand(rng.randint(0, 3)), rand(rng.randint(4, 8))) for _ in range(3)]  # lower degree
+    cases += [([], rand(rng.randint(0, 8))), ([1, 1], [1, 1])]
+    for a, b in cases:
+        f, g = Poly(F, a), Poly(F, b)
+        assert list((f * g).coeffs) == mul(a, b), (a, b)
+        quo, rem = f.divmod(g)
+        assert (f // g, f % g) == (quo, rem)
+        assert list(rem.coeffs) == mod(a, b), (a, b)
+        assert add(mul(list(quo.coeffs), b), list(rem.coeffs)) == a, (a, b)
 
 
 def test_irreducibility_examples():

@@ -98,8 +98,10 @@ def test_dilog_catalan(capsys):
         ["cartier", "--p", "3", "--degree", "1", "t", "0"],
         ["tame", "1/0", "3", "5"],
         ["weil", "--q", "1048576", "T", "T+1"],
+        ["hilbert", "--place", "2", "(" * 2000 + "2" + ")" * 2000, "3"],
     ],
-    ids=["syntax", "bad-place", "singular-curve", "not-closed", "div-zero", "field-too-large"],
+    ids=["syntax", "bad-place", "singular-curve", "not-closed", "div-zero", "field-too-large",
+         "deep-nesting"],
 )
 def test_invalid_inputs_exit_2(capsys, argv):
     code, _, rep = run(capsys, argv)

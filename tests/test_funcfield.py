@@ -23,6 +23,8 @@ from k2sym.funcfield import (
     weil_check,
 )
 
+import oracles
+
 
 def random_ratfunc(F, rng, max_deg=3):
     while True:
@@ -79,6 +81,31 @@ def test_tame_ff_spec_triple():
     assert tame_ff(T, T - one, PlaceFq.finite(T)).coeffs == (4,)
     assert tame_ff(T, T - one, PlaceFq.finite(T - one)).coeffs == (1,)
     assert tame_ff(T, T - one, PlaceFq.infinity()).coeffs == (4,)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_tame_ff_matches_definition_at_degree_one_places(q):
+    """tame_ff at every place T - r against (-1)^(ab) (f/(T-r)^a)^b
+    (g/(T-r)^b)^(-a) at r, computed on DigitField elements.  Each of the
+    four parts carries a power of T - s for one shared s, so f and g often
+    share a place."""
+    (p, k), = oracles.naive_factor(q).items()
+    F, D, rng = field(q), oracles.DigitField(p, k), random.Random(q)
+    for _ in range(25):
+        s = rng.randrange(q)
+        parts = []
+        for _ in range(4):
+            m = rng.randint(0, 2)
+            c = [rng.randrange(q) for _ in range(rng.randint(0, 4 - m))] + [rng.randrange(1, q)]
+            for _ in range(m):
+                c = oracles.field_poly_mul(D, c, [D.neg(s), 1])
+            parts.append(c)
+        f = RatFunc(Poly(F, parts[0]), Poly(F, parts[1]))
+        g = RatFunc(Poly(F, parts[2]), Poly(F, parts[3]))
+        for r in range(q):
+            place = PlaceFq.finite(Poly(F, [D.neg(r), 1]))
+            want = oracles.tame_at_root(D, (parts[0], parts[1]), (parts[2], parts[3]), r)
+            assert tame_ff(f, g, place) == Poly.const(F, want), (parts, r)
 
 
 def test_tame_ff_bilinear():

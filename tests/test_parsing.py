@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from k2sym.parsing import (
+    MAX_NESTING,
     BinOp,
     Neg,
     Num,
@@ -52,6 +53,23 @@ def test_syntax_error_offsets():
     with pytest.raises(ParseError) as exc:
         parse_expression("1 2")
     assert exc.value.offset == 2
+
+
+def test_nesting_budget():
+    inner = "(" * MAX_NESTING + "2" + ")" * MAX_NESTING
+    assert parse_rational(inner) == 2
+    assert parse_rational("-" * MAX_NESTING + "2") == 2
+    for deep in ("(" + inner + ")", "-" + "-(" * (MAX_NESTING // 2) + "2" + ")" * (MAX_NESTING // 2)):
+        with pytest.raises(ParseError, match="nesting"):
+            parse_expression(deep)
+    with pytest.raises(ParseError) as exc:
+        parse_expression("(" * 2000 + "2" + ")" * 2000)
+    assert exc.value.offset == MAX_NESTING
+
+
+def test_long_operator_chains_evaluate():
+    assert parse_rational("+".join(["1"] * 3000)) == 3000
+    assert parse_rational("*".join(["2"] * 3000) + "/" + "/".join(["2"] * 3000)) == 1
 
 
 def test_rational_evaluation():
