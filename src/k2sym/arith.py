@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
-import numpy
-
 # Degree of the zero polynomial.  A distinguished marker, never -1, so that
 # accidental integer arithmetic on it is loud (it propagates as -inf).
 NEG_INF = float("-inf")
@@ -25,6 +23,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Factorization refuses inputs whose prime parts exceed this bound.
 FACTOR_BOUND = 10**12
+
+# Trial division stops at this prime bound; a larger cofactor must be prime.
+_TRIAL_LIMIT = 10**6
 
 
 def is_prime(n: int) -> bool:
@@ -63,20 +64,34 @@ def _prime_list(limit: int) -> tuple[int, ...]:
     return tuple(i for i in range(limit + 1) if sieve[i])
 
 
+_SIEVE_SIZES = (1 << 10, 1 << 14, 1 << 20)
+
+
+def _sieve_for(limit: int) -> tuple[int, ...]:
+    """The cached sieve at the smallest canonical size >= limit."""
+    for size in _SIEVE_SIZES:
+        if limit <= size:
+            return _prime_list(size)
+    return _prime_list(limit)
+
+
 def primes_below(limit: int) -> tuple[int, ...]:
     """Primes < limit.  Sieve results are cached at a few canonical sizes."""
-    for size in (1 << 10, 1 << 14, 1 << 20):
-        if limit <= size:
-            ps = _prime_list(size)
-            break
-    else:
-        ps = _prime_list(limit)
     out = []
-    for p in ps:
+    for p in _sieve_for(limit):
         if p >= limit:
             break
         out.append(p)
     return tuple(out)
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls from fields already known to
+    be valid, such as primes out of factorize: skips __post_init__."""
+    out = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
 
 
 @dataclass(frozen=True)
@@ -111,12 +126,11 @@ class Factorization:
 
 
 def _factor_positive(n: int) -> dict[int, int]:
-    """Trial division by cached primes; Miller-Rabin certifies the cofactor."""
+    """Trial division by the cached sieve; Miller-Rabin certifies the cofactor."""
     out: dict[int, int] = {}
     m = n
-    bound = isqrt(m) + 1
-    for p in primes_below(min(bound + 1, 10**6 + 1)):
-        if p * p > m:
+    for p in _sieve_for(min(isqrt(n) + 2, _TRIAL_LIMIT)):
+        if p * p > m or p > _TRIAL_LIMIT:
             break
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
@@ -145,7 +159,7 @@ def factorize(x: int | Fraction) -> tuple[int, Factorization]:
     for p, e in _factor_positive(x.denominator).items():
         fac[p] = fac.get(p, 0) - e
     items = tuple(sorted((p, e) for p, e in fac.items() if e != 0))
-    return sign, Factorization(items)
+    return sign, _unchecked(Factorization, factors=items)
 
 
 def valuation(x: int | Fraction, p: int) -> int:
@@ -297,6 +311,8 @@ class Fq:
         needs no reduction; log[a] is the i in [0, q - 1) with g^i = a, and
         log[0] = -1; zech[i] = log(1 + g^i), so -1 where 1 + g^i = 0.
         """
+        import numpy  # only here: importing k2sym does not load numpy
+
         p, k, n = self.p, self.k, self.q - 1
         Fp = field(p)
         m = Poly(Fp, self.modulus_coeffs)

@@ -16,19 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize, is_prime, legendre, primes_below
+from .arith import _unchecked, is_prime, legendre
 from .localsym import (
-    REAL,
-    MuValue,
+    LocalData,
     PlaceQ,
+    _residue,
+    _residue8,
+    _s2,
+    _tame,
     h_p,
-    hilbert,
-    norm_residue,
-    odd_support,
+    hilbert_factors,
+    local_data,
+    odd_primes,
     s_2,
     s_infinity,
-    support_places,
-    tame,
 )
 
 
@@ -109,9 +110,7 @@ class K2QClass:
 
     @staticmethod
     def make(two_slot: int, odd_map: dict[int, int] | None = None) -> "K2QClass":
-        odd_map = odd_map or {}
-        items = tuple(sorted((p, a % p) for p, a in odd_map.items() if a % p != 1))
-        return K2QClass(two_slot, items)
+        return K2QClass(two_slot, _normalized(odd_map))
 
     def coordinate(self, p: int) -> int:
         for q, a in self.odd:
@@ -126,10 +125,11 @@ class K2QClass:
         odd: dict[int, int] = dict(self.odd)
         for p, a in other.odd:
             odd[p] = odd.get(p, 1) * a % p
-        return K2QClass.make(self.two_slot * other.two_slot, odd)
+        return _unchecked(K2QClass, two_slot=self.two_slot * other.two_slot, odd=_normalized(odd))
 
     def __neg__(self) -> "K2QClass":
-        return K2QClass.make(self.two_slot, {p: pow(a, -1, p) for p, a in self.odd})
+        odd = tuple((p, pow(a, -1, p)) for p, a in self.odd)
+        return _unchecked(K2QClass, two_slot=self.two_slot, odd=odd)
 
     def __sub__(self, other: "K2QClass") -> "K2QClass":
         return self + (-other)
@@ -141,16 +141,37 @@ class K2QClass:
 K2Q_ZERO = K2QClass(1, ())
 
 
-def k2q_add(a: K2QClass, b: K2QClass) -> K2QClass:
-    return a + b
+def _normalized(odd_map: dict[int, int] | None) -> tuple[tuple[int, int], ...]:
+    """Sorted (p, a mod p) with the trivial coordinates dropped."""
+    if not odd_map:
+        return ()
+    return tuple(sorted((p, a % p) for p, a in odd_map.items() if a % p != 1))
 
 
-def k2q_neg(a: K2QClass) -> K2QClass:
-    return -a
+def _accumulate(odd: dict[int, int], x: LocalData, y: LocalData, m: int) -> None:
+    """Multiply the tame values of m * {x, y} into odd (prime -> unit),
+    dropping coordinates that become 1."""
+    for p in odd_primes(x, y):
+        t = pow(_tame(*_residue(x, p), *_residue(y, p), p), m, p)
+        t = odd.get(p, 1) * t % p
+        if t == 1:
+            odd.pop(p, None)
+        else:
+            odd[p] = t
 
 
-def k2q_is_zero(a: K2QClass) -> bool:
-    return a.is_zero()
+def _local_values(e: SymbolExpr) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """The real sign, the dyadic sign and the sorted nontrivial odd tame
+    coordinates of e."""
+    real, two, odd = 1, 1, {}
+    for x, y, m in e.terms:
+        x, y = local_data(x), local_data(y)
+        if m % 2:
+            if x.sign < 0 and y.sign < 0:
+                real = -real
+            two *= _s2(*_residue8(x), *_residue8(y))
+        _accumulate(odd, x, y, m)
+    return real, two, tuple(sorted(odd.items()))
 
 
 def lambda_tate(e: SymbolExpr) -> K2QClass:
@@ -159,14 +180,8 @@ def lambda_tate(e: SymbolExpr) -> K2QClass:
     Only primes in the support of some entry can carry a nontrivial value,
     so the computation touches finitely many places.
     """
-    two = 1
-    odd: dict[int, int] = {}
-    for x, y, m in e.terms:
-        two *= s_2(x, y) ** (m % 2)
-        for p in odd_support(x, y):
-            t = pow(tame(x, y, p), m % (p - 1), p)
-            odd[p] = odd.get(p, 1) * t % p
-    return K2QClass.make(two, odd)
+    _, two, odd = _local_values(e)
+    return _unchecked(K2QClass, two_slot=two, odd=odd)
 
 
 def lift(target: K2QClass) -> SymbolExpr:
@@ -183,16 +198,17 @@ def lift(target: K2QClass) -> SymbolExpr:
     the same descent.
     """
     pairs: list[tuple[Fraction, Fraction]] = []
-    remaining = target
-    while remaining.odd:
-        p, a = remaining.odd[-1]  # largest supported prime
-        rep = Fraction(a)  # least positive residue, 2 <= a <= p-1
-        pairs.append((rep, Fraction(p)))
-        remaining = remaining - lambda_tate(symbol(rep, p))
-    if remaining.two_slot == -1:
+    two, odd = target.two_slot, dict(target.odd)
+    while odd:
+        p = max(odd)  # largest supported prime
+        a = odd[p]  # least positive residue, 2 <= a <= p-1
+        pairs.append((Fraction(a), Fraction(p)))
+        rep, prime = local_data(a), LocalData(p, 1, {p: 1})
+        two *= _s2(*_residue8(rep), *_residue8(prime))
+        _accumulate(odd, rep, prime, -1)
+        assert odd.get(p, 1) == 1, "descent failed to clear the largest prime"
+    if two == -1:
         pairs.append((Fraction(-1), Fraction(-1)))
-        remaining = remaining - lambda_tate(symbol(-1, -1))
-    assert remaining.is_zero()
     return SymbolExpr.of(*pairs) if pairs else SymbolExpr(())
 
 
@@ -221,13 +237,11 @@ def hilbert_reciprocity(x, y) -> ReciprocityResult:
     are +1 and are not listed.
     """
     x, y = Fraction(x), Fraction(y)
-    factors = []
+    factors = hilbert_factors(local_data(x), local_data(y))
     prod = 1
-    for place in support_places(x, y):
-        v = hilbert(x, y, place)
-        factors.append((place, v))
+    for _, v in factors:
         prod *= v
-    return ReciprocityResult(x, y, tuple(factors), prod)
+    return ReciprocityResult(x, y, factors, prod)
 
 
 @dataclass(frozen=True)
@@ -298,9 +312,7 @@ class MooreVector:
 
     @staticmethod
     def make(real: int, two: int, odd_map: dict[int, int] | None = None) -> "MooreVector":
-        odd_map = odd_map or {}
-        items = tuple(sorted((p, a % p) for p, a in odd_map.items() if a % p != 1))
-        return MooreVector(real, two, items)
+        return MooreVector(real, two, _normalized(odd_map))
 
     def coordinate(self, place: PlaceQ) -> int:
         if place.is_real():
@@ -314,17 +326,10 @@ class MooreVector:
 
 
 def moore_map(e: SymbolExpr) -> MooreVector:
-    """All local symbol values of a symbol expression, real place included."""
-    real = 1
-    two = 1
-    odd: dict[int, int] = {}
-    for x, y, m in e.terms:
-        real *= s_infinity(x, y) ** (m % 2)
-        two *= s_2(x, y) ** (m % 2)
-        for p in odd_support(x, y):
-            t = pow(tame(x, y, p), m % (p - 1), p)
-            odd[p] = odd.get(p, 1) * t % p
-    return MooreVector.make(real, two, odd)
+    """All local symbol values of a symbol expression, real place included:
+    lambda_tate's coordinates plus the real sign."""
+    real, two, odd = _local_values(e)
+    return _unchecked(MooreVector, real=real, two=two, odd=odd)
 
 
 def moore_sum(v: MooreVector) -> int:

@@ -14,13 +14,20 @@ Conventions fixed here and relied on everywhere else:
     the decomposition x = 2^a u (the 3x3 generator table below);
   * h_p(x, y) = tame(x, y, p)^{(p-1)/2} is the +-1 squashing of the tame
     symbol used in product formulas.
+
+The single-place functions (tame, s_2, h_p, hilbert, norm_residue) take the
+valuation at the one place asked for and never factor.  Checks over every
+place factor each argument once into a LocalData record and read each
+place's valuation and unit residue from it with integer operations
+(Milnor, Introduction to Algebraic K-theory, section 11).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .arith import factorize, is_prime, legendre, valuation
+from .arith import _unchecked, factorize, is_prime
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,7 @@ class PlaceQ:
 
 
 REAL = PlaceQ("real")
+TWO = PlaceQ("prime", 2)
 
 
 @dataclass(frozen=True)
@@ -97,33 +105,80 @@ def _as_nonzero_fraction(x) -> Fraction:
     return x
 
 
+# ---------------------------------------------------------------------------
+# Kernels on plain ints.  At an odd prime p an argument enters as (a, u):
+# its valuation and its p-adic unit part reduced mod p.  At 2 it enters as
+# (a, u8): its valuation and its odd unit part mod 8.  _residue and
+# _residue8 read these off a Fraction or a LocalData record alike.
+
+
+def _split(x: Fraction | LocalData, p: int) -> tuple[int, int, int]:
+    """x = p^a * n / d with n (signed) and d prime to p; returns (a, n, d).
+
+    Takes the valuation at p alone: nothing is factored."""
+    n, d = x.numerator, x.denominator
+    a = 0
+    while n % p == 0:
+        n //= p
+        a += 1
+    while d % p == 0:
+        d //= p
+        a -= 1
+    return a, n, d
+
+
+def _residue(x: Fraction | LocalData, p: int) -> tuple[int, int]:
+    """(v_p(x), unit part of x mod p) for an odd prime p."""
+    a, n, d = _split(x, p)
+    return a, n * pow(d, -1, p) % p
+
+
+def _residue8(x: Fraction | LocalData) -> tuple[int, int]:
+    """(v_2(x), odd unit part of x mod 8); d^-1 = d mod 8 for odd d."""
+    a, n, d = _split(x, 2)
+    return a, n * d % 8
+
+
+def _tame(a: int, u: int, b: int, w: int, p: int) -> int:
+    """(-1)^{ab} u^b w^{-a} mod p: the tame symbol of p^a u and p^b w."""
+    t = pow(u, b, p) * pow(w, -a, p) % p
+    return p - t if a * b % 2 else t
+
+
+def _legendre(u: int, p: int) -> int:
+    return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
+
+
+def _h(a: int, u: int, b: int, w: int, p: int) -> int:
+    """The +-1 symbol at an odd prime p: _tame(a, u, b, w, p)^((p-1)/2)."""
+    h = _legendre(u, p) if b % 2 else 1
+    if a % 2:
+        h *= _legendre(w, p)
+        if b % 2 and p % 4 == 3:
+            h = -h
+    return h
+
+
+def _s2(a: int, u8: int, b: int, w8: int) -> int:
+    """The dyadic symbol of 2^a u and 2^b w from u, w mod 8:
+    (-1)^{eps(u) eps(w) + omega(u) b + omega(w) a}, where eps(u) = (u-1)/2
+    and omega(u) = (u^2-1)/8 mod 2.  The s_2(2,2)^{ab} factor is +1."""
+    eps_u, eps_w = u8 % 4 == 3, w8 % 4 == 3
+    omega_u, omega_w = u8 in (3, 5), w8 in (3, 5)
+    exponent = (eps_u and eps_w) + omega_u * b + omega_w * a
+    return -1 if exponent % 2 else 1
+
+
+# ---------------------------------------------------------------------------
+# Single-place symbols.  Each takes the valuations at the place requested
+# and never factors, so its cost does not grow with the arguments' other
+# prime factors.
+
+
 def s_infinity(x, y) -> int:
     """Symbol at the real place: -1 iff both arguments are negative."""
     x, y = _as_nonzero_fraction(x), _as_nonzero_fraction(y)
     return -1 if (x < 0 and y < 0) else 1
-
-
-def _split_dyadic(x: Fraction) -> tuple[int, Fraction]:
-    """x = 2^a * u with u an odd unit (odd numerator and denominator)."""
-    a = valuation(x, 2)
-    return a, x / Fraction(2) ** a
-
-
-def _unit_mod8(u: Fraction) -> int:
-    """Residue mod 8 of an odd rational unit.  Uses d^-1 = d mod 8."""
-    n = u.numerator % 8
-    d = u.denominator % 8
-    return n * d % 8
-
-
-def _eps(u: Fraction) -> int:
-    """(u-1)/2 mod 2 for an odd unit: 0 if u = 1 mod 4, 1 if u = 3 mod 4."""
-    return (_unit_mod8(u) % 4 - 1) // 2
-
-
-def _omega(u: Fraction) -> int:
-    """(u^2-1)/8 mod 2 for an odd unit: 0 if u = +-1 mod 8, else 1."""
-    return 0 if _unit_mod8(u) in (1, 7) else 1
 
 
 def s_2(x, y) -> int:
@@ -135,11 +190,18 @@ def s_2(x, y) -> int:
     General arguments decompose as x = 2^a u and expand bilinearly.
     """
     x, y = _as_nonzero_fraction(x), _as_nonzero_fraction(y)
-    a, u = _split_dyadic(x)
-    b, w = _split_dyadic(y)
-    exponent = _eps(u) * _eps(w) + _omega(u) * b + _omega(w) * a
-    # the s_2(2,2)^{ab} factor is +1, so it contributes nothing
-    return -1 if exponent % 2 else 1
+    return _s2(*_residue8(x), *_residue8(y))
+
+
+def _check_odd_prime(p: int) -> None:
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"tame symbol needs an odd prime, got {p}")
+
+
+def _odd_args(x, y, p: int) -> tuple[int, int, int, int, int]:
+    """(a, u, b, w, p) for _tame and _h from x = p^a u and y = p^b w."""
+    x, y = _as_nonzero_fraction(x), _as_nonzero_fraction(y)
+    return (*_residue(x, p), *_residue(y, p), p)
 
 
 def tame(x, y, p: int) -> int:
@@ -148,23 +210,14 @@ def tame(x, y, p: int) -> int:
     tame(x, y, p) is the reduction mod p of the p-adic unit
     (-1)^{v(x)v(y)} x^{v(y)} y^{-v(x)}.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"tame symbol needs an odd prime, got {p}")
-    x, y = _as_nonzero_fraction(x), _as_nonzero_fraction(y)
-    a = valuation(x, p)
-    b = valuation(y, p)
-    u = x / Fraction(p) ** a   # p-adic unit part of x
-    w = y / Fraction(p) ** b
-    sign = -1 if (a * b) % 2 else 1
-    val = Fraction(sign) * u**b * w**(-a)  # a p-adic unit
-    return val.numerator * pow(val.denominator, -1, p) % p
+    _check_odd_prime(p)
+    return _tame(*_odd_args(x, y, p))
 
 
 def h_p(x, y, p: int) -> int:
     """The order-2 quotient of the tame symbol: tame(x,y,p)^((p-1)/2)."""
-    t = tame(x, y, p)
-    r = pow(t, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
+    _check_odd_prime(p)
+    return _h(*_odd_args(x, y, p))
 
 
 def hilbert(x, y, place: PlaceQ) -> int:
@@ -173,7 +226,7 @@ def hilbert(x, y, place: PlaceQ) -> int:
         return s_infinity(x, y)
     if place.p == 2:
         return s_2(x, y)
-    return h_p(x, y, place.p)
+    return _h(*_odd_args(x, y, place.p))
 
 
 def norm_residue(x, y, place: PlaceQ) -> MuValue:
@@ -183,7 +236,7 @@ def norm_residue(x, y, place: PlaceQ) -> MuValue:
         return MuValue(place, s_infinity(x, y))
     if place.p == 2:
         return MuValue(place, s_2(x, y))
-    return MuValue(place, tame(x, y, place.p))
+    return MuValue(place, _tame(*_odd_args(x, y, place.p)))
 
 
 def conic_local(x, y, place: PlaceQ) -> bool:
@@ -194,13 +247,59 @@ def conic_local(x, y, place: PlaceQ) -> bool:
     return hilbert(x, y, place) == 1
 
 
+# ---------------------------------------------------------------------------
+# Every place at once.  A nonzero rational is factored once into a
+# LocalData record, and each place reads its local data from the record
+# with integer operations only.
+
+
+class LocalData(NamedTuple):
+    """A nonzero rational numerator / denominator, in lowest terms as in
+    Fraction, with its prime exponents: exps[p] > 0 for p | numerator and
+    < 0 for p | denominator."""
+
+    numerator: int
+    denominator: int
+    exps: dict[int, int]
+
+    @property
+    def sign(self) -> int:
+        return -1 if self.numerator < 0 else 1
+
+
+def local_data(x) -> LocalData:
+    """Factor a nonzero rational once, for evaluation at every place."""
+    x = Fraction(x)
+    _, fac = factorize(x)  # raises ValueError on 0
+    return LocalData(x.numerator, x.denominator, dict(fac.factors))
+
+
+def odd_primes(*records: LocalData) -> list[int]:
+    """The odd primes dividing any of the records, in increasing order."""
+    ps = set()
+    for r in records:
+        ps.update(r.exps)
+    ps.discard(2)
+    return sorted(ps)
+
+
+def hilbert_factors(x: LocalData, y: LocalData) -> tuple[tuple[PlaceQ, int], ...]:
+    """The +-1 symbol of {x, y} at the real place, at 2 and at every odd
+    prime of the support, in place order.  Away from these both arguments
+    are units and the symbol is +1."""
+    factors = [
+        (REAL, -1 if x.sign < 0 and y.sign < 0 else 1),
+        (TWO, _s2(*_residue8(x), *_residue8(y))),
+    ]
+    for p in odd_primes(x, y):
+        place = _unchecked(PlaceQ, kind="prime", p=p)
+        factors.append((place, _h(*_residue(x, p), *_residue(y, p), p)))
+    return tuple(factors)
+
+
 def odd_support(*values) -> tuple[int, ...]:
     """Odd primes dividing the numerator or denominator of any argument."""
-    ps: set[int] = set()
-    for v in values:
-        _, fac = factorize(Fraction(v))
-        ps.update(p for p in fac.primes() if p != 2)
-    return tuple(sorted(ps))
+    return tuple(odd_primes(*map(local_data, values)))
 
 
 def support_places(x, y) -> tuple[PlaceQ, ...]:
@@ -209,7 +308,7 @@ def support_places(x, y) -> tuple[PlaceQ, ...]:
     Away from these places both arguments are units and the tame symbol is
     trivially 1, so any product formula over all places reduces to this set.
     """
-    return (REAL, PlaceQ.prime(2)) + tuple(PlaceQ.prime(p) for p in odd_support(x, y))
+    return (REAL, TWO) + tuple(_unchecked(PlaceQ, kind="prime", p=p) for p in odd_support(x, y))
 
 
 def milnor_sign_class(xs) -> int:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .arith import Poly, RatFunc, field
 from .charpforms import BiPoly, MultiRatFunc
-from .regnum import CX, GaussRat, poly_z, ratfunc_z
+from .regnum import GaussRat, poly_z, ratfunc_z
 
 
 # Nesting budget for parentheses and unary minus together.  The parser
@@ -195,13 +195,20 @@ def format_expression(node) -> str:
             base = f"({base})"
         return f"{base}^{node.exponent}"
     if isinstance(node, BinOp):
-        left = format_expression(node.left)
-        if node.op in "*/" and isinstance(node.left, BinOp) and node.left.op in "+-":
-            left = f"({left})"
-        right = format_expression(node.right)
-        if isinstance(node.right, BinOp):
-            right = f"({right})"
-        return f"{left} {node.op} {right}"
+        # the left spine of a chain is folded in a loop, as in evaluate
+        spine = []
+        while isinstance(node, BinOp):
+            spine.append(node)
+            node = node.left
+        text = format_expression(node)
+        for op in reversed(spine):
+            if op.op in "*/" and isinstance(op.left, BinOp) and op.left.op in "+-":
+                text = f"({text})"
+            right = format_expression(op.right)
+            if isinstance(op.right, BinOp):
+                right = f"({right})"
+            text = f"{text} {op.op} {right}"
+        return text
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -17,13 +17,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .arith import factorize
-from .localsym import REAL, PlaceQ, hilbert, support_places
-
-
-def _frac(x) -> Fraction:
-    f = Fraction(x)
-    return f
+from .arith import _unchecked, factorize
+from .localsym import (
+    REAL,
+    TWO,
+    LocalData,
+    PlaceQ,
+    _h,
+    _residue,
+    _residue8,
+    _s2,
+    hilbert,
+    hilbert_factors,
+    local_data,
+    odd_primes,
+)
 
 
 @dataclass(frozen=True)
@@ -44,7 +52,7 @@ class GramMatrix:
 
     @staticmethod
     def of(rows) -> "GramMatrix":
-        return GramMatrix(tuple(tuple(_frac(x) for x in row) for row in rows))
+        return GramMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
 
     @property
     def n(self) -> int:
@@ -63,7 +71,7 @@ class DiagForm:
 
     @staticmethod
     def of(*entries) -> "DiagForm":
-        return DiagForm(tuple(_frac(a) for a in entries))
+        return DiagForm(tuple(Fraction(a) for a in entries))
 
     @property
     def rank(self) -> int:
@@ -144,7 +152,7 @@ def diagonalize(g: GramMatrix) -> DiagForm:
 
 def square_class(r) -> int:
     """Squarefree integer representative of the square class of r != 0."""
-    r = _frac(r)
+    r = Fraction(r)
     if r == 0:
         raise ValueError("zero has no square class")
     sign, fac = factorize(r)
@@ -182,38 +190,53 @@ class FormInvariants:
 
 
 def invariants(f: DiagForm) -> FormInvariants:
-    """Rank, discriminant class, signature, and all local Hasse invariants."""
-    entries = f.entries
-    places = set()
-    for a in entries:
-        for b in entries:
-            places.update(support_places(a, b))
-    hasse = []
-    for v in sorted(places, key=PlaceQ.sort_key):
-        s = 1
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                s *= hilbert(entries[i], entries[j], v)
-        hasse.append((v, s))
-    disc = _disc_class(entries)
-    pos = sum(1 for a in entries if a > 0)
+    """Rank, discriminant class, signature, and all local Hasse invariants.
+
+    Each entry is factored once.  The Hasse invariant at a place is the
+    product over i < j of the Hilbert symbols of the entries, and only the
+    real place, 2 and the odd primes of some entry can give -1.
+    """
+    records = [local_data(a) for a in f.entries]
+    n = len(records)
+    neg = sum(1 for r in records if r.sign < 0)
     return FormInvariants(
-        rank=len(entries),
-        disc=disc,
-        signature=(pos, len(entries) - pos),
-        hasse=tuple(hasse),
+        rank=n,
+        disc=_disc_class(records),
+        signature=(n - neg, neg),
+        hasse=_hasse(records, neg) if records else (),
     )
 
 
-def _disc_class(entries) -> int:
+def _hasse(records: list[LocalData], neg: int) -> tuple[tuple[PlaceQ, int], ...]:
+    """The Hasse invariant at the real place, at 2 and at each odd prime of
+    some entry; everywhere else every entry is a unit and it is +1."""
+    hasse = [
+        (REAL, -1 if neg * (neg - 1) // 2 % 2 else 1),
+        (TWO, _pairwise(_s2, [_residue8(r) for r in records])),
+    ]
+    for p in odd_primes(*records):
+        place = _unchecked(PlaceQ, kind="prime", p=p)
+        hasse.append((place, _pairwise(_h, [_residue(r, p) for r in records], p)))
+    return tuple(hasse)
+
+
+def _pairwise(symbol, local, *args) -> int:
+    """The product over i < j of symbol(*local[i], *local[j], *args)."""
+    s = 1
+    for i, x in enumerate(local):
+        for y in local[i + 1:]:
+            s *= symbol(*x, *y, *args)
+    return s
+
+
+def _disc_class(records: list[LocalData]) -> int:
     """Square class of the product of the entries, from the sign and the
-    exponent parities of each entry's factorization: the product itself
-    may lie beyond the factorization bound."""
+    exponent parities of each entry's record: the product itself may lie
+    beyond the factorization bound."""
     sign, odd = 1, set()
-    for a in entries:
-        s, fac = factorize(a)
-        sign *= s
-        odd ^= {p for p, e in fac.factors if e % 2}
+    for r in records:
+        sign *= r.sign
+        odd ^= {p for p, e in r.exps.items() if e % 2}
     out = sign
     for p in odd:
         out *= p
@@ -248,19 +271,14 @@ def conic_solvable_Q(x, y) -> tuple[bool, ConicCertificate]:
     Raises RuntimeError if exactly one place fails: the product formula
     makes a single failure impossible, so that would be an internal error.
     """
-    x, y = _frac(x), _frac(y)
+    x, y = Fraction(x), Fraction(y)
     if x == 0 or y == 0:
         raise ValueError("conic coefficients must be nonzero")
-    tested = []
-    failing = []
-    for v in support_places(x, y):
-        s = hilbert(x, y, v)
-        tested.append((v, s))
-        if s == -1:
-            failing.append(v)
+    tested = hilbert_factors(local_data(x), local_data(y))
+    failing = tuple(v for v, s in tested if s == -1)
     if len(failing) == 1:
         raise RuntimeError(f"single local obstruction at {failing[0]}: reciprocity violated")
-    cert = ConicCertificate(x, y, tuple(tested), tuple(failing))
+    cert = ConicCertificate(x, y, tested, failing)
     return not failing, cert
 
 
@@ -312,7 +330,7 @@ def conic_congruence_obstruction(x, y):
     support.  A returned obstruction is unconditional (a rational point
     would reduce to a primitive solution at every modulus).
     """
-    x, y = _frac(x), _frac(y)
+    x, y = Fraction(x), Fraction(y)
     xs, _ = _square_scale(x)
     ys, _ = _square_scale(y)
     if xs < 0 and ys < 0:
@@ -337,7 +355,7 @@ def conic_point_search(x, y, height_bound: int):
     obstruction test is congruence-based and independent of the symbol
     machinery, so agreement with conic_solvable_Q is a genuine check.
     """
-    x, y = _frac(x), _frac(y)
+    x, y = Fraction(x), Fraction(y)
     if x == 0 or y == 0:
         raise ValueError("conic coefficients must be nonzero")
     if conic_congruence_obstruction(x, y) is not None:
@@ -370,22 +388,22 @@ def quaternion_splits(a, b, place: PlaceQ | None = None) -> bool:
     Locally this is hilbert(a, b, place) = +1; globally it is the
     conjunction over the support, the same criterion as for the conic.
     """
-    a, b = _frac(a), _frac(b)
+    a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("quaternion parameters must be nonzero")
     if place is not None:
         return hilbert(a, b, place) == 1
-    return all(hilbert(a, b, v) == 1 for v in support_places(a, b))
+    return all(s == 1 for _, s in hilbert_factors(local_data(a), local_data(b)))
 
 
 def pfister_form(x, y) -> DiagForm:
-    x, y = _frac(x), _frac(y)
+    x, y = Fraction(x), Fraction(y)
     return DiagForm.of(1, -x, -y, x * y)
 
 
 def pfister_hasse_identity(x, y, place: PlaceQ) -> bool:
     """hasse_v(<1,-x,-y,xy>) * hilbert(-1,-1,v) = hilbert(x,y,v)."""
-    x, y = _frac(x), _frac(y)
+    x, y = Fraction(x), Fraction(y)
     if x == 0 or y == 0:
         raise ValueError("parameters must be nonzero")
     form = pfister_form(x, y)

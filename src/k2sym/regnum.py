@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy
-
 from .arith import Poly, RatFunc, bernoulli
 
 CONVERGENCE_TARGET = 1e-9
@@ -330,6 +328,8 @@ def tame_symbol_cx(f: RatFunc, g: RatFunc, a: GaussRat) -> GaussRat:
 
 
 def _singularities(f: RatFunc, g: RatFunc) -> list[complex]:
+    import numpy  # only here: importing k2sym does not load numpy
+
     roots: list[complex] = []
     for p in (f.num, f.den, g.num, g.den):
         if not p.is_constant():

@@ -247,6 +247,104 @@ def squarefree_part(n: int) -> int:
     return out
 
 
+# -- local symbols over Q by Fraction arithmetic -----------------------------------
+# The Fraction-based bodies the library used before it factored each argument
+# once; they take every valuation afresh and split off unit parts as Fractions.
+
+
+def fraction_valuation(x: Fraction, p: int) -> int:
+    v = 0
+    n, d = abs(x.numerator), x.denominator
+    while n % p == 0:
+        n //= p
+        v += 1
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
+def _unit_mod8(u: Fraction) -> int:
+    return u.numerator % 8 * (u.denominator % 8) % 8
+
+
+def _eps(u: Fraction) -> int:
+    """(u-1)/2 mod 2 for an odd unit."""
+    return (_unit_mod8(u) % 4 - 1) // 2
+
+
+def _omega(u: Fraction) -> int:
+    """(u^2-1)/8 mod 2 for an odd unit."""
+    return 0 if _unit_mod8(u) in (1, 7) else 1
+
+
+def s_2_fraction(x, y) -> int:
+    """The dyadic symbol through x = 2^a u, y = 2^b w:
+    (-1)^{eps(u) eps(w) + omega(u) b + omega(w) a}."""
+    x, y = Fraction(x), Fraction(y)
+    a, b = fraction_valuation(x, 2), fraction_valuation(y, 2)
+    u, w = x / Fraction(2) ** a, y / Fraction(2) ** b
+    exponent = _eps(u) * _eps(w) + _omega(u) * b + _omega(w) * a
+    return -1 if exponent % 2 else 1
+
+
+def tame_fraction(x, y, p: int) -> int:
+    """(-1)^{v(x)v(y)} x^{v(y)} y^{-v(x)} reduced mod the odd prime p."""
+    x, y = Fraction(x), Fraction(y)
+    a, b = fraction_valuation(x, p), fraction_valuation(y, p)
+    u, w = x / Fraction(p) ** a, y / Fraction(p) ** b
+    val = Fraction(-1 if (a * b) % 2 else 1) * u**b * w**(-a)
+    return val.numerator * pow(val.denominator, -1, p) % p
+
+
+def hilbert_fraction(x, y, p: int | None) -> int:
+    """The +-1 symbol at the real place (p None), at 2, or at an odd p."""
+    if p is None:
+        return -1 if Fraction(x) < 0 and Fraction(y) < 0 else 1
+    if p == 2:
+        return s_2_fraction(x, y)
+    return 1 if pow(tame_fraction(x, y, p), (p - 1) // 2, p) == 1 else -1
+
+
+def odd_support_naive(*values) -> list[int]:
+    """Odd primes of any numerator or denominator, by trial division."""
+    ps = set()
+    for v in map(Fraction, values):
+        ps.update(naive_factor(abs(v.numerator)))
+        ps.update(naive_factor(v.denominator))
+    ps.discard(2)
+    return sorted(ps)
+
+
+def moore_by_definition(terms) -> tuple[int, int, dict[int, int]]:
+    """(real, dyadic, {p: tame}) of sum m {x, y}, place by place."""
+    real = two = 1
+    odd: dict[int, int] = {}
+    for x, y, m in terms:
+        real *= hilbert_fraction(x, y, None) ** (m % 2)
+        two *= s_2_fraction(x, y) ** (m % 2)
+        for p in odd_support_naive(x, y):
+            t = pow(tame_fraction(x, y, p), m % (p - 1), p) * odd.get(p, 1) % p
+            if t == 1:
+                odd.pop(p, None)
+            else:
+                odd[p] = t
+    return real, two, odd
+
+
+def hasse_by_definition(entries) -> dict[int | None, int]:
+    """Hasse invariant prod_{i<j} (a_i, a_j)_v at the real place (None), at 2
+    and at every odd prime of some entry."""
+    out = {}
+    for p in [None, 2] + odd_support_naive(*entries):
+        s = 1
+        for i in range(len(entries)):
+            for j in range(i + 1, len(entries)):
+                s *= hilbert_fraction(entries[i], entries[j], p)
+        out[p] = s
+    return out
+
+
 def conic_has_primitive_solution_mod(x: int, y: int, p: int, k: int) -> bool:
     """Does x*a^2 + y*b^2 = c^2 have a solution mod p^k with not all of
     a, b, c divisible by p?  Dense enumeration over (a, b) with a lookup

@@ -4,9 +4,14 @@ Every invocation goes through main(argv) and must print a single JSON
 report with a fixed key set, byte-identical across repeated runs.
 """
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import k2sym
 from k2sym.cli import main
 
 REPORT_KEYS = {"certificates", "command", "inputs", "result", "schema", "status"}
@@ -125,3 +130,22 @@ def test_output_is_deterministic(capsys):
     _, third, _ = run(capsys, ["quadrec", "13", "17"])
     _, fourth, _ = run(capsys, ["quadrec", "13", "17"])
     assert third == fourth
+
+
+def test_startup_does_not_import_numpy():
+    # numpy is imported lazily by the two functions that use it (prime-power
+    # field tables and polynomial roots), so plain imports and symbol
+    # commands over Q stay cheap to start
+    script = (
+        "import contextlib, io, sys\n"
+        "import k2sym\n"
+        "assert 'numpy' not in sys.modules, 'import k2sym loaded numpy'\n"
+        "from k2sym.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['hilbert', '--place', '2', '2', '3']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'the hilbert command loaded numpy'\n"
+    )
+    src = str(Path(k2sym.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

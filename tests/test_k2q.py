@@ -1,20 +1,19 @@
 """Tests for the Tate decomposition of K_2(Q), lifting, and reciprocity."""
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k2sym.arith import legendre, primes_below
+from k2sym import arith, k2q, localsym
+from k2sym.arith import Factorization, is_prime, legendre, primes_below
 from k2sym.k2q import (
     K2Q_ZERO,
     K2QClass,
     MooreVector,
     SymbolExpr,
     hilbert_reciprocity,
-    k2q_add,
-    k2q_is_zero,
-    k2q_neg,
     lambda_tate,
     lift,
     moore_lift,
@@ -24,6 +23,7 @@ from k2sym.k2q import (
     symbol,
 )
 from k2sym.localsym import REAL, PlaceQ
+from k2sym.quadforms import DiagForm, conic_solvable_Q, invariants, quaternion_splits
 
 import oracles
 
@@ -70,12 +70,12 @@ def test_lambda_tate_additive_in_multiplicity():
 def test_k2qclass_group_ops():
     a = K2QClass.make(-1, {3: 2, 7: 4})
     b = K2QClass.make(-1, {3: 2})
-    s = k2q_add(a, b)
+    s = a + b
     assert s.two_slot == 1
     assert s.coordinate(3) == 1  # 2*2 = 4 = 1 mod 3
     assert s.coordinate(7) == 4
-    assert k2q_is_zero(k2q_add(a, k2q_neg(a)))
-    assert not k2q_is_zero(a)
+    assert (a + -a).is_zero()
+    assert not a.is_zero()
 
 
 def test_k2qclass_validation():
@@ -234,3 +234,47 @@ def test_moore_vector_coordinate_access():
     assert v.coordinate(PlaceQ.prime(2)) == 1
     assert v.coordinate(PlaceQ.prime(5)) == 4
     assert v.coordinate(PlaceQ.prime(11)) == 1
+
+
+# -- factor once: proven primes are not tested again -------------------------------
+
+
+def test_public_constructors_still_check_primes():
+    with pytest.raises(ValueError):
+        PlaceQ.prime(9)
+    with pytest.raises(ValueError):
+        Factorization(((4, 1),))
+    with pytest.raises(ValueError):
+        K2QClass(1, ((9, 2),))
+    with pytest.raises(ValueError):
+        MooreVector(1, 1, ((15, 2),))
+
+
+def test_global_checks_do_not_retest_factored_primes(monkeypatch):
+    # every prime these checks meet comes out of factorize, where Miller-Rabin
+    # certifies the cofactor of trial division once, or out of a class whose
+    # constructor checked it; no later constructor tests it again
+    rng = random.Random(4)
+    xs = [Fraction(rng.choice((1, -1)) * rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(20)]
+    target = K2QClass.make(-1, {101: 7, 997: 500, 999_983: 12})
+    e = SymbolExpr.of(*zip(xs[::2], xs[1::2]), multiplicities=list(range(1, 11)))
+    form = DiagForm.of(*xs[:6])
+
+    def run():
+        return ([hilbert_reciprocity(x, y) for x, y in zip(xs, xs[1:])],
+                [conic_solvable_Q(x, y) for x, y in zip(xs, xs[1:])],
+                [quaternion_splits(x, y) for x, y in zip(xs, xs[1:])],
+                lambda_tate(e), moore_map(e), lift(target), lambda_tate(lift(target)),
+                invariants(form))
+
+    def certify_cofactors_only(n):
+        caller = sys._getframe(1).f_code.co_name
+        if caller != "_factor_positive":
+            pytest.fail(f"{caller} re-tested {n}")
+        return is_prime(n)
+
+    expected = run()
+    with monkeypatch.context() as m:
+        for module in (arith, localsym, k2q):
+            m.setattr(module, "is_prime", certify_cofactors_only)
+        assert run() == expected

@@ -1,4 +1,5 @@
 """Tests for the local symbols at the real place, at 2, and at odd primes."""
+import math
 import random
 from fractions import Fraction
 
@@ -6,20 +7,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k2sym.arith import primes_below
+from k2sym.k2q import K2QClass, MooreVector, SymbolExpr, lambda_tate, moore_map
 from k2sym.localsym import (
     REAL,
     MuValue,
     PlaceQ,
+    _residue,
+    _tame,
     conic_local,
     h_p,
     hilbert,
+    hilbert_factors,
+    local_data,
     milnor_sign_class,
     norm_residue,
+    odd_primes,
     s_2,
     s_infinity,
     support_places,
     tame,
 )
+from k2sym.quadforms import DiagForm, invariants
 
 import oracles
 
@@ -274,3 +282,60 @@ def test_product_over_all_places_spot_checks():
         for place in support_places(x, y):
             prod *= hilbert(x, y, place)
         assert prod == 1, (x, y)
+
+
+# -- record evaluators against the Fraction oracle ----------------------------------
+
+
+def _oracle_rational(rng: random.Random, shared: int) -> Fraction:
+    """A 6-digit-part rational, sometimes times powers of 2 and of the
+    shared odd prime, kept inside the factorization bound."""
+    x = Fraction(rng.choice((1, -1)) * rng.randint(1, 999_999), rng.randint(1, 999_999))
+    scaled = x * Fraction(2) ** rng.randint(-6, 6) * Fraction(shared) ** rng.randint(-4, 4)
+    if max(abs(scaled.numerator), scaled.denominator) <= 10**12:
+        x = scaled
+    return x
+
+
+def test_record_evaluators_match_fraction_oracle():
+    rng = random.Random(20240611)
+    odd = [p for p in primes_below(200) if p > 2] + [999_983]
+    for _ in range(300):
+        shared = rng.choice(odd)
+        x, y = _oracle_rational(rng, shared), _oracle_rational(rng, shared)
+        rx, ry = local_data(x), local_data(y)
+        primes = oracles.odd_support_naive(x, y)
+        assert odd_primes(rx, ry) == primes
+        expected = [(REAL, oracles.hilbert_fraction(x, y, None)),
+                    (PlaceQ.prime(2), oracles.s_2_fraction(x, y))]
+        expected += [(PlaceQ.prime(p), oracles.hilbert_fraction(x, y, p)) for p in primes]
+        assert list(hilbert_factors(rx, ry)) == expected, (x, y)
+        assert s_2(x, y) == oracles.s_2_fraction(x, y)
+        for place, value in expected:
+            assert hilbert(x, y, place) == value, (x, y, place)
+        for p in primes:
+            t = oracles.tame_fraction(x, y, p)
+            assert _tame(*_residue(rx, p), *_residue(ry, p), p) == t, (x, y, p)
+            assert tame(x, y, p) == t
+            assert norm_residue(x, y, PlaceQ.prime(p)).value == t
+    # symbol expressions with multiplicities: Tate's map and the real slot
+    for _ in range(60):
+        shared = rng.choice(odd[:10])
+        terms = [(_oracle_rational(rng, shared), _oracle_rational(rng, shared), rng.randint(-4, 4) or 1)
+                 for _ in range(rng.randint(1, 3))]
+        e = SymbolExpr.of(*[(x, y) for x, y, _ in terms], multiplicities=[m for _, _, m in terms])
+        real, two, odd_map = oracles.moore_by_definition(e.terms)
+        assert lambda_tate(e) == K2QClass.make(two, odd_map)
+        assert moore_map(e) == MooreVector.make(real, two, odd_map)
+    # Hasse invariants and discriminant of diagonal forms of rank 2..6
+    for rank in range(2, 7):
+        for _ in range(25):
+            shared = rng.choice(odd[:10])
+            entries = [_oracle_rational(rng, shared) if rng.random() < 0.3
+                       else Fraction(rng.choice((1, -1)) * rng.randint(1, 50) * shared ** rng.randint(0, 2))
+                       for _ in range(rank)]
+            inv = invariants(DiagForm.of(*entries))
+            hasse = oracles.hasse_by_definition(entries)
+            assert [(v.p, s) for v, s in inv.hasse] == list(hasse.items()), entries
+            square = math.prod(entries) * inv.disc  # a positive rational square
+            assert square > 0 and all(math.isqrt(n) ** 2 == n for n in (square.numerator, square.denominator))

@@ -138,3 +138,38 @@ def test_print_examples():
     assert format_expression(BinOp("*", BinOp("+", Num(1), Num(2)), Var("T"))) == "(1 + 2) * T"
     assert format_expression(Neg(BinOp("+", Num(1), Num(2)))) == "-(1 + 2)"
     assert format_expression(Pow(BinOp("+", Var("s"), Num(1)), 2)) == "(s + 1)^2"
+
+
+def _same_tree(a, b) -> bool:
+    """Structural equality without recursion: dataclass == on a 3000-deep
+    left spine would exceed the interpreter's recursion limit."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, BinOp):
+            if a.op != b.op:
+                return False
+            stack += [(a.left, b.left), (a.right, b.right)]
+        elif isinstance(a, Neg):
+            stack.append((a.arg, b.arg))
+        elif isinstance(a, Pow):
+            if a.exponent != b.exponent:
+                return False
+            stack.append((a.base, b.base))
+        elif a != b:
+            return False
+    return True
+
+
+def test_long_operator_chains_round_trip():
+    rng = random.Random(3000)
+    operands = ["7", "T", "(1 + T)", "-2", "T^3", "(T - 1) * 2"]
+    text = "1" + "".join(f" {rng.choice('+-*/')} {rng.choice(operands)}" for _ in range(2999))
+    tree = parse_expression(text)
+    printed = format_expression(tree)
+    assert _same_tree(parse_expression(printed), tree)
+    assert format_expression(parse_expression(printed)) == printed
+    chain = parse_expression("+".join(["1"] * 3000))
+    assert format_expression(chain) == " + ".join(["1"] * 3000)
