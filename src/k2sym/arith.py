@@ -535,55 +535,7 @@ def generator(q_or_field: int | Fq) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The rationals as a coefficient field, so Poly/RatFunc work over Q too.
-
-
-class QField:
-    """Field-protocol wrapper around fractions.Fraction."""
-
-    char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return Fraction(a) / b
-
-    def pow(self, a, e):
-        return Fraction(a) ** e
-
-    def __repr__(self):
-        return "Q"
-
-    def __eq__(self, other):
-        return isinstance(other, QField)
-
-    def __hash__(self):
-        return hash("QField")
-
-
-QQ = QField()
-
-
-# ---------------------------------------------------------------------------
-# Univariate polynomials over any exact field (Fq, QField, or the Gaussian
+# Univariate polynomials over any exact field (Fq, or the Gaussian
 # rationals from the regulator module).
 
 
@@ -793,8 +745,6 @@ _set_coeffs = Poly.coeffs.__set__
 def _coeff_key(c):
     if isinstance(c, int):
         return c
-    if isinstance(c, Fraction):
-        return (c.numerator, c.denominator)
     return repr(c)
 
 

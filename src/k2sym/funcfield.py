@@ -227,14 +227,10 @@ class FFSymbolExpr:
     def of(*pairs, multiplicities=None) -> "FFSymbolExpr":
         ms = multiplicities or [1] * len(pairs)
         merged: dict[tuple[RatFunc, RatFunc], int] = {}
-        order = []
         for (f, g), m in zip(pairs, ms):
             key = (as_ratfunc(f), as_ratfunc(g))
-            if key not in merged:
-                merged[key] = 0
-                order.append(key)
-            merged[key] += m
-        return FFSymbolExpr(tuple((f, g, merged[(f, g)]) for f, g in order if merged[(f, g)]))
+            merged[key] = merged.get(key, 0) + m
+        return FFSymbolExpr(tuple((f, g, m) for (f, g), m in merged.items() if m))
 
 
 def ff_symbol(f, g) -> FFSymbolExpr:
@@ -391,6 +387,9 @@ def lift_ff(base: Fq, target: K2FFClass) -> FFSymbolExpr:
         rep = RatFunc.from_poly(a)
         pairs.append((rep, RatFunc.from_poly(pi)))
         remaining = remaining - decompose(ff_symbol(rep, pi))
+        # decompose reports only monic irreducibles, so any other key stays
+        if pi in remaining.support():
+            raise ValueError(f"key {list(pi.coeffs)} is not a place: keys must be monic irreducible")
     return FFSymbolExpr.of(*pairs) if pairs else FFSymbolExpr(())
 
 

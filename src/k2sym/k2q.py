@@ -58,14 +58,10 @@ class SymbolExpr:
     def of(*pairs, multiplicities=None) -> "SymbolExpr":
         ms = multiplicities or [1] * len(pairs)
         merged: dict[tuple[Fraction, Fraction], int] = {}
-        order: list[tuple[Fraction, Fraction]] = []
         for (x, y), m in zip(pairs, ms):
             key = (Fraction(x), Fraction(y))
-            if key not in merged:
-                merged[key] = 0
-                order.append(key)
-            merged[key] += m
-        return SymbolExpr(tuple((x, y, merged[(x, y)]) for x, y in order if merged[(x, y)] != 0))
+            merged[key] = merged.get(key, 0) + m
+        return SymbolExpr(tuple((x, y, m) for (x, y), m in merged.items() if m))
 
     def __add__(self, other: "SymbolExpr") -> "SymbolExpr":
         pairs = [(x, y) for x, y, _ in self.terms] + [(x, y) for x, y, _ in other.terms]

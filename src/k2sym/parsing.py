@@ -7,14 +7,17 @@ Grammar, whitespace-insensitive, with ^ for powers and unary minus:
     factor := '-' factor | base ('^' uint)?
     base   := uint | identifier | '(' expr ')'
 
-Identifiers are single names resolved by the evaluation context (T for
+One evaluator serves every domain with the values' own operators; a domain
+supplies only how to make a constant and a table of its variables (T for
 function fields, s and t in characteristic p, z and i over the Gaussian
-rationals; plain rational contexts have none).  The unicode minus sign is
-accepted as a synonym for '-'.  Parentheses and unary minus nest at most
-MAX_NESTING deep.  Errors carry the character offset.
+rationals; plain rational expressions have none).  The unicode minus sign
+is accepted as a synonym for '-'.  Parentheses and unary minus nest at most
+MAX_NESTING deep, and an exponent is at most MAX_EXPONENT.  Errors carry
+the character offset.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +30,12 @@ from .regnum import GaussRat, poly_z, ratfunc_z
 # recurses about four frames per parenthesis, so the budget keeps it well
 # below the interpreter's recursion limit (1000 by default).
 MAX_NESTING = 100
+
+# Largest exponent literal.  Each ^ multiplies the degree (or height) of its
+# base by the exponent, and the checks downstream cost at least linear time
+# in that degree: T^1000 in a Weil check over F_3 is still quick, T^999999
+# is not.
+MAX_EXPONENT = 1000
 
 
 class ParseError(ValueError):
@@ -149,7 +158,10 @@ class _Parser:
             if etok.kind != "num":
                 raise ParseError("expected an exponent", etok.offset)
             self.take()
-            node = Pow(node, int(etok.text))
+            exponent = int(etok.text)
+            if exponent > MAX_EXPONENT:
+                raise ParseError(f"exponent larger than {MAX_EXPONENT}", etok.offset)
+            node = Pow(node, exponent)
         return node
 
     def base(self):
@@ -212,8 +224,13 @@ def format_expression(node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def evaluate(node, context):
-    """Fold the tree through a context with const/var/arithmetic hooks.
+def evaluate(node, const, names, where):
+    """Fold the tree with the values' own + - * / ** and unary minus.
+
+    `const(n)` makes the value of an integer literal, `names` maps each
+    identifier to a function that makes its value, and `where` finishes the
+    error for any other identifier.  Division by a zero value, in any
+    domain, is a ValueError.
 
     A chain a + b - c ... is a left-deep tree as deep as it is long, so its
     left spine is folded in a loop; recursion goes only as deep as the
@@ -224,176 +241,48 @@ def evaluate(node, context):
         while isinstance(node, BinOp):
             spine.append(node)
             node = node.left
-        acc = evaluate(node, context)
+        acc = evaluate(node, const, names, where)
         for op in reversed(spine):
-            acc = _apply(op.op, acc, evaluate(op.right, context), context)
+            acc = _BINARY[op.op](acc, evaluate(op.right, const, names, where))
         return acc
     if isinstance(node, Num):
-        return context.const(node.value)
+        return const(node.value)
     if isinstance(node, Var):
-        return context.var(node.name)
+        make = names.get(node.name)
+        if make is None:
+            raise ValueError(f"no variable {node.name!r} {where}")
+        return make()
     if isinstance(node, Neg):
-        return context.neg(evaluate(node.arg, context))
+        return -evaluate(node.arg, const, names, where)
     if isinstance(node, Pow):
-        return context.pow(evaluate(node.base, context), node.exponent)
+        return evaluate(node.base, const, names, where) ** node.exponent
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _apply(op: str, a, b, context):
-    if op == "+":
-        return context.add(a, b)
-    if op == "-":
-        return context.sub(a, b)
-    if op == "*":
-        return context.mul(a, b)
-    return context.div(a, b)
-
-
-# -- evaluation contexts -----------------------------------------------------------
-
-
-class RationalContext:
-    """Plain rational arithmetic; no variables."""
-
-    def const(self, n):
-        return Fraction(n)
-
-    def var(self, name):
-        raise ValueError(f"no variable {name!r} in a rational expression")
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        if b == 0:
-            raise ValueError("division by zero")
+def _divide(a, b):
+    try:
         return a / b
-
-    def pow(self, a, e):
-        return a**e
-
-
-class FuncFieldContext:
-    """Rational functions of T over F_q."""
-
-    def __init__(self, q: int):
-        self.F = field(q)
-
-    def const(self, n):
-        return RatFunc.from_poly(Poly.const(self.F, self.F.from_int(n)))
-
-    def var(self, name):
-        if name != "T":
-            raise ValueError(f"no variable {name!r} over a function field; use T")
-        return RatFunc.from_poly(Poly.x(self.F))
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        if b.is_zero():
-            raise ValueError("division by zero")
-        return a / b
-
-    def pow(self, a, e):
-        return a**e
+    except ZeroDivisionError:
+        raise ValueError("division by zero") from None
 
 
-class CharPContext:
-    """Bivariate rational functions of s, t in characteristic p."""
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def const(self, n):
-        return MultiRatFunc.const(self.p, n)
-
-    def var(self, name):
-        if name == "s":
-            return MultiRatFunc.from_poly(BiPoly.var_s(self.p))
-        if name == "t":
-            return MultiRatFunc.from_poly(BiPoly.var_t(self.p))
-        raise ValueError(f"no variable {name!r} in characteristic p; use s or t")
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        if b.is_zero():
-            raise ValueError("division by zero")
-        return a / b
-
-    def pow(self, a, e):
-        return a**e
-
-
-class GaussContext:
-    """Rational functions of z over the Gaussian rationals; i is the unit."""
-
-    def const(self, n):
-        return ratfunc_z([n])
-
-    def var(self, name):
-        if name == "z":
-            return ratfunc_z([0, 1])
-        if name == "i":
-            return RatFunc.from_poly(poly_z([GaussRat.make(0, 1)]))
-        raise ValueError(f"no variable {name!r} here; use z and i")
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        if b.is_zero():
-            raise ValueError("division by zero")
-        return a / b
-
-    def pow(self, a, e):
-        return a**e
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
 
 
 def parse_rational(text: str) -> Fraction:
-    return evaluate(parse_expression(text), RationalContext())
+    return evaluate(parse_expression(text), Fraction, {}, "in a rational expression")
 
 
 def parse_funcfield(text: str, q: int) -> RatFunc:
-    return evaluate(parse_expression(text), FuncFieldContext(q))
+    """A rational function of T over F_q."""
+    node = parse_expression(text)
+    F = field(q)
+    return evaluate(
+        node,
+        lambda n: RatFunc.from_poly(Poly.const(F, F.from_int(n))),
+        {"T": lambda: RatFunc.from_poly(Poly.x(F))},
+        "over a function field; use T",
+    )
 
 
 def parse_poly(text: str, q: int) -> Poly:
@@ -403,12 +292,31 @@ def parse_poly(text: str, q: int) -> Poly:
         raise ValueError(f"{text!r} is not a polynomial")
     return f.num
 
+
 def parse_charp(text: str, p: int) -> MultiRatFunc:
-    return evaluate(parse_expression(text), CharPContext(p))
+    """A bivariate rational function of s, t in characteristic p."""
+    return evaluate(
+        parse_expression(text),
+        lambda n: MultiRatFunc.const(p, n),
+        {
+            "s": lambda: MultiRatFunc.from_poly(BiPoly.var_s(p)),
+            "t": lambda: MultiRatFunc.from_poly(BiPoly.var_t(p)),
+        },
+        "in characteristic p; use s or t",
+    )
 
 
 def parse_gauss_ratfunc(text: str) -> RatFunc:
-    return evaluate(parse_expression(text), GaussContext())
+    """A rational function of z over the Gaussian rationals; i is the unit."""
+    return evaluate(
+        parse_expression(text),
+        lambda n: ratfunc_z([n]),
+        {
+            "z": lambda: ratfunc_z([0, 1]),
+            "i": lambda: RatFunc.from_poly(poly_z([GaussRat.make(0, 1)])),
+        },
+        "here; use z and i",
+    )
 
 
 def parse_gauss_point(text: str) -> GaussRat:

@@ -1,7 +1,9 @@
 """Tests for the exact-arithmetic substrate."""
+import ast
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,6 @@ from k2sym.arith import (
     NEG_INF,
     Fq,
     Poly,
-    QQ,
     RatFunc,
     bernoulli,
     factorize,
@@ -25,6 +26,7 @@ from k2sym.arith import (
     primes_below,
     valuation,
 )
+from k2sym.regnum import CX, GaussRat
 from k2sym.zeta import COUNT_LIMIT
 
 import oracles
@@ -219,9 +221,9 @@ def test_zero_poly_degree_marker():
     assert (z * Poly.x(F)).degree == NEG_INF
 
 
-def test_poly_divmod_over_q():
-    f = Poly(QQ, [Fraction(1), Fraction(0), Fraction(1)])
-    g = Poly(QQ, [Fraction(1), Fraction(1)])
+def test_poly_divmod_over_gaussian_rationals():
+    f = Poly(CX, [GaussRat.make(1), GaussRat.make(0), GaussRat.make(1)])
+    g = Poly(CX, [GaussRat.make(1), GaussRat.make(1)])
     q, r = f.divmod(g)
     assert q * g + r == f
     assert r.degree < g.degree
@@ -405,3 +407,31 @@ def test_bernoulli_defining_sum():
 def test_bernoulli_odd_vanishing():
     for n in range(3, 33, 2):
         assert bernoulli(n) == 0
+
+
+# -- source hygiene --------------------------------------------------------------
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads (pyflakes' check, by ast)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    assert unused_imports("import os\nfrom math import comb, gcd\nprint(gcd)\n") == [
+        "os (line 1)", "comb (line 2)"]
+    package = Path(__file__).resolve().parent.parent / "src" / "k2sym"
+    modules = sorted(path for path in package.glob("*.py") if path.name != "__init__.py")
+    assert modules
+    unused = {path.name: unused_imports(path.read_text()) for path in modules}
+    assert {name: names for name, names in unused.items() if names} == {}

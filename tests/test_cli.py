@@ -104,9 +104,12 @@ def test_dilog_catalan(capsys):
         ["tame", "1/0", "3", "5"],
         ["weil", "--q", "1048576", "T", "T+1"],
         ["hilbert", "--place", "2", "(" * 2000 + "2" + ")" * 2000, "3"],
+        ["weil", "--q", "3", "T^999999", "T+1"],
+        ["fflift", "--q", "5", "T^2:T"],
+        ["fflift", "--q", "5", "2*T:3"],
     ],
     ids=["syntax", "bad-place", "singular-curve", "not-closed", "div-zero", "field-too-large",
-         "deep-nesting"],
+         "deep-nesting", "huge-exponent", "reducible-key", "non-monic-key"],
 )
 def test_invalid_inputs_exit_2(capsys, argv):
     code, _, rep = run(capsys, argv)

@@ -7,6 +7,7 @@ from k2sym import funcfield
 from k2sym.arith import Poly, RatFunc, field, generator, irreducibles
 from k2sym.funcfield import (
     CHAR2,
+    FFSymbolExpr,
     K2FFClass,
     PlaceFq,
     counting_bound,
@@ -161,6 +162,10 @@ def test_decompose_spec_example():
     one = Poly.const(F, 1)
     c = decompose(ff_symbol(T, T - one))
     assert [(pi.coeffs, v.coeffs) for pi, v in c.entries] == [((0, 1), (4,))]
+    # repeated pairs merge in first-seen order, and a pair that cancels drops out
+    e = FFSymbolExpr.of((T, one + one), (T, T - one), (one, T), (T, T - one), (one, T),
+                        multiplicities=[1, 1, 1, 1, -1])
+    assert [(f.num, g.num, m) for f, g, m in e.terms] == [(T, one + one, 1), (T, T - one, 2)]
 
 
 def test_decompose_of_steinberg_symbol_is_zero():
@@ -213,6 +218,15 @@ def test_lift_ff_roundtrip_random():
             target = K2FFClass.make(F, entries)
             e = lift_ff(F, target)
             assert decompose(e, F) == target, (q, entries)
+
+
+def test_lift_ff_rejects_keys_that_are_not_places():
+    F = field(5)
+    T = Poly.x(F)
+    for key in (T * T, T * T + T, Poly.const(F, 2) * T):  # reducible, reducible, not monic
+        target = K2FFClass.make(F, {key: Poly.const(F, 3)})
+        with pytest.raises(ValueError, match="not a place"):
+            lift_ff(F, target)
 
 
 def test_lift_place_degrees_never_increase():

@@ -62,6 +62,9 @@ def test_lambda_tate_additive_in_multiplicity():
     doubled = SymbolExpr.of((x, y), multiplicities=[2])
     single = lambda_tate(symbol(x, y))
     assert lambda_tate(doubled) == single + single
+    # repeated pairs merge in first-seen order, and a pair that cancels drops out
+    merged = SymbolExpr.of((5, 7), (x, y), (2, 3), (x, y), (2, 3), multiplicities=[1, 1, 1, 1, -1])
+    assert merged.terms == ((5, 7, 1), (x, y, 2))
 
 
 # -- class arithmetic ------------------------------------------------------------

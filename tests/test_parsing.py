@@ -1,10 +1,11 @@
-"""Tests for the expression language and its evaluation contexts."""
+"""Tests for the expression language and its evaluation in each domain."""
 import random
 from fractions import Fraction
 
 import pytest
 
 from k2sym.parsing import (
+    MAX_EXPONENT,
     MAX_NESTING,
     BinOp,
     Neg,
@@ -67,6 +68,17 @@ def test_nesting_budget():
     assert exc.value.offset == MAX_NESTING
 
 
+def test_exponent_budget():
+    assert parse_rational(f"1^{MAX_EXPONENT}") == 1
+    assert parse_funcfield(f"T^{MAX_EXPONENT}", 3).num.degree == MAX_EXPONENT
+    with pytest.raises(ParseError, match="exponent") as exc:
+        parse_expression(f"1 + T^{MAX_EXPONENT + 1}")
+    assert exc.value.offset == 6
+    with pytest.raises(ParseError) as exc:
+        parse_expression("T^999999")
+    assert exc.value.offset == 2
+
+
 def test_long_operator_chains_evaluate():
     assert parse_rational("+".join(["1"] * 3000)) == 3000
     assert parse_rational("*".join(["2"] * 3000) + "/" + "/".join(["2"] * 3000)) == 1
@@ -76,9 +88,9 @@ def test_rational_evaluation():
     assert parse_rational("3/4 - 1/2") == Fraction(1, 4)
     assert parse_rational("-(2+3)^2") == -25
     assert parse_rational("105/13") == Fraction(105, 13)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="division by zero"):
         parse_rational("1/0")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no variable 'T' in a rational expression"):
         parse_rational("T + 1")
 
 
@@ -89,8 +101,10 @@ def test_funcfield_evaluation_frozen():
     g = parse_funcfield("(T^2+1)/(2*T)", 5)
     assert g.num.coeffs == (3, 0, 3)
     assert g.den.coeffs == (0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no variable 'z' over a function field; use T"):
         parse_funcfield("z", 5)
+    with pytest.raises(ValueError, match="division by zero"):
+        parse_funcfield("T/0", 5)
     with pytest.raises(ValueError):
         parse_poly("(T+1)/T", 5)
     assert parse_poly("T^3+T", 3).coeffs == (0, 1, 0, 1)
@@ -99,16 +113,20 @@ def test_funcfield_evaluation_frozen():
 def test_charp_and_gauss_evaluation():
     h = parse_charp("s*t - 1", 3)
     assert dict(h.num.terms) == {(0, 0): 2, (1, 1): 1}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no variable 'T' in characteristic p; use s or t"):
         parse_charp("T", 3)
+    with pytest.raises(ValueError, match="division by zero"):
+        parse_charp("s/(t-t)", 3)
     pt = parse_gauss_point("1/2 + 3*i")
     assert pt == GaussRat.make(Fraction(1, 2), 3)
     f = parse_gauss_ratfunc("(z-1)/(z+i)")
     assert f.num.coeffs[0] == GaussRat.make(-1)
     with pytest.raises(ValueError):
         parse_gauss_point("z + 1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no variable 's' here; use z and i"):
         parse_gauss_ratfunc("s")
+    with pytest.raises(ValueError, match="division by zero"):
+        parse_gauss_ratfunc("z/0")
 
 
 def random_ast(rng, depth):
