@@ -285,7 +285,7 @@ class Fq:
         elif self.q > FIELD_LIMIT:
             raise ValueError(f"prime-power field of size {p}^{k} exceeds the bound {FIELD_LIMIT}")
         else:
-            self.modulus_coeffs = self._find_modulus()
+            self.modulus_coeffs = next(irreducibles(field(p), k)).coeffs
 
     def _coords(self, n: int) -> list[int]:
         """The k base-p digits of the encoding n, lowest first."""
@@ -294,14 +294,6 @@ class Fq:
             n, c = divmod(n, self.p)
             out.append(c)
         return out
-
-    def _find_modulus(self) -> tuple[int, ...]:
-        Fp = field(self.p)
-        for n in range(self.p**self.k):
-            f = Poly(Fp, self._coords(n) + [1])
-            if is_irreducible(f):
-                return f.coeffs
-        raise RuntimeError("no irreducible polynomial found")  # unreachable
 
     @functools.cached_property
     def _tables(self) -> tuple[list[int], list[int], list[int], int]:
@@ -407,19 +399,14 @@ class Fq:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
-        if self.k > 1 and a:
-            exp, log, _, _ = self._tables
-            return exp[log[a] * e % (self.q - 1)]
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if not a:
+            if e < 0:
+                raise ZeroDivisionError("inverse of 0 in F_q")
+            return self.zero if e else self.one
+        if self.k == 1:
+            return pow(a, e, self.p)
+        exp, log, _, _ = self._tables
+        return exp[log[a] * e % (self.q - 1)]
 
     def elements(self) -> range:
         return range(self.q)
@@ -881,14 +868,64 @@ def poly_factor(f: Poly) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Rational functions N/D over an exact field: N, D coprime, D monic.
+# Rational functions N/D: the shared fraction arithmetic, and the univariate
+# case over an exact field with N, D coprime and D monic.
 
 
-class RatFunc:
+class PolyFraction:
+    """A quotient num/den of polynomials, immutable.  A subclass puts the
+    pair in canonical form in its __init__, which every operation here
+    calls through type(self); the arithmetic itself is shared."""
+
+    __slots__ = ("num", "den")
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def is_constant(self) -> bool:
+        return self.num.is_constant() and self.den.is_constant()
+
+    def __add__(self, other):
+        return type(self)(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __sub__(self, other):
+        return type(self)(self.num * other.den - other.num * self.den, self.den * other.den)
+
+    def __neg__(self):
+        return type(self)(-self.num, self.den)
+
+    def __mul__(self, other):
+        return type(self)(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        return type(self)(self.num * other.den, self.den * other.num)
+
+    def __pow__(self, e: int):
+        if e >= 0:
+            return type(self)(self.num**e, self.den**e)
+        return type(self)(self.den ** (-e), self.num ** (-e))
+
+    def _quotient_rule(self, dnum, dden):
+        """The derivative, given those of num and den."""
+        return type(self)(dnum * self.den - self.num * dden, self.den * self.den)
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+
+class RatFunc(PolyFraction):
     """Univariate rational function in canonical form (coprime, monic
     denominator)."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero():
@@ -905,9 +942,6 @@ class RatFunc:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, *a):
-        raise AttributeError("RatFunc is immutable")
-
     @staticmethod
     def from_poly(f: Poly) -> "RatFunc":
         return RatFunc(f, Poly.const(f.field, f.field.one))
@@ -916,50 +950,13 @@ class RatFunc:
     def field(self):
         return self.num.field
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
-    def __add__(self, other):
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other):
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, e: int):
-        if e >= 0:
-            return RatFunc(self.num**e, self.den**e)
-        return RatFunc(self.den ** (-e), self.num ** (-e))
-
     def derivative(self) -> "RatFunc":
-        return RatFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        return self._quotient_rule(self.num.derivative(), self.den.derivative())
 
     def evaluate(self, x):
         dv = self.den.evaluate(x)
         F = self.field
         return F.div(self.num.evaluate(x), dv)
-
-    def __eq__(self, other):
-        return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"RatFunc({self.num!r} / {self.den!r})"

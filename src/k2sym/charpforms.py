@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import _fp_divmod, _fp_gcd, _fp_mul, _fp_sub, _fp_trim, is_prime
+from .arith import PolyFraction, _fp_divmod, _fp_gcd, _fp_mul, _fp_sub, _fp_trim, is_prime
 
 
 def _grlex(ij):
@@ -262,11 +262,11 @@ def _normalize_lead(f: BiPoly) -> BiPoly:
     return f.scale(pow(c, -1, f.p))
 
 
-class MultiRatFunc:
+class MultiRatFunc(PolyFraction):
     """Bivariate rational function over F_p in canonical form: numerator and
     denominator coprime, denominator with grlex-leading coefficient 1."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
     def __init__(self, num: BiPoly, den: BiPoly):
         num._check(den)
@@ -285,9 +285,6 @@ class MultiRatFunc:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, *a):
-        raise AttributeError("MultiRatFunc is immutable")
-
     @staticmethod
     def from_poly(f: BiPoly) -> "MultiRatFunc":
         return MultiRatFunc(f, BiPoly.const(f.p, 1))
@@ -300,53 +297,11 @@ class MultiRatFunc:
     def p(self) -> int:
         return self.num.p
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
-    def __add__(self, other):
-        return MultiRatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return MultiRatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        return MultiRatFunc(-self.num, self.den)
-
-    def __mul__(self, other):
-        return MultiRatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return MultiRatFunc(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, e: int):
-        if e >= 0:
-            return MultiRatFunc(self.num**e, self.den**e)
-        return MultiRatFunc(self.den ** (-e), self.num ** (-e))
-
     def derivative_s(self) -> "MultiRatFunc":
-        return MultiRatFunc(
-            self.num.derivative_s() * self.den - self.num * self.den.derivative_s(),
-            self.den * self.den,
-        )
+        return self._quotient_rule(self.num.derivative_s(), self.den.derivative_s())
 
     def derivative_t(self) -> "MultiRatFunc":
-        return MultiRatFunc(
-            self.num.derivative_t() * self.den - self.num * self.den.derivative_t(),
-            self.den * self.den,
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiRatFunc) and self.num == other.num and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
+        return self._quotient_rule(self.num.derivative_t(), self.den.derivative_t())
 
     def __repr__(self):
         return f"MultiRatFunc({self.num!r}, {self.den!r})"

@@ -1,32 +1,32 @@
-"""K_2 of a rational function field F_q(T).
+"""K_2 of a rational function field F_q(T), and the tame symbol of any
+rational function field k(T).
 
 Places are the monic irreducible polynomials plus a place at infinity with
-uniformizer 1/T; the residue field at a finite place pi is F_q[T]/(pi), and
-F_q itself at infinity.  The tame symbol at each place takes values in the
+uniformizer 1/T; the residue field at a finite place pi is k[T]/(pi), and
+k itself at infinity.  The tame symbol at each place takes values in the
 residue field units, and K_2(F_q(T)) decomposes as the direct sum of those
 unit groups over the finite places -- exactly, with no extra summand,
 because K_2 of a finite field vanishes (the Steinberg-witness argument
 implemented at the bottom of this module).
+
+Valuations and tame symbols use only the field operations of k, so the
+regulator module takes its exact side from here, at the places z - a of
+Q(i)(z).
 
 Weil reciprocity ties the places together: the product over ALL places,
 infinity included, of the norms down to F_q^* of the tame values is 1.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Final
 
-from .arith import Fq, Poly, RatFunc, field, generator, is_irreducible, poly_factor
+from .arith import Fq, Poly, RatFunc, _unchecked, field, generator, is_irreducible, poly_factor
 
 # Returned by steinberg_witness over fields of characteristic 2, where the
 # relation {zeta, zeta} = {zeta, -zeta} = 0 is immediate and no quadratic
 # witness is needed.
 CHAR2: Final = "CHAR2"
-
-# Passed by this module for places whose polynomial is already known to be
-# monic irreducible (a factor from poly_factor, or T), so that they skip
-# the irreducibility test.  Places built elsewhere are always tested.
-_PROVEN: Final = object()
 
 
 # ---------------------------------------------------------------------------
@@ -35,13 +35,20 @@ _PROVEN: Final = object()
 
 @dataclass(frozen=True)
 class PlaceFq:
-    """A place of F_q(T): a monic irreducible polynomial, or infinity."""
+    """A place of a rational function field k(T): a monic irreducible
+    polynomial, or infinity.
+
+    PlaceFq(pi) and PlaceFq.finite(pi) run Rabin's test, so they need k
+    finite.  A place whose polynomial is already known to be monic
+    irreducible (a factor out of poly_factor, T in the chart at infinity,
+    or z - a over Q(i)) is built by arith._unchecked(PlaceFq, pi=pi),
+    which skips the test.
+    """
 
     pi: Poly | None  # None encodes the place at infinity
-    _proof: InitVar[object] = None  # _PROVEN skips the irreducibility test
 
-    def __post_init__(self, _proof):
-        if self.pi is not None and _proof is not _PROVEN:
+    def __post_init__(self):
+        if self.pi is not None:
             if not self.pi.is_monic() or not is_irreducible(self.pi):
                 raise ValueError(f"not a monic irreducible: {self.pi}")
 
@@ -145,19 +152,19 @@ def _to_infinity_chart(f: RatFunc) -> RatFunc:
 
 
 def tame_ff(f, g, place: PlaceFq) -> Poly:
-    """Tame symbol at a place of F_q(T), valued in the residue field.
+    """Tame symbol at a place of k(T), valued in the residue field.
 
     At a finite place pi: the class of (-1)^{v(f)v(g)} f^{v(g)} g^{-v(f)}
-    in F_q[T]/(pi), returned as the reduced representative.  At infinity the
+    in k[T]/(pi), returned as the reduced representative.  At infinity the
     same formula in the chart U = 1/T; the result is a constant polynomial
-    whose value lies in F_q.
+    whose value lies in k.
     """
     f, g = as_ratfunc(f), as_ratfunc(g)
     if f.is_zero() or g.is_zero():
         raise ValueError("tame symbol needs nonzero arguments")
     F = f.field
     if place.is_infinite:
-        inf_as_finite = PlaceFq(Poly.x(F), _PROVEN)
+        inf_as_finite = _unchecked(PlaceFq, pi=Poly.x(F))
         return tame_ff(_to_infinity_chart(f), _to_infinity_chart(g), inf_as_finite)
     pi = place.pi
     fn, a_num = _strip(f.num, pi)
@@ -319,7 +326,7 @@ def decompose(e: FFSymbolExpr, base: Fq | None = None) -> K2FFClass:
     for pi in _support_places(e):
         acc = one
         group_order = base.q**pi.degree - 1
-        place = PlaceFq(pi, _PROVEN)
+        place = _unchecked(PlaceFq, pi=pi)
         for f, g, m in e.terms:
             t = tame_ff(f, g, place)
             acc = acc * _residue_pow(t, m % group_order, pi) % pi
@@ -356,7 +363,7 @@ def weil_check(f, g) -> WeilResult:
     factors = []
     prod = base.one
     for pi in _support_places(e):
-        place = PlaceFq(pi, _PROVEN)
+        place = _unchecked(PlaceFq, pi=pi)
         v = tame_ff(f, g, place)
         nm = residue_norm(v, place)
         factors.append(WeilFactor(place, v, nm))

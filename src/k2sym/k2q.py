@@ -20,6 +20,7 @@ from .arith import _unchecked, is_prime, legendre
 from .localsym import (
     LocalData,
     PlaceQ,
+    _legendre,
     _residue,
     _residue8,
     _s2,
@@ -333,7 +334,7 @@ def moore_sum(v: MooreVector) -> int:
     the order of the local mu.  Values from symbols always give +1."""
     prod = v.real * v.two
     for p, a in v.odd:
-        prod *= 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+        prod *= _legendre(a, p)
     return prod
 
 

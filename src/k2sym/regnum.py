@@ -11,8 +11,9 @@ The pairing side: for nonzero f, g in C(z) the real 1-form
 
 is closed away from the zeros and poles of f and g, and its loop integrals
 recover logs of tame symbol absolute values.  Coefficients are exact
-Gaussian rationals so the tame side of the comparison carries no float
-error at all.
+Gaussian rationals, and the tame side of the comparison is funcfield's
+tame symbol at the place z - a of Q(i)(z), so it carries no float error
+at all.
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Poly, RatFunc, bernoulli
+from .arith import Poly, RatFunc, _unchecked, bernoulli
+from .funcfield import PlaceFq, ff_valuation, tame_ff
 
 CONVERGENCE_TARGET = 1e-9
 MAX_SAMPLES = 2**20
@@ -103,18 +105,6 @@ class GaussField:
 
     def div(self, a, b):
         return a * b.inverse()
-
-    def pow(self, a, e):
-        if e < 0:
-            return self.pow(a.inverse(), -e)
-        out = self.one
-        base = a
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
 
     def __repr__(self):
         return "Q(i)"
@@ -292,49 +282,34 @@ def loop_integral(f: RatFunc, g: RatFunc, loop: Loop) -> LoopIntegral:
 # -- comparison against the exact tame symbol --------------------------------------
 
 
-def _order_and_unit(p: Poly, a: GaussRat) -> tuple[int, Poly]:
-    """Vanishing order of p at a, plus the cofactor with the root removed."""
-    lin = Poly(CX, [-a, CX.one])
-    order = 0
-    while not p.is_zero() and p.evaluate(a).is_zero():
-        q, r = p.divmod(lin)
-        assert r.is_zero()
-        p = q
-        order += 1
-    return order, p
+def _place(a: GaussRat) -> PlaceFq:
+    """The degree-1 place z - a of Q(i)(z)."""
+    return _unchecked(PlaceFq, pi=Poly(CX, [-a, CX.one]))
 
 
 def order_at(f: RatFunc, a: GaussRat) -> int:
-    kn, _ = _order_and_unit(f.num, a)
-    kd, _ = _order_and_unit(f.den, a)
-    return kn - kd
+    return ff_valuation(f, _place(a))
 
 
 def tame_symbol_cx(f: RatFunc, g: RatFunc, a: GaussRat) -> GaussRat:
     """Exact tame symbol (-1)^(mn) f^n g^(-m) evaluated at a."""
     if f.is_zero() or g.is_zero():
         raise ValueError("tame symbol needs nonzero functions")
-    fn, fu = _order_and_unit(f.num, a)
-    fd, fv = _order_and_unit(f.den, a)
-    gn, gu = _order_and_unit(g.num, a)
-    gd, gv = _order_and_unit(g.den, a)
-    m, n = fn - fd, gn - gd
-    uf = fu.evaluate(a) / fv.evaluate(a)
-    ug = gu.evaluate(a) / gv.evaluate(a)
-    val = CX.pow(uf, n) * CX.pow(ug, -m)
-    if (m * n) % 2:
-        val = -val
-    return val
+    return tame_ff(f, g, _place(a)).constant_value()
 
 
-def _singularities(f: RatFunc, g: RatFunc) -> list[complex]:
+def _singularities(f: RatFunc, g: RatFunc, pc: complex, m: int, n: int) -> list[complex]:
+    """Numerical zeros and poles of f and g away from pc, where f and g
+    have orders m and n.  numpy.roots splits a root of multiplicity k into
+    k roots about eps^(1/k) apart, so each polynomial drops its roots
+    nearest pc, as many as its exact multiplicity there."""
     import numpy  # only here: importing k2sym does not load numpy
 
     roots: list[complex] = []
-    for p in (f.num, f.den, g.num, g.den):
+    for p, k in ((f.num, max(m, 0)), (f.den, max(-m, 0)), (g.num, max(n, 0)), (g.den, max(-n, 0))):
         if not p.is_constant():
             cs = [c.to_complex() for c in reversed(p.coeffs)]
-            roots.extend(numpy.roots(cs).tolist())
+            roots.extend(sorted(numpy.roots(cs).tolist(), key=lambda r: abs(r - pc))[k:])
     return roots
 
 
@@ -358,18 +333,10 @@ def residue_check(f: RatFunc, g: RatFunc, point: GaussRat, tolerance: float = 1e
         raise ValueError("tame symbol vanished; functions not coprime enough")
     n2 = tame.norm2()
     expected = 0.5 * (math.log(n2.numerator) - math.log(n2.denominator))
+    m, n = order_at(f, point), order_at(g, point)
     pc = point.to_complex()
-    dists = [abs(r - pc) for r in _singularities(f, g) if abs(r - pc) > 1e-9]
+    dists = [abs(r - pc) for r in _singularities(f, g, pc, m, n)]
     radius = min(dists) / 2 if dists else 1.0
     li = loop_integral(f, g, Loop(pc, radius))
     diff = abs(li.value - expected)
-    return ResidueCheck(
-        point,
-        order_at(f, point),
-        order_at(g, point),
-        tame,
-        expected,
-        li.value,
-        diff,
-        diff <= tolerance,
-    )
+    return ResidueCheck(point, m, n, tame, expected, li.value, diff, diff <= tolerance)

@@ -237,6 +237,51 @@ def tame_at_root(D: DigitField, f: tuple[list[int], list[int]], g: tuple[list[in
     return D.mul(sign, D.mul(D.pow(u, b), D.pow(w, -a)))
 
 
+# -- tame symbols over Q(i) by evaluation ------------------------------------------
+# The bodies the regulator module used before it took its tame symbol from
+# funcfield: orders by evaluating at the point, units by evaluation.
+
+
+def order_and_unit_by_evaluation(p, a):
+    """Vanishing order of the Poly p over Q(i) at a, plus the cofactor with
+    the root removed."""
+    from k2sym.arith import Poly
+    from k2sym.regnum import CX
+
+    lin = Poly(CX, [-a, CX.one])
+    order = 0
+    while not p.is_zero() and p.evaluate(a).is_zero():
+        q, r = p.divmod(lin)
+        assert r.is_zero()
+        p = q
+        order += 1
+    return order, p
+
+
+def _gauss_pow(a, e):
+    if e < 0:
+        a, e = a.inverse(), -e
+    out = type(a).make(1)
+    for _ in range(e):
+        out = out * a
+    return out
+
+
+def tame_symbol_by_evaluation(f, g, a):
+    """(-1)^(mn) f^n g^(-m) at a, from the units of f and g evaluated at a."""
+    fn, fu = order_and_unit_by_evaluation(f.num, a)
+    fd, fv = order_and_unit_by_evaluation(f.den, a)
+    gn, gu = order_and_unit_by_evaluation(g.num, a)
+    gd, gv = order_and_unit_by_evaluation(g.den, a)
+    m, n = fn - fd, gn - gd
+    uf = fu.evaluate(a) / fv.evaluate(a)
+    ug = gu.evaluate(a) / gv.evaluate(a)
+    val = _gauss_pow(uf, n) * _gauss_pow(ug, -m)
+    if (m * n) % 2:
+        val = -val
+    return val
+
+
 def squarefree_part(n: int) -> int:
     """sign(n) * product of primes dividing n to an odd power (naive)."""
     assert n != 0

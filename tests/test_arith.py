@@ -201,6 +201,20 @@ def test_tables_match_digit_arithmetic(q):
                 assert F.div(a, b) == D.mul(a, inverses[b]), (a, b)
 
 
+@pytest.mark.parametrize("q", [2, 3, 7, 13, 4, 9, 25])
+def test_pow_negative_exponents_and_zero_base(q):
+    (p, k), = oracles.naive_factor(q).items()
+    F, D = field(q), oracles.DigitField(p, k)
+    for e in range(-2 * q, 2 * q + 1):
+        for a in F.units():
+            assert F.pow(a, e) == D.pow(a, e), (a, e)
+        if e < 0:
+            with pytest.raises(ZeroDivisionError):
+                F.pow(0, e)
+        else:
+            assert F.pow(0, e) == (1 if e == 0 else 0)
+
+
 def test_prime_power_fields_are_bounded():
     with pytest.raises(ValueError, match="exceeds the bound"):
         field(2**20)

@@ -4,9 +4,11 @@ Every invocation goes through main(argv) and must print a single JSON
 report with a fixed key set, byte-identical across repeated runs.
 """
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -152,3 +154,19 @@ def test_startup_does_not_import_numpy():
     done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("f, g, log_tame", [
+    ("z+1", "(z-1)^2", math.log(4)),
+    ("(z-1)^3/(z+2)", "(z-1)^2*(z+3)", -math.log(576)),
+    ("z+2", "(z-1)^2*(z+3)", math.log(9)),
+])
+def test_residue_at_a_multiple_root(capsys, f, g, log_tame):
+    # numpy.roots splits a double root at the point into two roots about
+    # 1e-8 apart; the loop must still circle the point at half the distance
+    # to the other zeros and poles, not inside that cluster
+    start = time.perf_counter()
+    code, _, rep = run(capsys, ["residue", f, g, "1"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and rep["result"]["holds"]
+    assert abs(rep["result"]["integral"] - log_tame) < 1e-6

@@ -23,7 +23,7 @@ from k2sym.regnum import (
     residue_check,
     tame_symbol_cx,
 )
-from oracles import catalan_by_series
+from oracles import catalan_by_series, order_and_unit_by_evaluation, tame_symbol_by_evaluation
 
 CATALAN = 0.9159655941772190
 
@@ -226,6 +226,8 @@ def test_tame_symbol_frozen_examples():
     assert tame_symbol_cx(z, two_z, gauss(0)) == gauss(Fraction(-1, 2))
     assert tame_symbol_cx(z, one_minus, gauss(0)) == gauss(1)
     assert tame_symbol_cx(z_minus_1, z_minus_1, gauss(1)) == gauss(-1)
+    with pytest.raises(ValueError, match="tame symbol needs nonzero functions"):
+        tame_symbol_cx(ratfunc_z([0]), z, gauss(0))
 
 
 def test_tame_symbol_antisymmetric():
@@ -236,6 +238,31 @@ def test_tame_symbol_antisymmetric():
         g = random_ratfunc(rng, deg=2)
         a = gauss(rng.randrange(-2, 3))
         assert tame_symbol_cx(f, g, a) * tame_symbol_cx(g, f, a) == CX.one
+
+
+def _with_order(rng, a, k):
+    """A random rational function times (z - a)^k; the random parts may
+    vanish at a as well."""
+    f = random_ratfunc(rng, deg=2)
+    lin = ratfunc_z([-a, gauss(1)])
+    return f * lin**k
+
+
+def test_tame_symbol_and_order_match_evaluation_oracle():
+    # every pair of orders -3..3 of (z - a) in f and g, four times each:
+    # zeros and poles of multiplicity up to 3 in numerators and denominators,
+    # among them a zero of f that is a pole of g
+    rng = random.Random(41)
+    for m in range(-3, 4):
+        for n in range(-3, 4):
+            for _ in range(4):
+                a = random_gauss(rng, span=2)
+                f, g = _with_order(rng, a, m), _with_order(rng, a, n)
+                for h in (f, g):
+                    kn, _ = order_and_unit_by_evaluation(h.num, a)
+                    kd, _ = order_and_unit_by_evaluation(h.den, a)
+                    assert order_at(h, a) == kn - kd
+                assert tame_symbol_cx(f, g, a) == tame_symbol_by_evaluation(f, g, a), (f, g, a)
 
 
 def test_residue_check_frozen_and_random():
