@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
-"""Numerically recover logarithms of tame symbols from loop integrals, and
-plot (as text) the single-valued dilogarithm along a circle through i."""
+"""Numerically recover logarithms of tame symbols from loop integrals, with
+each loop's convergence by dyadic level, and plot (as text) the
+single-valued dilogarithm along a circle through i.
+
+    PYTHONPATH=src python3 scripts/regulator_demo.py --steps 24
+"""
 import argparse
 import math
 from fractions import Fraction
@@ -19,6 +23,9 @@ def residue_demo() -> None:
             f"{str(pt):10s} {rc.integral:+.12f}  {rc.expected:+.12f}  {rc.difference:.2e}"
             + ("" if rc.holds else "  MISMATCH")
         )
+        for samples, estimate, delta in rc.trajectory:
+            change = "" if delta is None else f"  |change| {delta:.2e}"
+            print(f"    {samples:7d} samples  {estimate:+.12f}{change}")
 
 
 def dilog_profile(steps: int) -> None:

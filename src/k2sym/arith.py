@@ -932,9 +932,13 @@ class RatFunc(PolyFraction):
             raise ZeroDivisionError("zero denominator")
         if num.field != den.field:
             raise ValueError("mixed coefficient fields")
-        g = num.gcd(den)
-        if not g.is_constant():
-            num, den = num // g, den // g
+        if num.is_zero():
+            den = Poly.const(den.field, den.field.one)
+        elif not (num.is_constant() or den.is_constant()):
+            # a nonzero constant is coprime to everything: no gcd to take
+            g = num.gcd(den)
+            if not g.is_constant():
+                num, den = num // g, den // g
         lead = den.lc()
         if lead != den.field.one:
             inv = den.field.inv(lead)

@@ -6,13 +6,16 @@ Every subcommand prints a single JSON report with sorted keys:
      "certificates": ..., "status": "ok" | "invalid" | "failed"}
 
 and exits 0 when the computation succeeded, 2 on invalid input, 3 when a
-checked property failed to hold.  Numeric inputs are expressions ("3/4",
-"(T^2+1)/(2*T)", "1/2 + 3*i"); pass "--" before arguments that start with
-a minus sign.
+checked property failed to hold.  A ValueError, ArithmeticError or
+RuntimeError out of a computation (a malformed expression, a division by
+zero, a loop integral that does not converge) is reported as invalid
+input.  Numeric inputs are expressions ("3/4", "(T^2+1)/(2*T)",
+"1/2 + 3*i"); pass "--" before arguments that start with a minus sign.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -347,7 +350,8 @@ def _cmd_residue(args):
         "difference": rc.difference,
         "holds": rc.holds,
     }
-    return result, {}, rc.holds
+    certs = {"convergence": [list(level) for level in rc.trajectory]}
+    return result, certs, rc.holds
 
 
 def _cmd_selftest(args):
@@ -453,7 +457,11 @@ def _cmd_selftest(args):
 # -- parser ------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parsing leaves it unchanged, and each parse returns a fresh namespace
+    whose lists argparse builds anew."""
     top = argparse.ArgumentParser(
         prog="k2sym", description="Symbol computations in K2 of fields."
     )
@@ -576,7 +584,9 @@ def main(argv=None) -> int:
     report = {"schema": 1, "command": args.command, "inputs": inputs}
     try:
         result, certificates, ok = args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        # ArithmeticError covers ZeroDivisionError and RuntimeError covers
+        # RecursionError and a loop integral that does not converge
         report["result"] = {"error": str(exc)}
         report["certificates"] = {}
         report["status"] = "invalid"

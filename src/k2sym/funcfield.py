@@ -162,11 +162,16 @@ def tame_ff(f, g, place: PlaceFq) -> Poly:
     f, g = as_ratfunc(f), as_ratfunc(g)
     if f.is_zero() or g.is_zero():
         raise ValueError("tame symbol needs nonzero arguments")
-    F = f.field
     if place.is_infinite:
-        inf_as_finite = _unchecked(PlaceFq, pi=Poly.x(F))
+        inf_as_finite = _unchecked(PlaceFq, pi=Poly.x(f.field))
         return tame_ff(_to_infinity_chart(f), _to_infinity_chart(g), inf_as_finite)
-    pi = place.pi
+    return tame_with_orders(f, g, place.pi)[2]
+
+
+def tame_with_orders(f: RatFunc, g: RatFunc, pi: Poly) -> tuple[int, int, Poly]:
+    """(v(f), v(g), tame symbol) at the finite place pi, for nonzero f and
+    g, from one strip of pi out of each of the four polynomials."""
+    F = pi.field
     fn, a_num = _strip(f.num, pi)
     fd, a_den = _strip(f.den, pi)
     gn, b_num = _strip(g.num, pi)
@@ -182,7 +187,7 @@ def tame_ff(f, g, place: PlaceFq) -> Poly:
         elif e < 0:
             power = _residue_pow(unit, -e, pi)
             bottom = power if bottom is None else bottom * power % pi
-    return top if bottom is None else top * _residue_inv(bottom, pi) % pi
+    return a, b, top if bottom is None else top * _residue_inv(bottom, pi) % pi
 
 
 def residue_norm(value: Poly, place: PlaceFq) -> int:

@@ -10,10 +10,16 @@ The pairing side: for nonzero f, g in C(z) the real 1-form
     eta(f, g) = log|f| d(arg g) - log|g| d(arg f)
 
 is closed away from the zeros and poles of f and g, and its loop integrals
-recover logs of tame symbol absolute values.  Coefficients are exact
-Gaussian rationals, and the tame side of the comparison is funcfield's
-tame symbol at the place z - a of Q(i)(z), so it carries no float error
-at all.
+recover logs of tame symbol absolute values.  eta_value is the pointwise
+form; loop_integral samples it as numpy arrays, converting the coefficients
+of f and g and of their exact derivatives to complex once per call, and
+evaluating at each dyadic level only the nodes that level adds.  Its
+LoopIntegral records the estimate at every level.
+
+Coefficients are exact Gaussian rationals, and the tame side of the
+comparison is funcfield's tame symbol at the place z - a of Q(i)(z), so it
+carries no float error at all; the orders of f and g there come out of the
+same pass.
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Poly, RatFunc, _unchecked, bernoulli
-from .funcfield import PlaceFq, ff_valuation, tame_ff
+from .funcfield import PlaceFq, ff_valuation, tame_with_orders
 
 CONVERGENCE_TARGET = 1e-9
 MAX_SAMPLES = 2**20
@@ -238,11 +244,15 @@ def _log_abs_and_dlog(f: RatFunc, zc: complex) -> tuple[float, complex]:
     return math.log(abs(n)) - math.log(abs(d)), dlog
 
 
+def _eta(log_f, dlog_f, log_g, dlog_g, dz):
+    """eta(f, g) on dz from log|f|, f'/f, log|g| and g'/g: scalars or
+    numpy arrays alike."""
+    return log_f * (dlog_g * dz).imag - log_g * (dlog_f * dz).imag
+
+
 def eta_value(f: RatFunc, g: RatFunc, zc: complex, dz: complex) -> float:
     """The 1-form eta(f, g) contracted with the tangent vector dz at zc."""
-    log_f, dlog_f = _log_abs_and_dlog(f, zc)
-    log_g, dlog_g = _log_abs_and_dlog(g, zc)
-    return log_f * (dlog_g * dz).imag - log_g * (dlog_f * dz).imag
+    return _eta(*_log_abs_and_dlog(f, zc), *_log_abs_and_dlog(g, zc), dz)
 
 
 def eta_pullback(f: RatFunc, g: RatFunc, loop: Loop, theta: float) -> float:
@@ -251,30 +261,68 @@ def eta_pullback(f: RatFunc, g: RatFunc, loop: Loop, theta: float) -> float:
 
 @dataclass(frozen=True)
 class LoopIntegral:
+    """The refined value, its last change |delta| as tolerance, the final
+    sample count, and the trajectory: (samples, estimate, |delta|) at each
+    dyadic level, with delta None at the first."""
+
     value: float
     tolerance: float
     samples: int
+    trajectory: tuple[tuple[int, float, float | None], ...]
 
 
-def _trapezoid(f, g, loop, n):
-    # periodic trapezoid rule: the mean of equally spaced samples is
-    # (1/2pi) times the integral, with spectral accuracy
-    step = 2 * math.pi / n
-    return math.fsum(eta_pullback(f, g, loop, k * step) for k in range(n)) / n
+def _eta_sampler(f: RatFunc, g: RatFunc, loop: Loop):
+    """theta -> the pullback of eta(f, g) to the loop at the angles theta
+    (a numpy array).  The coefficients of the four polynomials and of their
+    exact derivatives become complex arrays once, here."""
+    import numpy  # only here: importing k2sym does not load numpy
+
+    def cx(p: Poly):
+        return numpy.array([c.to_complex() for c in reversed(p.coeffs)], dtype=complex)
+
+    parts = [(cx(p), cx(p.derivative())) for p in (f.num, f.den, g.num, g.den)]
+    spin = 1j * loop.orientation
+    lift = loop.radius * loop.orientation * 1j
+
+    def sample(theta):
+        u = numpy.exp(spin * theta)
+        zc = loop.center + loop.radius * u
+        values = [(numpy.polyval(p, zc), numpy.polyval(dp, zc)) for p, dp in parts]
+        if not all(v.all() for v, _ in values):
+            raise ValueError("evaluation at a zero or pole")
+        (fn, dfn), (fd, dfd), (gn, dgn), (gd, dgd) = values
+        log_f = numpy.log(numpy.abs(fn)) - numpy.log(numpy.abs(fd))
+        log_g = numpy.log(numpy.abs(gn)) - numpy.log(numpy.abs(gd))
+        return _eta(log_f, dfn / fn - dfd / fd, log_g, dgn / gn - dgd / gd, lift * u)
+
+    return sample
 
 
 def loop_integral(f: RatFunc, g: RatFunc, loop: Loop) -> LoopIntegral:
     """(1/2pi) times the integral of eta(f, g) around the loop, refined by
-    doubling until two dyadic levels agree to 1e-9."""
+    doubling until two dyadic levels agree to 1e-9.
+
+    Periodic trapezoid rule: the mean of equally spaced samples converges
+    spectrally (Trefethen and Weideman, SIAM Review 56, 2014).  Each level
+    evaluates only its new nodes, the odd multiples of 2pi/n, as one numpy
+    array, and its estimate is math.fsum of all n samples over n."""
     if f.is_zero() or g.is_zero():
         raise ValueError("eta needs nonzero functions")
+    import numpy
+
+    sample = _eta_sampler(f, g, loop)
     n = loop.samples
-    prev = _trapezoid(f, g, loop, n)
+    values = sample(numpy.arange(n) * (2 * math.pi / n)).tolist()
+    prev = math.fsum(values) / n
+    trajectory = [(n, prev, None)]
     while n < MAX_SAMPLES:
         n *= 2
-        cur = _trapezoid(f, g, loop, n)
-        if abs(cur - prev) < CONVERGENCE_TARGET:
-            return LoopIntegral(cur, abs(cur - prev), n)
+        values += sample(numpy.arange(1, n, 2) * (2 * math.pi / n)).tolist()
+        cur = math.fsum(values) / n
+        delta = abs(cur - prev)
+        trajectory.append((n, cur, delta))
+        if delta < CONVERGENCE_TARGET:
+            return LoopIntegral(cur, delta, n, tuple(trajectory))
         prev = cur
     raise RuntimeError(f"no convergence after {MAX_SAMPLES} samples")
 
@@ -291,11 +339,18 @@ def order_at(f: RatFunc, a: GaussRat) -> int:
     return ff_valuation(f, _place(a))
 
 
-def tame_symbol_cx(f: RatFunc, g: RatFunc, a: GaussRat) -> GaussRat:
-    """Exact tame symbol (-1)^(mn) f^n g^(-m) evaluated at a."""
+def _orders_and_tame(f: RatFunc, g: RatFunc, a: GaussRat) -> tuple[int, int, GaussRat]:
+    """Orders of f and g at a and their exact tame symbol there, from one
+    strip of z - a out of each of the four polynomials."""
     if f.is_zero() or g.is_zero():
         raise ValueError("tame symbol needs nonzero functions")
-    return tame_ff(f, g, _place(a)).constant_value()
+    m, n, value = tame_with_orders(f, g, _place(a).pi)
+    return m, n, value.constant_value()
+
+
+def tame_symbol_cx(f: RatFunc, g: RatFunc, a: GaussRat) -> GaussRat:
+    """Exact tame symbol (-1)^(mn) f^n g^(-m) evaluated at a."""
+    return _orders_and_tame(f, g, a)[2]
 
 
 def _singularities(f: RatFunc, g: RatFunc, pc: complex, m: int, n: int) -> list[complex]:
@@ -323,20 +378,20 @@ class ResidueCheck:
     integral: float
     difference: float
     holds: bool
+    trajectory: tuple[tuple[int, float, float | None], ...]
 
 
 def residue_check(f: RatFunc, g: RatFunc, point: GaussRat, tolerance: float = 1e-6) -> ResidueCheck:
     """Compare the loop integral of eta around the point with log of the
     exact tame symbol's absolute value."""
-    tame = tame_symbol_cx(f, g, point)
+    m, n, tame = _orders_and_tame(f, g, point)
     if tame.is_zero():
         raise ValueError("tame symbol vanished; functions not coprime enough")
     n2 = tame.norm2()
     expected = 0.5 * (math.log(n2.numerator) - math.log(n2.denominator))
-    m, n = order_at(f, point), order_at(g, point)
     pc = point.to_complex()
     dists = [abs(r - pc) for r in _singularities(f, g, pc, m, n)]
     radius = min(dists) / 2 if dists else 1.0
     li = loop_integral(f, g, Loop(pc, radius))
     diff = abs(li.value - expected)
-    return ResidueCheck(point, m, n, tame, expected, li.value, diff, diff <= tolerance)
+    return ResidueCheck(point, m, n, tame, expected, li.value, diff, diff <= tolerance, li.trajectory)

@@ -526,3 +526,48 @@ def bernoulli_table() -> dict[int, Fraction]:
         16: Fraction(-3617, 510),
         32: Fraction(-7709321041217, 510),
     }
+
+
+# -- rational functions by gcd --------------------------------------------------------
+
+
+def canonical_pair_by_gcd(num, den):
+    """(num, den) in lowest terms with a monic denominator, by dividing out
+    their gcd whatever their degrees: the canonical form RatFunc took
+    before it skipped the gcd against a constant."""
+    g = num.gcd(den)
+    if not g.is_constant():
+        num, den = num // g, den // g
+    inv = den.field.inv(den.lc())
+    return num.scale(inv), den.scale(inv)
+
+
+# -- loop integrals by scalar samples ------------------------------------------------
+# The body the regulator module used before it sampled loops as numpy arrays:
+# every sample through the public pointwise eta_pullback, and every level
+# re-evaluating all of its nodes.
+
+
+def loop_integral_by_pullback(f, g, loop):
+    """(1/2pi) times the loop integral of eta(f, g) by the periodic
+    trapezoid rule, doubling from loop.samples with the same convergence
+    test as regnum.loop_integral; returns a LoopIntegral with trajectory."""
+    import math
+
+    from k2sym.regnum import CONVERGENCE_TARGET, MAX_SAMPLES, LoopIntegral, eta_pullback
+
+    def trapezoid(n):
+        step = 2 * math.pi / n
+        return math.fsum(eta_pullback(f, g, loop, k * step) for k in range(n)) / n
+
+    n = loop.samples
+    prev = trapezoid(n)
+    trajectory = [(n, prev, None)]
+    while n < MAX_SAMPLES:
+        n *= 2
+        cur = trapezoid(n)
+        trajectory.append((n, cur, abs(cur - prev)))
+        if abs(cur - prev) < CONVERGENCE_TARGET:
+            return LoopIntegral(cur, abs(cur - prev), n, tuple(trajectory))
+        prev = cur
+    raise RuntimeError(f"no convergence after {MAX_SAMPLES} samples")

@@ -379,6 +379,34 @@ def test_ratfunc_cancellation():
     assert r.num == t - one and r.den == one
 
 
+def test_ratfunc_canonical_form_matches_gcd_path():
+    # RatFunc skips the gcd when num or den is constant; the pair must be
+    # the one the gcd path gives, over F_2, F_9 and Q(i), with zero and
+    # constant numerators and (non-monic) constant denominators among them
+    rng = random.Random(71)
+    gauss_values = [GaussRat.make(Fraction(a, b), Fraction(c, b))
+                    for a in range(-2, 3) for c in range(-2, 3) for b in (1, 3)]
+    for F, elements in ((field(2), list(range(2))), (field(9), list(range(9))), (CX, gauss_values)):
+        units = [c for c in elements if c != F.zero]
+        shapes = {"zero num": 0, "constant num": 0, "constant den": 0, "non-monic constant den": 0}
+        for _ in range(150):
+            degrees = [rng.choice((-1, 0, 0, 1, 2, 3)), rng.choice((0, 0, 1, 2, 3))]
+            num, den = (Poly(F, [rng.choice(elements) for _ in range(d)] + [rng.choice(units)] * (d >= 0))
+                        for d in degrees)
+            if rng.random() < 0.3 and not num.is_constant() and not den.is_constant():
+                common = Poly(F, [rng.choice(elements), rng.choice(units)])
+                num, den = num * common, den * common
+            r = RatFunc(num, den)
+            assert (r.num, r.den) == oracles.canonical_pair_by_gcd(num, den), (F, num, den)
+            shapes["zero num"] += num.is_zero()
+            shapes["constant num"] += num.degree == 0
+            shapes["constant den"] += den.is_constant()
+            shapes["non-monic constant den"] += den.is_constant() and den.lc() != F.one
+        if len(units) == 1:  # F_2 has no non-monic constant
+            del shapes["non-monic constant den"]
+        assert all(shapes.values()), (F, shapes)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(0, 6), min_size=1, max_size=4),

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import k2sym
+from k2sym import cli, regnum
 from k2sym.cli import main
 
 REPORT_KEYS = {"certificates", "command", "inputs", "result", "schema", "status"}
@@ -145,6 +146,8 @@ def test_startup_does_not_import_numpy():
         "import contextlib, io, sys\n"
         "import k2sym\n"
         "assert 'numpy' not in sys.modules, 'import k2sym loaded numpy'\n"
+        "import k2sym.cli\n"
+        "assert k2sym.cli._build_parser.cache_info().currsize == 0, 'import built the parser'\n"
         "from k2sym.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['hilbert', '--place', '2', '2', '3']) == 0\n"
@@ -170,3 +173,59 @@ def test_residue_at_a_multiple_root(capsys, f, g, log_tame):
     assert time.perf_counter() - start < 2.0
     assert code == 0 and rep["result"]["holds"]
     assert abs(rep["result"]["integral"] - log_tame) < 1e-6
+
+
+# a fixed sequence with defaults, nargs="*" lists and optional pairs that a
+# shared parser could carry from one call to the next, malformed argv between
+PARSER_SEQUENCE = [
+    ["lift", "1", "7:3"],
+    ["lift"],
+    ["lift", "-1"],
+    ["cartier", "--p", "3", "s*t"],
+    ["cartier", "--p"],
+    ["cartier", "--p", "3", "--degree", "1", "s", "t"],
+    ["nosuch"],
+    ["zeta", "--q", "5"],
+    ["zeta", "--q", "5", "--elliptic", "1"],
+    ["zeta", "--q", "5", "--elliptic", "1", "1"],
+    ["zeta", "--q", "7"],
+]
+
+
+def _run_sequence(capsys):
+    out = []
+    for argv in PARSER_SEQUENCE:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejecting argv
+            code = exc.code
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def test_cached_parser_does_not_leak_state(capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    shared = _run_sequence(capsys)
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = _run_sequence(capsys)
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 2, 0, 2, 0, 2, 0, 0]
+    assert json.loads(shared[2][1])["inputs"] == {"component": [], "sign": -1}
+    assert json.loads(shared[7][1])["certificates"] == {"n1": 6}
+
+
+def test_residue_reports_its_convergence(capsys):
+    code, _, rep = run(capsys, ["residue", "z^2-1", "z/(z-3)", "1"])
+    assert code == 0
+    levels = rep["certificates"]["convergence"]
+    assert [n for n, _, _ in levels] == [64 * 2**k for k in range(len(levels))]
+    assert levels[0][2] is None and all(delta >= 0 for _, _, delta in levels[1:])
+    assert levels[-1][1] == rep["result"]["integral"] and levels[-1][2] < 1e-9
+
+
+def test_residue_without_convergence_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(regnum, "MAX_SAMPLES", 64)
+    code, _, rep = run(capsys, ["residue", "z^2-1", "z/(z-3)", "1"])
+    assert code == 2 and rep["status"] == "invalid"
+    assert rep["result"] == {"error": "no convergence after 64 samples"}

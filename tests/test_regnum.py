@@ -7,11 +7,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from k2sym.arith import RatFunc
 from k2sym.regnum import (
     CX,
     GaussRat,
     Loop,
     LoopIntegral,
+    _orders_and_tame,
     bloch_wigner,
     eta_pullback,
     eta_value,
@@ -23,7 +25,12 @@ from k2sym.regnum import (
     residue_check,
     tame_symbol_cx,
 )
-from oracles import catalan_by_series, order_and_unit_by_evaluation, tame_symbol_by_evaluation
+from oracles import (
+    catalan_by_series,
+    loop_integral_by_pullback,
+    order_and_unit_by_evaluation,
+    tame_symbol_by_evaluation,
+)
 
 CATALAN = 0.9159655941772190
 
@@ -154,6 +161,52 @@ def test_loop_orientation_flips_sign():
     assert abs(plus + minus) < 1e-9
 
 
+def _assert_matches_pullback_oracle(f, g, loop):
+    li, ref = loop_integral(f, g, loop), loop_integral_by_pullback(f, g, loop)
+    assert li.samples == ref.samples, (f, g, loop)
+    assert abs(li.value - ref.value) <= 1e-12, (f, g, loop)
+    assert [n for n, _, _ in li.trajectory] == [n for n, _, _ in ref.trajectory]
+    for (_, est, delta), (_, ref_est, ref_delta) in zip(li.trajectory, ref.trajectory):
+        assert abs(est - ref_est) <= 1e-12, (f, g, loop)
+        assert (delta is None) == (ref_delta is None)
+    assert li.trajectory[-1] == (li.samples, li.value, li.tolerance)
+    return li
+
+
+def test_loop_integral_matches_pullback_oracle_on_frozen_loops():
+    # the loops of the frozen examples here and in test_acceptance
+    z, two_z, one_minus = ratfunc_z([0, 1]), ratfunc_z([0, 2]), ratfunc_z([1, -1])
+    cases = [(z, two_z, Loop(0j, r)) for r in (0.1, 0.2, 0.7, 1.0)]
+    cases += [(z, one_minus, Loop(0.2 + 0.1j, 0.4, orientation=o)) for o in (1, -1)]
+    cases += [(z, one_minus, Loop(c, r)) for c, r in ((0j, 0.5), (1 + 0j, 0.5), (0.3 + 0.8j, 0.25))]
+    for f, g, loop in cases:
+        _assert_matches_pullback_oracle(f, g, loop)
+
+
+def test_loop_integral_matches_pullback_oracle_on_random_loops():
+    # four distinct points, each a zero or pole of order 1 or 2 of f or g;
+    # the loop circles the first, mostly off the origin, in either orientation,
+    # at 0.5 or 0.8 of the distance to the next, so levels differ in number
+    rng = random.Random(53)
+    pool = [gauss(Fraction(a, 2), Fraction(b, 2)) for a in range(-4, 5) for b in range(-4, 5)]
+    orientations, orders, sample_counts = set(), set(), set()
+    for _ in range(12):
+        roots = rng.sample(pool, 4)
+        polys = [poly_z([rng.choice((1, 2, -3))]), poly_z([1]), poly_z([1]), poly_z([1])]
+        for slot, r in zip(rng.sample(range(4), 4), roots):
+            e = rng.choice((1, 2))
+            polys[slot] = polys[slot] * poly_z([-r, 1]) ** e
+            orders.add(e)
+        f, g = RatFunc(polys[0], polys[1]), RatFunc(polys[2], polys[3])
+        centre = roots[0].to_complex()
+        radius = min(abs(r.to_complex() - centre) for r in roots[1:]) * rng.choice((0.5, 0.8))
+        orientation = rng.choice((1, -1))
+        orientations.add(orientation)
+        li = _assert_matches_pullback_oracle(f, g, Loop(centre, radius, orientation))
+        sample_counts.add(li.samples)
+    assert orientations == {1, -1} and orders == {1, 2} and len(sample_counts) > 1
+
+
 def test_eta_antisymmetry_and_bilinearity():
     rng = random.Random(19)
     f1 = ratfunc_z([1, 2], [1, 0, 1])
@@ -263,6 +316,8 @@ def test_tame_symbol_and_order_match_evaluation_oracle():
                     kd, _ = order_and_unit_by_evaluation(h.den, a)
                     assert order_at(h, a) == kn - kd
                 assert tame_symbol_cx(f, g, a) == tame_symbol_by_evaluation(f, g, a), (f, g, a)
+                # residue_check's orders come out of the same strip as the tame value
+                assert _orders_and_tame(f, g, a)[:2] == (order_at(f, a), order_at(g, a))
 
 
 def test_residue_check_frozen_and_random():
