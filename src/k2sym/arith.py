@@ -162,21 +162,29 @@ def factorize(x: int | Fraction) -> tuple[int, Factorization]:
     return sign, _unchecked(Factorization, factors=items)
 
 
+def _split(x, p: int) -> tuple[int, int, int]:
+    """x = p^a * n / d with n (signed) and d prime to p; returns (a, n, d).
+
+    x is anything with a numerator and a denominator (a Fraction, or a
+    localsym.LocalData record).  Takes the valuation at p alone: nothing
+    is factored."""
+    n, d = x.numerator, x.denominator
+    a = 0
+    while n % p == 0:
+        n //= p
+        a += 1
+    while d % p == 0:
+        d //= p
+        a -= 1
+    return a, n, d
+
+
 def valuation(x: int | Fraction, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("valuation of 0")
-    v = 0
-    n = abs(x.numerator)
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _split(x, p)[0]
 
 
 def legendre(a: int, p: int) -> int:
@@ -704,10 +712,6 @@ class Poly:
             acc = F.add(F.mul(acc, x), c)
         return acc
 
-    def shift_compose_reverse(self) -> "Poly":
-        """Coefficient reversal: T^deg * self(1/T).  Used at infinity."""
-        return Poly(self.field, list(reversed(self.coeffs)))
-
     # -- comparisons --
 
     def __eq__(self, other):
@@ -720,19 +724,14 @@ class Poly:
         return f"Poly({self.field}, {list(self.coeffs)})"
 
     def sort_key(self):
-        """Deterministic total order key: (degree, coefficient encodings)."""
-        return (len(self.coeffs), tuple(reversed([_coeff_key(c) for c in self.coeffs])))
+        """Deterministic total order key over F_q: (degree, then the int
+        coefficient encodings from the top down)."""
+        return (len(self.coeffs), self.coeffs[::-1])
 
 
 # Poly's slot setters, which bypass the __setattr__ that makes it immutable.
 _set_field = Poly.field.__set__
 _set_coeffs = Poly.coeffs.__set__
-
-
-def _coeff_key(c):
-    if isinstance(c, int):
-        return c
-    return repr(c)
 
 
 def is_irreducible(f: Poly) -> bool:

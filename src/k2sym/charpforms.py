@@ -411,8 +411,9 @@ def cartier1(w: Form1) -> Form1:
     p = f.p
     gd = bipoly_gcd(f.den, g.den)
     D = f.den * g.den.exact_div(gd)
-    P = f.num * (D**p).exact_div(f.den)
-    Q = g.num * (D**p).exact_div(g.den)
+    Dp = D**p
+    P = f.num * Dp.exact_div(f.den)
+    Q = g.num * Dp.exact_div(g.den)
     Cs = _cartier_terms(P, 1, 0)
     Ct = _cartier_terms(Q, 0, 1)
     return Form1(MultiRatFunc(Cs, D), MultiRatFunc(Ct, D))

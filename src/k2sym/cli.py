@@ -114,7 +114,10 @@ def _cmd_lift(args):
     odd = {}
     for item in args.component:
         p_str, _, c_str = item.partition(":")
-        odd[int(p_str)] = int(c_str)
+        p = int(p_str)
+        if p in odd:
+            raise ValueError(f"place {p} given twice")
+        odd[p] = int(c_str)
     target = k2q.K2QClass.make(args.sign, odd)
     expr = k2q.lift(target)
     roundtrip = k2q.lambda_tate(expr) == target
@@ -189,7 +192,10 @@ def _cmd_fflift(args):
     entries = {}
     for item in args.component:
         pi_str, _, val_str = item.partition(":")
-        entries[parse_poly(pi_str, args.q)] = parse_poly(val_str, args.q)
+        pi = parse_poly(pi_str, args.q)
+        if pi in entries:
+            raise ValueError(f"place {pi_str} given twice")
+        entries[pi] = parse_poly(val_str, args.q)
     target = funcfield.K2FFClass.make(F, entries)
     expr = funcfield.lift_ff(F, target)
     roundtrip = funcfield.decompose(expr, F) == target
@@ -198,15 +204,14 @@ def _cmd_fflift(args):
 
 
 def _cmd_steinberg(args):
-    zeta_el = args.zeta if args.zeta is not None else None
-    witness = funcfield.steinberg_witness(args.q, zeta_el)
+    witness = funcfield.steinberg_witness(args.q, args.zeta)
     if witness == funcfield.CHAR2:
         return {"char2": True}, {}, True
     x, y = witness
     F = field(args.q)
-    z = zeta_el if zeta_el is not None else generator(F)
+    z = args.zeta if args.zeta is not None else generator(F)
     lhs = F.add(F.mul(z, F.mul(x, x)), F.mul(z, F.mul(y, y)))
-    bound = funcfield.counting_bound(args.q, zeta_el)
+    bound = funcfield.counting_bound(args.q, args.zeta)
     result = {"zeta": z, "x": x, "y": y}
     certs = {
         "zeta_squares": bound.zeta_squares,

@@ -4,10 +4,15 @@ rational function field k(T).
 Places are the monic irreducible polynomials plus a place at infinity with
 uniformizer 1/T; the residue field at a finite place pi is k[T]/(pi), and
 k itself at infinity.  The tame symbol at each place takes values in the
-residue field units, and K_2(F_q(T)) decomposes as the direct sum of those
-unit groups over the finite places -- exactly, with no extra summand,
-because K_2 of a finite field vanishes (the Steinberg-witness argument
-implemented at the bottom of this module).
+residue field units.  At infinity it needs no change of chart: f has
+order a = deg den - deg num there, its unit part takes the value
+c(f) = lc(num)/lc(den) (the leading-coefficient retraction), and the
+symbol of f and g is (-1)^{ab} c(f)^b c(g)^{-a}.
+
+K_2(F_q(T)) decomposes as the direct sum of the residue unit groups over
+the finite places -- exactly, with no extra summand, because K_2 of a
+finite field vanishes (the Steinberg-witness argument implemented at the
+bottom of this module).
 
 Valuations and tame symbols use only the field operations of k, so the
 regulator module takes its exact side from here, at the places z - a of
@@ -40,9 +45,8 @@ class PlaceFq:
 
     PlaceFq(pi) and PlaceFq.finite(pi) run Rabin's test, so they need k
     finite.  A place whose polynomial is already known to be monic
-    irreducible (a factor out of poly_factor, T in the chart at infinity,
-    or z - a over Q(i)) is built by arith._unchecked(PlaceFq, pi=pi),
-    which skips the test.
+    irreducible (a factor out of poly_factor, or z - a over Q(i)) is built
+    by arith._unchecked(PlaceFq, pi=pi), which skips the test.
     """
 
     pi: Poly | None  # None encodes the place at infinity
@@ -127,45 +131,33 @@ def _residue_inv(a: Poly, pi: Poly) -> Poly:
     return s0.scale(F.inv(r0.coeffs[0]))
 
 
-def _residue_pow(a: Poly, e: int, pi: Poly) -> Poly:
-    """a^e mod pi for e >= 0."""
-    return (a % pi).pow_mod(e, pi)
-
-
-def _to_infinity_chart(f: RatFunc) -> RatFunc:
-    """Rewrite f(T) as a rational function of U = 1/T.
-
-    f = N/D becomes U^(deg D - deg N) * rev(N)/rev(D) where rev reverses
-    coefficients; rev(N)(0) is the leading coefficient of N, so the result
-    is already unit-times-uniformizer-power at U = 0.
-    """
-    F = f.field
-    n, d = f.num.degree, f.den.degree
-    u = Poly.x(F)
-    num = f.num.shift_compose_reverse()
-    den = f.den.shift_compose_reverse()
-    if d >= n:
-        num = num * u ** (d - n)
-    else:
-        den = den * u ** (n - d)
-    return RatFunc(num, den)
-
-
 def tame_ff(f, g, place: PlaceFq) -> Poly:
     """Tame symbol at a place of k(T), valued in the residue field.
 
     At a finite place pi: the class of (-1)^{v(f)v(g)} f^{v(g)} g^{-v(f)}
-    in k[T]/(pi), returned as the reduced representative.  At infinity the
-    same formula in the chart U = 1/T; the result is a constant polynomial
-    whose value lies in k.
+    in k[T]/(pi), returned as the reduced representative.  At infinity:
+    (-1)^{ab} c(f)^b c(g)^{-a}, with a and b the orders of f and g there and
+    c the leading-coefficient retraction, since in U = 1/T the function f is
+    U^a times a unit whose value at U = 0 is c(f).  The result is a
+    constant polynomial whose value lies in k.
     """
     f, g = as_ratfunc(f), as_ratfunc(g)
     if f.is_zero() or g.is_zero():
         raise ValueError("tame symbol needs nonzero arguments")
-    if place.is_infinite:
-        inf_as_finite = _unchecked(PlaceFq, pi=Poly.x(f.field))
-        return tame_ff(_to_infinity_chart(f), _to_infinity_chart(g), inf_as_finite)
-    return tame_with_orders(f, g, place.pi)[2]
+    if not place.is_infinite:
+        return tame_with_orders(f, g, place.pi)[2]
+    F = f.field
+    a, b = ff_valuation(f, place), ff_valuation(g, place)
+    # c(f)^b c(g)^-a as top / bottom over the four leading coefficients,
+    # with one inversion
+    top = Poly.const(F, F.one if (a * b) % 2 == 0 else F.neg(F.one))
+    bottom = Poly.const(F, F.one)
+    for lc, e in ((f.num.lc(), b), (f.den.lc(), -b), (g.num.lc(), -a), (g.den.lc(), a)):
+        if e > 0:
+            top = top * Poly.const(F, lc) ** e
+        elif e < 0:
+            bottom = bottom * Poly.const(F, lc) ** -e
+    return top.scale(F.inv(bottom.constant_value()))
 
 
 def tame_with_orders(f: RatFunc, g: RatFunc, pi: Poly) -> tuple[int, int, Poly]:
@@ -183,9 +175,9 @@ def tame_with_orders(f: RatFunc, g: RatFunc, pi: Poly) -> tuple[int, int, Poly]:
     bottom = None
     for unit, e in ((fn, b), (fd, -b), (gn, -a), (gd, a)):
         if e > 0:
-            top = top * _residue_pow(unit, e, pi) % pi
+            top = top * unit.pow_mod(e, pi) % pi
         elif e < 0:
-            power = _residue_pow(unit, -e, pi)
+            power = unit.pow_mod(-e, pi)
             bottom = power if bottom is None else bottom * power % pi
     return a, b, top if bottom is None else top * _residue_inv(bottom, pi) % pi
 
@@ -201,7 +193,7 @@ def residue_norm(value: Poly, place: PlaceFq) -> int:
         return v.constant_value()
     d = place.degree
     e = (F.q**d - 1) // (F.q - 1)
-    nm = _residue_pow(value, e, place.pi)
+    nm = value.pow_mod(e, place.pi)
     if not nm.is_constant():
         raise ArithmeticError("norm did not land in the base field")
     return nm.constant_value()
@@ -334,7 +326,7 @@ def decompose(e: FFSymbolExpr, base: Fq | None = None) -> K2FFClass:
         place = _unchecked(PlaceFq, pi=pi)
         for f, g, m in e.terms:
             t = tame_ff(f, g, place)
-            acc = acc * _residue_pow(t, m % group_order, pi) % pi
+            acc = acc * t.pow_mod(m % group_order, pi) % pi
         vals[pi] = acc
     return K2FFClass.make(base, vals)
 
@@ -364,20 +356,14 @@ def weil_check(f, g) -> WeilResult:
     """
     f, g = as_ratfunc(f), as_ratfunc(g)
     base = f.field
-    e = ff_symbol(f, g)
+    places = [_unchecked(PlaceFq, pi=pi) for pi in _support_places(ff_symbol(f, g))]
     factors = []
     prod = base.one
-    for pi in _support_places(e):
-        place = _unchecked(PlaceFq, pi=pi)
+    for place in places + [PlaceFq.infinity()]:
         v = tame_ff(f, g, place)
         nm = residue_norm(v, place)
         factors.append(WeilFactor(place, v, nm))
         prod = base.mul(prod, nm)
-    inf = PlaceFq.infinity()
-    v = tame_ff(f, g, inf)
-    nm = v.constant_value() if not v.is_zero() else base.zero
-    factors.append(WeilFactor(inf, v, nm))
-    prod = base.mul(prod, nm)
     return WeilResult(tuple(factors), prod)
 
 
@@ -409,16 +395,25 @@ def lift_ff(base: Fq, target: K2FFClass) -> FFSymbolExpr:
 # K_2 of the finite field itself is trivial: witnesses and reduction.
 
 
+def _check_zeta(F: Fq, zeta: int | None) -> None:
+    """A given zeta must encode a unit of F: 1..q-1."""
+    if zeta is not None and not 1 <= zeta < F.q:
+        raise ValueError(f"zeta must encode a unit of F_{F.q}, 1..{F.q - 1}; got {zeta}")
+
+
 def steinberg_witness(q: int, zeta: int | None = None):
     """For odd q: the first pair (x, y) of units with zeta x^2 + zeta y^2 = 1.
 
-    Such a pair exists by counting: zeta*squares and 1 - zeta*squares are
-    sets of size (q+1)/2 each, so they intersect; x = 0 or y = 0 would make
-    zeta a square, which a generator is not.  For even q returns the CHAR2
-    marker: there -zeta = zeta, so {zeta, zeta} = {zeta, -zeta} = 0 with no
-    witness needed.
+    zeta defaults to the generator; a given zeta must encode a unit
+    (1..q-1), else ValueError.  For a non-square zeta such a pair exists
+    by counting: zeta*squares and 1 - zeta*squares are sets of size
+    (q+1)/2 each, so they intersect; x = 0 or y = 0 would make zeta a
+    square.  A square zeta may have no witness (q = 5, zeta = 1), which is
+    a ValueError.  For even q returns the CHAR2 marker: there -zeta = zeta,
+    so {zeta, zeta} = {zeta, -zeta} = 0 with no witness needed.
     """
     F = field(q)
+    _check_zeta(F, zeta)
     if F.q % 2 == 0:
         return CHAR2
     if zeta is None:
@@ -429,6 +424,9 @@ def steinberg_witness(q: int, zeta: int | None = None):
         for y in F.units():
             if F.add(zx2, F.mul(zeta, F.mul(y, y))) == one:
                 return (x, y)
+    if F.pow(zeta, (F.q - 1) // 2) == one:
+        raise ValueError(f"no witness for zeta = {zeta}: it is a square in F_{F.q}, "
+                         "and a witness is guaranteed only for a non-square zeta")
     raise AssertionError("no witness found; counting bound violated")
 
 
@@ -445,6 +443,7 @@ class CountingBound:
 
 def counting_bound(q: int, zeta: int | None = None) -> CountingBound:
     F = field(q)
+    _check_zeta(F, zeta)
     if zeta is None:
         zeta = generator(F)
     s1 = {F.mul(zeta, F.mul(x, x)) for x in F.elements()}

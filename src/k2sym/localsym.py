@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import _unchecked, factorize, is_prime
+from .arith import _split, _unchecked, factorize, is_prime
 
 
 @dataclass(frozen=True)
@@ -109,22 +109,8 @@ def _as_nonzero_fraction(x) -> Fraction:
 # Kernels on plain ints.  At an odd prime p an argument enters as (a, u):
 # its valuation and its p-adic unit part reduced mod p.  At 2 it enters as
 # (a, u8): its valuation and its odd unit part mod 8.  _residue and
-# _residue8 read these off a Fraction or a LocalData record alike.
-
-
-def _split(x: Fraction | LocalData, p: int) -> tuple[int, int, int]:
-    """x = p^a * n / d with n (signed) and d prime to p; returns (a, n, d).
-
-    Takes the valuation at p alone: nothing is factored."""
-    n, d = x.numerator, x.denominator
-    a = 0
-    while n % p == 0:
-        n //= p
-        a += 1
-    while d % p == 0:
-        d //= p
-        a -= 1
-    return a, n, d
+# _residue8 read these off a Fraction or a LocalData record alike, through
+# arith._split.
 
 
 def _residue(x: Fraction | LocalData, p: int) -> tuple[int, int]:

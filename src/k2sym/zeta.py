@@ -119,9 +119,12 @@ def l_polynomial(curve: CurveFq) -> LPoly:
 
 def zeta_minus1(curve: CurveFq) -> Fraction:
     """Value of the curve's zeta function at s = -1, i.e. at U = q."""
-    q = curve.q
-    p_at_q = l_polynomial(curve).evaluate(q)
-    return Fraction(p_at_q, (1 - q) * (1 - q * q))
+    return _zeta_at_q(l_polynomial(curve), curve.q)
+
+
+def _zeta_at_q(lp: LPoly, q: int) -> Fraction:
+    """Z(U) = L(U) / ((1 - U)(1 - qU)) at U = q."""
+    return Fraction(lp.evaluate(q), (1 - q) * (1 - q * q))
 
 
 @dataclass(frozen=True)
@@ -140,14 +143,13 @@ class TateIdentity:
 
 def tate_identity(curve: CurveFq) -> TateIdentity:
     q = curve.q
-    z = zeta_minus1(curve)
+    lp = l_polynomial(curve)
+    z, trace = _zeta_at_q(lp, q), lp.trace
     if curve.genus == 0:
         # Ker has one element; (q^2-1) zeta(-1) (q-1) must be exactly 1
         lhs = (q * q - 1) * z * (q - 1)
         rhs = Fraction(1)
-        trace = 0
     else:
-        trace = l_polynomial(curve).trace
         # deg(1 - q pi) for Frobenius pi with trace a and norm q
         lhs = Fraction(1 - q * trace + q**3)
         rhs = (q * q - 1) * z * (q - 1)

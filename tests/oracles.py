@@ -571,3 +571,36 @@ def loop_integral_by_pullback(f, g, loop):
             return LoopIntegral(cur, abs(cur - prev), n, tuple(trajectory))
         prev = cur
     raise RuntimeError(f"no convergence after {MAX_SAMPLES} samples")
+
+
+# -- the tame symbol at infinity through the chart U = 1/T ---------------------------
+# The body funcfield.tame_ff ran at infinity before it read the symbol off
+# degrees and leading coefficients: rewrite f and g in U = 1/T, then take
+# the tame symbol at the finite place U.
+
+
+def to_infinity_chart(f):
+    """f(T) as a rational function of U = 1/T: N/D becomes
+    U^(deg D - deg N) * rev(N)/rev(D), where rev(N) = U^(deg N) N(1/U)
+    reverses the coefficients, so rev(N)(0) is the leading coefficient of N."""
+    from k2sym.arith import Poly, RatFunc
+
+    F = f.field
+    n, d = f.num.degree, f.den.degree
+    u = Poly.x(F)
+    num = Poly(F, f.num.coeffs[::-1])
+    den = Poly(F, f.den.coeffs[::-1])
+    if d >= n:
+        num = num * u ** (d - n)
+    else:
+        den = den * u ** (n - d)
+    return RatFunc(num, den)
+
+
+def tame_at_infinity_by_chart(f, g):
+    """The tame symbol of f and g at infinity, as the tame symbol of their
+    chart images at the place U."""
+    from k2sym.arith import Poly
+    from k2sym.funcfield import tame_with_orders
+
+    return tame_with_orders(to_infinity_chart(f), to_infinity_chart(g), Poly.x(f.field))[2]

@@ -6,6 +6,7 @@ report with a fixed key set, byte-identical across repeated runs.
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -110,15 +111,29 @@ def test_dilog_catalan(capsys):
         ["weil", "--q", "3", "T^999999", "T+1"],
         ["fflift", "--q", "5", "T^2:T"],
         ["fflift", "--q", "5", "2*T:3"],
+        ["lift", "1", "7:3", "7:5"],
+        ["fflift", "--q", "5", "T:2", "T:3"],
+        ["steinberg", "--q", "5", "--zeta", "1"],
+        ["steinberg", "--q", "5", "--zeta", "0"],
+        ["steinberg", "--q", "9", "--zeta", "30"],
+        ["steinberg", "--q", "5", "--zeta", "7"],
     ],
     ids=["syntax", "bad-place", "singular-curve", "not-closed", "div-zero", "field-too-large",
-         "deep-nesting", "huge-exponent", "reducible-key", "non-monic-key"],
+         "deep-nesting", "huge-exponent", "reducible-key", "non-monic-key", "repeated-prime",
+         "repeated-place", "square-zeta-without-witness", "zeta-zero", "zeta-beyond-field",
+         "zeta-beyond-q"],
 )
 def test_invalid_inputs_exit_2(capsys, argv):
     code, _, rep = run(capsys, argv)
     assert code == 2
     assert rep["status"] == "invalid"
     assert "error" in rep["result"]
+
+
+def test_steinberg_square_zeta_with_a_witness(capsys):
+    code, _, rep = run(capsys, ["steinberg", "--q", "7", "--zeta", "2"])
+    assert code == 0
+    assert rep["result"] == {"x": 3, "y": 3, "zeta": 2}
 
 
 def test_selftest_all_ok(capsys):
@@ -229,3 +244,105 @@ def test_residue_without_convergence_exits_2(capsys, monkeypatch):
     code, _, rep = run(capsys, ["residue", "z^2-1", "z/(z-3)", "1"])
     assert code == 2 and rep["status"] == "invalid"
     assert rep["result"] == {"error": "no convergence after 64 samples"}
+
+
+# -- argv fuzzing ---------------------------------------------------------------------
+# A small grammar per subcommand.  Each slot draws a well-formed atom, and
+# one time in five a malformed one; out-of-domain values (a --zeta outside
+# 1..q-1, a square zeta with no witness, fields that are not prime powers)
+# and repeated places come from the well-formed lists.  selftest takes no
+# arguments and runs its battery in test_selftest_all_ok.
+
+RATIONAL = (["1", "-1", "2", "3", "-6", "3/4", "-7/9", "12", "105/13", "2^5", "2^-1", "((1))"],
+            ["0", "(2", "1/0", "x", "", "3*", "10^1001", "1e3"])
+PRIMES = (["2", "3", "5", "7", "13"], ["9", "1", "0", "-3", "x"])
+FIELDS = (["2", "3", "4", "5", "7", "9", "25"], ["6", "1", "0", "-5", "x"])
+IN_T = (["T", "T+1", "T^2+1", "(T^2+1)/(T-2)", "T^3-T+1", "2*T", "3", "1/T"],
+        ["0", "T/0", "T^", "(T", "x", "T^1001", "s"])
+PLACES_T = (["T", "T+1", "T^2+1", "T^2+T+2"], ["2*T", "T^2", "1", "0", "x"])
+VALUES_T = (["1", "2", "T", "T+2"], ["0", "x"])
+IN_ST = (["s", "t", "s*t", "1+s", "s^2+t", "1/s", "1/(s*t)", "1"], ["s/0", "0", "T", "(s"])
+IN_Z = (["z", "z-1", "z^2-1", "z/(z-3)", "z+i", "(z-1)^2", "1/z"], ["0", "T", "z/0"])
+POINTS = (["1", "0", "i", "3", "1/2+i", "-1", "2*i"], ["x", "i/0"])
+SMALL = (["0", "1", "2", "3"], ["x", "-1"])
+CHAR_P = (["2", "3", "5"], ["9", "1", "0", "x"])
+
+
+def _fuzz_argv(rng):
+    def atom(kinds):
+        good, bad = kinds
+        return rng.choice(bad if rng.random() < 0.2 else good)
+
+    def opt(flag, kinds):
+        return [flag, atom(kinds)] if rng.random() < 0.6 else []
+
+    def some(kinds, low, high):
+        return [atom(kinds) for _ in range(rng.randint(low, high))]
+
+    def elliptic():
+        return ["--elliptic", atom(SMALL), atom(SMALL)] if rng.random() < 0.6 else []
+
+    # each entry gives (options, positionals)
+    grammar = {
+        "hilbert": lambda: (["--place", rng.choice(["inf", atom(PRIMES)])], some(RATIONAL, 2, 2)),
+        "tame": lambda: ([], some(RATIONAL, 2, 2) + [atom(PRIMES)]),
+        "conic": lambda: (opt("--height", (["1", "20"], ["0", "-4", "x"])), some(RATIONAL, 2, 2)),
+        "decompose": lambda: ([], some(RATIONAL, 2, 2)),
+        "lift": lambda: ([], [atom((["1", "-1"], ["2", "x"]))] + [
+            f"{atom((['3', '5', '7', '11'], ['4', 'x']))}:{atom((['1', '2', '3'], ['0', 'y']))}"
+            for _ in range(rng.randint(0, 3))]),
+        "reciprocity": lambda: ([], some(RATIONAL, 2, 2)),
+        "quadrec": lambda: ([], some(PRIMES, 2, 2)),
+        "moore": lambda: ([], some(RATIONAL, 2, 2)),
+        "weil": lambda: (["--q", atom(FIELDS)], some(IN_T, 2, 2)),
+        "ffdecompose": lambda: (["--q", atom(FIELDS)], some(IN_T, 2, 2)),
+        "fflift": lambda: (["--q", atom(FIELDS)], [
+            f"{atom(PLACES_T)}:{atom(VALUES_T)}" for _ in range(rng.randint(1, 3))]),
+        "steinberg": lambda: (["--q", atom(FIELDS)]
+                              + opt("--zeta", (["0", "1", "2", "3", "4", "7", "30"], ["-1"])), []),
+        "qform": lambda: ([], some(RATIONAL, 1, 4)),
+        "quaternion": lambda: (opt("--place", (["inf", "2", "3", "5"], ["9", "x"])), some(RATIONAL, 2, 2)),
+        "pfister": lambda: (opt("--place", (["inf", "2", "3", "5"], ["9", "x"])), some(RATIONAL, 2, 2)),
+        "dform": lambda: (["--p", atom(CHAR_P)], some(IN_ST, 2, 2)),
+        "cartier": lambda: (["--p", atom(CHAR_P)] + opt("--degree", (["1", "2"], ["3"])),
+                            some(IN_ST, 1, 2)),
+        "numember": lambda: (["--p", atom(CHAR_P), "--degree", atom((["0", "1", "2"], ["5"]))],
+                             some(IN_ST, 1, 2)),
+        "zeta": lambda: (["--q", atom(FIELDS)] + elliptic(), []),
+        "tateid": lambda: (["--q", atom(FIELDS)] + elliptic(), []),
+        "birchtate": lambda: ([], []),
+        "dilog": lambda: ([], [atom(POINTS)]),
+        "residue": lambda: ([], some(IN_Z, 2, 2) + [atom(POINTS)]),
+    }
+    command = rng.choice(sorted(grammar))
+    options, positionals = grammar[command]()
+    if rng.random() < 0.05 and positionals:
+        positionals.pop(rng.randrange(len(positionals)))  # a missing argument
+    elif rng.random() < 0.05:
+        positionals.append(atom(RATIONAL))  # a stray one
+    separator = ["--"] if positionals and rng.random() < 0.5 else []
+    return [command, *options, *separator, *positionals]
+
+
+STATUS_OF_CODE = {0: "ok", 2: "invalid", 3: "failed"}
+
+
+def test_fuzzed_argv_keeps_the_report_contract(capsys):
+    """300 seeded argv: each either stops in argparse (exit 2, usage on
+    stderr, no report) or prints exactly one JSON report whose status
+    matches an exit code of 0, 2 or 3.  Any other exception fails the test."""
+    rng = random.Random(2024)
+    start = time.perf_counter()
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            out = capsys.readouterr().out
+            assert exc.code == 2 and out == "", argv
+            continue
+        out = capsys.readouterr().out
+        report = json.loads(out)  # one JSON document, nothing after it
+        assert set(report) == REPORT_KEYS, argv
+        assert report["status"] == STATUS_OF_CODE[code], argv
+    assert time.perf_counter() - start < 30

@@ -1,5 +1,6 @@
 """Tests for K_2 of rational function fields over finite fields."""
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -151,6 +152,65 @@ def test_tame_ff_antisymmetry():
             b = tame_ff(g, f, pl)
             pi = Poly.x(F) if pl.is_infinite else pl.pi
             assert a * b % pi == Poly.const(F, F.one) % pi
+
+
+def _random_for_infinity(F, rng, draw_coeff):
+    """num/den of independent degrees 0..4 with nonzero leading
+    coefficients: constants, equal degrees and both signs of the order at
+    infinity all come up."""
+    def poly(d):
+        while True:
+            c = [draw_coeff() for _ in range(d + 1)]
+            if c[-1] != F.zero:
+                return Poly(F, c)
+    return RatFunc(poly(rng.randint(0, 4)), poly(rng.randint(0, 4)))
+
+
+def _infinity_cases(pairs):
+    """Which kinds of (f, g) the draw covered, by f's order at infinity."""
+    kinds = set()
+    for f, _ in pairs:
+        a = ff_valuation(f, PlaceFq.infinity())
+        kinds.add("constant" if f.is_constant() else "negative" if a < 0 else
+                  "equal degrees" if a == 0 else "positive")
+    return kinds
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
+def test_tame_ff_at_infinity_matches_chart(q):
+    """The closed form (-1)^{ab} c(f)^b c(g)^{-a} at infinity against the
+    symbol at U = 0 after the change of chart U = 1/T, on 260 seeded pairs
+    per field (2080 in all); a tenth of them have g = f."""
+    rng = random.Random(800 + q)
+    F = field(q)
+    inf = PlaceFq.infinity()
+    pairs = []
+    for k in range(260):
+        f = _random_for_infinity(F, rng, lambda: rng.randrange(q))
+        g = f if k % 10 == 0 else _random_for_infinity(F, rng, lambda: rng.randrange(q))
+        pairs.append((f, g))
+        assert tame_ff(f, g, inf) == oracles.tame_at_infinity_by_chart(f, g), (q, f, g)
+    assert _infinity_cases(pairs) == {"constant", "negative", "equal degrees", "positive"}
+
+
+def test_tame_ff_at_infinity_matches_chart_over_gaussian_rationals():
+    """The same comparison over Q(i), where the field has no pow: 200
+    seeded pairs with small Gaussian rational coefficients."""
+    from k2sym.regnum import CX, gauss
+
+    rng = random.Random(97)
+    inf = PlaceFq.infinity()
+
+    def coeff():
+        return gauss(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+
+    pairs = []
+    for k in range(200):
+        f = _random_for_infinity(CX, rng, coeff)
+        g = f if k % 10 == 0 else _random_for_infinity(CX, rng, coeff)
+        pairs.append((f, g))
+        assert tame_ff(f, g, inf) == oracles.tame_at_infinity_by_chart(f, g), (f, g)
+    assert _infinity_cases(pairs) == {"constant", "negative", "equal degrees", "positive"}
 
 
 # -- decomposition ------------------------------------------------------------------
@@ -353,6 +413,21 @@ def test_steinberg_witness_validity_all_odd_q():
         assert x != 0 and y != 0
         lhs = F.add(F.mul(zeta, F.mul(x, x)), F.mul(zeta, F.mul(y, y)))
         assert lhs == F.one, q
+
+
+def test_steinberg_zeta_outside_the_units_or_square_without_witness():
+    for q, zeta in ((5, 0), (5, 7), (9, 30), (9, 9), (4, 4)):
+        with pytest.raises(ValueError, match="must encode a unit"):
+            steinberg_witness(q, zeta)
+        with pytest.raises(ValueError, match="must encode a unit"):
+            counting_bound(q, zeta)
+    # x^2 + y^2 = 1/zeta has no solution in units there
+    for q, zeta in ((3, 1), (5, 1), (5, 4)):
+        with pytest.raises(ValueError, match="square"):
+            steinberg_witness(q, zeta)
+    # 2 = 3^2 is a square mod 7 that still has a witness
+    assert steinberg_witness(7, 2) == (3, 3)
+    assert steinberg_witness(4, 3) == CHAR2
 
 
 def test_counting_bound_all_odd_q():

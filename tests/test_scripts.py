@@ -1,0 +1,29 @@
+"""Smoke test for the scripts in scripts/: each runs to completion on small
+arguments in a fresh interpreter, with the package on PYTHONPATH."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SMALL_ARGS = {
+    "reciprocity_survey.py": ["--trials", "20"],
+    "trace_survey.py": ["--primes", "5"],
+    "regulator_demo.py": ["--steps", "4"],
+}
+
+
+def test_every_script_is_covered():
+    assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == sorted(SMALL_ARGS)
+
+
+@pytest.mark.parametrize("script", sorted(SMALL_ARGS))
+def test_script_runs(script):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *SMALL_ARGS[script]],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
