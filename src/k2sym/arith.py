@@ -534,6 +534,18 @@ def generator(q_or_field: int | Fq) -> int:
 # rationals from the regulator module).
 
 
+def square_and_multiply(x, e: int, one):
+    """x^e for e >= 0, where x needs only * and one is its unit."""
+    result = one
+    while e:
+        if e & 1:
+            result = result * x
+        e >>= 1
+        if e:
+            x = x * x
+    return result
+
+
 class Poly:
     """Univariate polynomial, little-endian coefficient tuple, no trailing
     zeros.  The zero polynomial has degree NEG_INF."""
@@ -643,14 +655,7 @@ class Poly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.const(self.field, self.field.one)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return square_and_multiply(self, e, Poly.const(self.field, self.field.one))
 
     def divmod(self, other) -> tuple["Poly", "Poly"]:
         self._check(other)

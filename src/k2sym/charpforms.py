@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import PolyFraction, _fp_divmod, _fp_gcd, _fp_mul, _fp_sub, _fp_trim, is_prime
+from .arith import (PolyFraction, _fp_divmod, _fp_gcd, _fp_mul, _fp_sub, _fp_trim, is_prime,
+                    square_and_multiply)
 
 
 def _grlex(ij):
@@ -123,14 +124,7 @@ class BiPoly:
     def __pow__(self, e: int) -> "BiPoly":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = BiPoly.const(self.p, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return square_and_multiply(self, e, BiPoly.const(self.p, 1))
 
     def exact_div(self, d: "BiPoly") -> "BiPoly":
         """Quotient self/d when d divides exactly; ValueError otherwise.

@@ -24,6 +24,7 @@ from fractions import Fraction
 from . import charpforms, funcfield, k2q, localsym, quadforms, regnum, zeta
 from .arith import Poly, RatFunc, field, generator, is_prime
 from .charpforms import Form0, Form1, Form2
+from .funcfield import PlaceFq
 from .localsym import REAL, PlaceQ
 from .parsing import (
     parse_charp,
@@ -74,6 +75,27 @@ def _gauss(g) -> dict:
     return {"re": str(g.re), "im": str(g.im)}
 
 
+def _components(items, parse_key, parse_value) -> dict:
+    """key:value entries as a dict; a key given twice is an error."""
+    out = {}
+    for item in items:
+        key_text, _, value_text = item.partition(":")
+        key = parse_key(key_text)
+        if key in out:
+            raise ValueError(f"place {key_text} given twice")
+        out[key] = parse_value(value_text)
+    return out
+
+
+def _form(args):
+    """The form of degree args.degree over F_p from its components: one
+    for degrees 0 and 2, ds and dt for degree 1."""
+    count = 2 if args.degree == 1 else 1
+    if len(args.component) != count:
+        raise ValueError(f"degree {args.degree} takes {count} component(s)")
+    return (Form0, Form1, Form2)[args.degree](*(parse_charp(c, args.p) for c in args.component))
+
+
 # -- subcommand handlers -----------------------------------------------------------
 # each returns (result, certificates, ok)
 
@@ -111,14 +133,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_lift(args):
-    odd = {}
-    for item in args.component:
-        p_str, _, c_str = item.partition(":")
-        p = int(p_str)
-        if p in odd:
-            raise ValueError(f"place {p} given twice")
-        odd[p] = int(c_str)
-    target = k2q.K2QClass.make(args.sign, odd)
+    target = k2q.K2QClass.make(args.sign, _components(args.component, int, int))
     expr = k2q.lift(target)
     roundtrip = k2q.lambda_tate(expr) == target
     result = {"symbol": [[_frac(a), _frac(b)] for a, b in expr.pairs()]}
@@ -189,13 +204,8 @@ def _cmd_ffdecompose(args):
 
 def _cmd_fflift(args):
     F = field(args.q)
-    entries = {}
-    for item in args.component:
-        pi_str, _, val_str = item.partition(":")
-        pi = parse_poly(pi_str, args.q)
-        if pi in entries:
-            raise ValueError(f"place {pi_str} given twice")
-        entries[pi] = parse_poly(val_str, args.q)
+    entries = _components(args.component, lambda text: PlaceFq(parse_poly(text, args.q)).pi,
+                          lambda text: parse_poly(text, args.q))
     target = funcfield.K2FFClass.make(F, entries)
     expr = funcfield.lift_ff(F, target)
     roundtrip = funcfield.decompose(expr, F) == target
@@ -239,11 +249,10 @@ def _cmd_quaternion(args):
     if args.place is not None:
         place = _parse_place_q(args.place)
         return {"splits": quadforms.quaternion_splits(a, b, place)}, {}, True
-    places = localsym.support_places(a, b)
-    per_place = [[_place_q(p), quadforms.quaternion_splits(a, b, p)] for p in places]
+    factors = localsym.hilbert_factors(localsym.local_data(a), localsym.local_data(b))
     result = {
-        "splits_everywhere": quadforms.quaternion_splits(a, b),
-        "places": per_place,
+        "splits_everywhere": all(s == 1 for _, s in factors),
+        "places": [[_place_q(p), s == 1] for p, s in factors],
     }
     return result, {}, True
 
@@ -268,30 +277,16 @@ def _cmd_dform(args):
 
 
 def _cmd_cartier(args):
+    w = _form(args)
     if args.degree == 2:
-        if len(args.component) != 1:
-            raise ValueError("degree 2 takes one component")
-        w = Form2(parse_charp(args.component[0], args.p))
         out = charpforms.cartier2(w)
         return {"form": _mrf(out.h), "is_zero": out.is_zero()}, {}, True
-    if len(args.component) != 2:
-        raise ValueError("degree 1 takes two components (ds and dt)")
-    w = Form1(parse_charp(args.component[0], args.p), parse_charp(args.component[1], args.p))
     out = charpforms.cartier1(w)
     return {"ds": _mrf(out.ds), "dt": _mrf(out.dt), "is_zero": out.is_zero()}, {}, True
 
 
 def _cmd_numember(args):
-    comps = [parse_charp(c, args.p) for c in args.component]
-    if args.degree == 0 and len(comps) == 1:
-        form = Form0(comps[0])
-    elif args.degree == 1 and len(comps) == 2:
-        form = Form1(comps[0], comps[1])
-    elif args.degree == 2 and len(comps) == 1:
-        form = Form2(comps[0])
-    else:
-        raise ValueError(f"degree {args.degree} takes {1 if args.degree != 1 else 2} components")
-    return {"member": charpforms.nu_member(form)}, {}, True
+    return {"member": charpforms.nu_member(_form(args))}, {}, True
 
 
 def _curve_from_args(args):
@@ -302,12 +297,12 @@ def _curve_from_args(args):
 
 def _cmd_zeta(args):
     curve = _curve_from_args(args)
-    lp = zeta.l_polynomial(curve)
-    value = zeta.zeta_minus1(curve)
-    result = {"l_poly": list(lp.coeffs), "zeta_minus1": _frac(value)}
-    certs = {"n1": zeta.count_points(curve, 1)}
+    lp, q = zeta.l_polynomial(curve), curve.q
+    result = {"l_poly": list(lp.coeffs), "zeta_minus1": _frac(lp.zeta_at_q(q))}
+    # the counts l_polynomial made and cross-checked, read back off L
+    certs = {"n1": q + 1 - lp.trace}
     if curve.genus == 1:
-        certs["n2"] = zeta.count_points(curve, 2)
+        certs["n2"] = q * q + 1 - (lp.trace**2 - 2 * q)
     return result, certs, True
 
 
@@ -413,15 +408,13 @@ def _cmd_selftest(args):
             ok &= funcfield.weil_check(f, g).product == 1
     good &= check("weil_product", ok)
 
-    ok = True
-    for q in (3, 5, 7, 9, 11, 13, 25):
-        w = funcfield.steinberg_witness(q)
-        F = field(q)
-        z = generator(F)
-        x, y = w
-        ok &= F.add(F.mul(z, F.mul(x, x)), F.mul(z, F.mul(y, y))) == F.one
-        ok &= funcfield.counting_bound(q).exceeds_field
-    good &= check("steinberg_witnesses", ok)
+    good &= check(
+        "steinberg_witnesses",
+        all(
+            _cmd_steinberg(argparse.Namespace(q=q, zeta=None))[2]
+            for q in (3, 5, 7, 9, 11, 13, 25)
+        ),
+    )
 
     ok = True
     for p in (2, 3, 5):

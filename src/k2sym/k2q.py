@@ -85,6 +85,28 @@ def symbol(x, y) -> SymbolExpr:
 # Classes in the Tate decomposition.
 
 
+def _check_odd(odd: tuple[tuple[int, int], ...]) -> None:
+    """Odd coordinates as K2QClass and MooreVector store them: strictly
+    increasing odd primes, each with a unit in [2, p-1]."""
+    last = 1
+    for p, a in odd:
+        if p <= last or p == 2 or not is_prime(p):
+            raise ValueError(f"bad odd support: {odd}")
+        if not 2 <= a <= p - 1:
+            raise ValueError(f"coordinate at {p} out of range: {a}")
+        last = p
+
+
+def _odd_prime_keys(odd_map: dict[int, int] | None) -> dict[int, int] | None:
+    """odd_map, once every key is an odd prime.  The check comes before
+    reduction, so a key that is no place is refused even when its
+    coordinate is trivial and would be dropped."""
+    for p in odd_map or ():
+        if p == 2 or not is_prime(p):
+            raise ValueError(f"key {p} is not an odd prime")
+    return odd_map
+
+
 @dataclass(frozen=True)
 class K2QClass:
     """An element of {+1,-1} + sum_p F_p^*: a dyadic sign and finitely many
@@ -97,17 +119,11 @@ class K2QClass:
     def __post_init__(self):
         if self.two_slot not in (1, -1):
             raise ValueError("two_slot must be +-1")
-        last = 1
-        for p, a in self.odd:
-            if p <= last or p == 2 or not is_prime(p):
-                raise ValueError(f"bad odd support: {self.odd}")
-            if not 2 <= a <= p - 1:
-                raise ValueError(f"coordinate at {p} out of range: {a}")
-            last = p
+        _check_odd(self.odd)
 
     @staticmethod
     def make(two_slot: int, odd_map: dict[int, int] | None = None) -> "K2QClass":
-        return K2QClass(two_slot, _normalized(odd_map))
+        return K2QClass(two_slot, _normalized(_odd_prime_keys(odd_map)))
 
     def coordinate(self, p: int) -> int:
         for q, a in self.odd:
@@ -301,15 +317,11 @@ class MooreVector:
     def __post_init__(self):
         if self.real not in (1, -1) or self.two not in (1, -1):
             raise ValueError("real and dyadic components must be +-1")
-        last = 1
-        for p, a in self.odd:
-            if p <= last or p == 2 or not is_prime(p) or not 2 <= a <= p - 1:
-                raise ValueError(f"bad odd components: {self.odd}")
-            last = p
+        _check_odd(self.odd)
 
     @staticmethod
     def make(real: int, two: int, odd_map: dict[int, int] | None = None) -> "MooreVector":
-        return MooreVector(real, two, _normalized(odd_map))
+        return MooreVector(real, two, _normalized(_odd_prime_keys(odd_map)))
 
     def coordinate(self, place: PlaceQ) -> int:
         if place.is_real():

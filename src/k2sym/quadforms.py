@@ -89,53 +89,50 @@ def _transpose(A):
     return tuple(tuple(row[i] for row in A) for i in range(len(A[0])))
 
 
-def _identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def _substitute(M, U, k: int, j: int, a, b, c, d) -> None:
+    """Replace basis vectors u_k, u_j by a u_k + b u_j and c u_k + d u_j,
+    in place: columns k and j of U, then rows and columns k and j of the
+    Gram matrix M (its columns first, so that the rows see the new ones)."""
+    for rows in (U, M):
+        for row in rows:
+            row[k], row[j] = a * row[k] + b * row[j], c * row[k] + d * row[j]
+    M[k], M[j] = ([a * x + b * y for x, y in zip(M[k], M[j])],
+                  [c * x + d * y for x, y in zip(M[k], M[j])])
 
 
 def diagonalize_with_basis(g: GramMatrix) -> tuple[DiagForm, tuple[tuple[Fraction, ...], ...]]:
     """Diagonalize by congruence; returns (form, U) with U^T g U = diag(form).
 
-    Standard symmetric elimination.  A zero pivot is repaired by swapping in
-    a later nonzero diagonal entry, or, when the whole trailing diagonal
-    vanishes, by the sum/difference substitution (e_k + e_j, e_k - e_j) on a
-    nonzero off-diagonal pair, which splits off a hyperbolic plane.
+    Symmetric elimination, each step one substitution of two basis
+    vectors u_k, u_j applied to the columns of U and to the rows and
+    columns of the Gram matrix (Lam, Introduction to Quadratic Forms over
+    Fields, ch. I):
+
+      * elimination below a nonzero pivot: u_j <- u_j - (B(u_k, u_j) / B(u_k, u_k)) u_k;
+      * a zero pivot with a later nonzero diagonal entry: swap u_k and u_j;
+      * a zero pivot on an all-zero trailing diagonal:
+        (u_k, u_j) <- (u_k + u_j, u_k - u_j) on a nonzero off-diagonal
+        pair, which splits off a hyperbolic plane.
     """
     n = g.n
-    M = [list(row) for row in g.rows]
-    U = _identity(n)
-
-    def apply(P):
-        nonlocal M, U
-        Pt = _transpose(P)
-        M = [list(r) for r in _mat_mul(_mat_mul(Pt, M), P)]
-        U = [list(r) for r in _mat_mul(U, P)]
-
+    M = [[Fraction(x) for x in row] for row in g.rows]
+    U = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for k in range(n):
         if M[k][k] == 0:
             j = next((j for j in range(k + 1, n) if M[j][j] != 0), None)
             if j is not None:
-                P = _identity(n)
-                P[k][k] = P[j][j] = Fraction(0)
-                P[k][j] = P[j][k] = Fraction(1)
-                apply(P)
+                _substitute(M, U, k, j, 0, 1, 1, 0)
             else:
                 j = next((j for j in range(k + 1, n) if M[k][j] != 0), None)
                 if j is None:
                     raise ValueError("singular matrix")
-                P = _identity(n)
-                P[j][k] = Fraction(1)   # new e_k = e_k + e_j
-                P[j][j] = Fraction(-1)  # new e_j = e_k - e_j
-                P[k][j] = Fraction(1)
-                apply(P)
+                _substitute(M, U, k, j, 1, 1, 1, -1)
         pivot = M[k][k]
         if pivot == 0:
             raise ValueError("singular matrix")
         for j in range(k + 1, n):
             if M[k][j] != 0:
-                P = _identity(n)
-                P[k][j] = -M[k][j] / pivot
-                apply(P)
+                _substitute(M, U, k, j, 1, 0, -M[k][j] / pivot, 1)
 
     Ut = tuple(tuple(row) for row in U)
     check = _mat_mul(_mat_mul(_transpose(Ut), g.rows), Ut)
@@ -152,15 +149,9 @@ def diagonalize(g: GramMatrix) -> DiagForm:
 
 def square_class(r) -> int:
     """Squarefree integer representative of the square class of r != 0."""
-    r = Fraction(r)
-    if r == 0:
+    if Fraction(r) == 0:
         raise ValueError("zero has no square class")
-    sign, fac = factorize(r)
-    out = sign
-    for p, e in fac.factors:
-        if e % 2:
-            out *= p
-    return out
+    return _disc_class([local_data(r)])
 
 
 def _square_scale(r: Fraction) -> tuple[int, Fraction]:

@@ -24,6 +24,7 @@ same pass.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,16 +157,10 @@ def _li2_series(z: complex) -> complex:
     return acc
 
 
-_BERN_COEFFS: list[float] = []
-
-
-def _bern_coeffs() -> list[float]:
-    if not _BERN_COEFFS:
-        fact = 1
-        for n in range(40):
-            fact *= n + 1
-            _BERN_COEFFS.append(float(Fraction(bernoulli(n), fact)))
-    return _BERN_COEFFS
+@functools.cache
+def _bern_coeffs() -> tuple[float, ...]:
+    """B_n / (n+1)! for n < 40, the coefficients of Li2 in -log(1 - z)."""
+    return tuple(float(Fraction(bernoulli(n), math.factorial(n + 1))) for n in range(40))
 
 
 def _li2(z: complex) -> complex:

@@ -100,6 +100,11 @@ class LPoly:
             acc = acc * x + c
         return acc
 
+    def zeta_at_q(self, q: int) -> Fraction:
+        """The zeta value at s = -1 of a curve over F_q with this
+        L-polynomial: Z(U) = L(U) / ((1 - U)(1 - qU)) at U = q."""
+        return Fraction(self.evaluate(q), (1 - q) * (1 - q * q))
+
 
 def l_polynomial(curve: CurveFq) -> LPoly:
     """L-polynomial from point counts; the degree-2 case is cross-checked
@@ -119,12 +124,7 @@ def l_polynomial(curve: CurveFq) -> LPoly:
 
 def zeta_minus1(curve: CurveFq) -> Fraction:
     """Value of the curve's zeta function at s = -1, i.e. at U = q."""
-    return _zeta_at_q(l_polynomial(curve), curve.q)
-
-
-def _zeta_at_q(lp: LPoly, q: int) -> Fraction:
-    """Z(U) = L(U) / ((1 - U)(1 - qU)) at U = q."""
-    return Fraction(lp.evaluate(q), (1 - q) * (1 - q * q))
+    return l_polynomial(curve).zeta_at_q(curve.q)
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ class TateIdentity:
 def tate_identity(curve: CurveFq) -> TateIdentity:
     q = curve.q
     lp = l_polynomial(curve)
-    z, trace = _zeta_at_q(lp, q), lp.trace
+    z, trace = lp.zeta_at_q(q), lp.trace
     if curve.genus == 0:
         # Ker has one element; (q^2-1) zeta(-1) (q-1) must be exactly 1
         lhs = (q * q - 1) * z * (q - 1)

@@ -454,6 +454,80 @@ def conic_primitive_count(x: int, y: int, p: int, k: int) -> int:
     return total(k) - p**3 * total(k - 2)
 
 
+def _mat_mul(A, B):
+    n, m, k = len(A), len(B[0]), len(B)
+    return tuple(
+        tuple(sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)) for i in range(n)
+    )
+
+
+def _transpose(A):
+    return tuple(tuple(row[i] for row in A) for i in range(len(A[0])))
+
+
+def _identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def diagonalize_by_elementary_matrices(rows) -> tuple[tuple[Fraction, ...], tuple]:
+    """(diagonal, U) with U^T rows U diagonal: the congruence diagonalization
+    the library used before it substituted basis vectors in place.  Every
+    step builds the full n x n elementary matrix P and replaces M by
+    P^T M P and U by U P."""
+    n = len(rows)
+    M = [list(row) for row in rows]
+    U = _identity(n)
+
+    def apply(P):
+        nonlocal M, U
+        Pt = _transpose(P)
+        M = [list(r) for r in _mat_mul(_mat_mul(Pt, M), P)]
+        U = [list(r) for r in _mat_mul(U, P)]
+
+    for k in range(n):
+        if M[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if M[j][j] != 0), None)
+            if j is not None:
+                P = _identity(n)
+                P[k][k] = P[j][j] = Fraction(0)
+                P[k][j] = P[j][k] = Fraction(1)
+                apply(P)
+            else:
+                j = next((j for j in range(k + 1, n) if M[k][j] != 0), None)
+                if j is None:
+                    raise ValueError("singular matrix")
+                P = _identity(n)
+                P[j][k] = Fraction(1)   # new e_k = e_k + e_j
+                P[j][j] = Fraction(-1)  # new e_j = e_k - e_j
+                P[k][j] = Fraction(1)
+                apply(P)
+        pivot = M[k][k]
+        if pivot == 0:
+            raise ValueError("singular matrix")
+        for j in range(k + 1, n):
+            if M[k][j] != 0:
+                P = _identity(n)
+                P[k][j] = -M[k][j] / pivot
+                apply(P)
+    return tuple(M[i][i] for i in range(n)), tuple(tuple(row) for row in U)
+
+
+def square_class_by_factoring(r) -> int:
+    """The library's former square_class: the sign of r times every prime
+    of factorize(r) with an odd exponent."""
+    from k2sym.arith import factorize
+
+    r = Fraction(r)
+    if r == 0:
+        raise ValueError("zero has no square class")
+    sign, fac = factorize(r)
+    out = sign
+    for p, e in fac.factors:
+        if e % 2:
+            out *= p
+    return out
+
+
 def fraction_det(rows) -> Fraction:
     """Exact determinant by fraction-free cofactor expansion (small n)."""
     n = len(rows)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import k2sym
-from k2sym import cli, regnum
+from k2sym import cli, regnum, zeta
 from k2sym.cli import main
 
 REPORT_KEYS = {"certificates", "command", "inputs", "result", "schema", "status"}
@@ -117,17 +117,57 @@ def test_dilog_catalan(capsys):
         ["steinberg", "--q", "5", "--zeta", "0"],
         ["steinberg", "--q", "9", "--zeta", "30"],
         ["steinberg", "--q", "5", "--zeta", "7"],
+        ["lift", "1", "9:1"],
+        ["lift", "1", "2:1"],
+        ["lift", "--", "-1", "4:1"],
+        ["lift", "1", "0:5"],
+        ["fflift", "--q", "5", "T^2:1"],
+        ["fflift", "--q", "5", "2*T:1"],
+        ["fflift", "--q", "5", "T^2+1:6"],
+        ["fflift", "--q", "5", "0:1"],
     ],
     ids=["syntax", "bad-place", "singular-curve", "not-closed", "div-zero", "field-too-large",
          "deep-nesting", "huge-exponent", "reducible-key", "non-monic-key", "repeated-prime",
          "repeated-place", "square-zeta-without-witness", "zeta-zero", "zeta-beyond-field",
-         "zeta-beyond-q"],
+         "zeta-beyond-q", "composite-key-trivial", "key-2-trivial", "key-4-trivial",
+         "key-0", "reducible-key-trivial", "non-monic-key-trivial", "split-key-trivial",
+         "zero-key"],
 )
 def test_invalid_inputs_exit_2(capsys, argv):
     code, _, rep = run(capsys, argv)
     assert code == 2
     assert rep["status"] == "invalid"
     assert "error" in rep["result"]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["lift", "1", "9:1"], "key 9 "),
+    (["lift", "1", "0:5"], "key 0 "),
+    (["fflift", "--q", "5", "T^2:1"], "[0, 0, 1]"),
+    (["fflift", "--q", "5", "0:1"], "[]"),
+])
+def test_a_key_that_is_no_place_is_named(capsys, argv, key):
+    # checked before the coordinate is reduced, so neither a trivial
+    # coordinate nor a division by the zero key hides it
+    code, _, rep = run(capsys, argv)
+    assert code == 2
+    assert key in rep["result"]["error"]
+
+
+def test_zeta_report_counts_points_twice(capsys, monkeypatch):
+    calls = []
+    count_points = zeta.count_points
+
+    def counted(curve, n=1):
+        calls.append(n)
+        return count_points(curve, n)
+
+    monkeypatch.setattr(zeta, "count_points", counted)
+    code, _, rep = run(capsys, ["zeta", "--q", "23", "--elliptic", "1", "1"])
+    assert code == 0
+    assert sorted(calls) == [1, 2]
+    assert rep["certificates"] == {"n1": count_points(zeta.CurveFq.elliptic(23, 1, 1), 1),
+                                   "n2": count_points(zeta.CurveFq.elliptic(23, 1, 1), 2)}
 
 
 def test_steinberg_square_zeta_with_a_witness(capsys):
@@ -266,6 +306,8 @@ IN_Z = (["z", "z-1", "z^2-1", "z/(z-3)", "z+i", "(z-1)^2", "1/z"], ["0", "T", "z
 POINTS = (["1", "0", "i", "3", "1/2+i", "-1", "2*i"], ["x", "i/0"])
 SMALL = (["0", "1", "2", "3"], ["x", "-1"])
 CHAR_P = (["2", "3", "5"], ["9", "1", "0", "x"])
+# keys that are no place, with coordinates that reduce to the identity
+NON_PLACES = {"lift": ["9:1", "2:1", "0:5"], "fflift": ["T^2:1", "0:1"]}
 
 
 def _fuzz_argv(rng):
@@ -282,6 +324,9 @@ def _fuzz_argv(rng):
     def elliptic():
         return ["--elliptic", atom(SMALL), atom(SMALL)] if rng.random() < 0.6 else []
 
+    def non_place(command):
+        return [rng.choice(NON_PLACES[command])] if rng.random() < 0.3 else []
+
     # each entry gives (options, positionals)
     grammar = {
         "hilbert": lambda: (["--place", rng.choice(["inf", atom(PRIMES)])], some(RATIONAL, 2, 2)),
@@ -290,14 +335,15 @@ def _fuzz_argv(rng):
         "decompose": lambda: ([], some(RATIONAL, 2, 2)),
         "lift": lambda: ([], [atom((["1", "-1"], ["2", "x"]))] + [
             f"{atom((['3', '5', '7', '11'], ['4', 'x']))}:{atom((['1', '2', '3'], ['0', 'y']))}"
-            for _ in range(rng.randint(0, 3))]),
+            for _ in range(rng.randint(0, 3))] + non_place("lift")),
         "reciprocity": lambda: ([], some(RATIONAL, 2, 2)),
         "quadrec": lambda: ([], some(PRIMES, 2, 2)),
         "moore": lambda: ([], some(RATIONAL, 2, 2)),
         "weil": lambda: (["--q", atom(FIELDS)], some(IN_T, 2, 2)),
         "ffdecompose": lambda: (["--q", atom(FIELDS)], some(IN_T, 2, 2)),
         "fflift": lambda: (["--q", atom(FIELDS)], [
-            f"{atom(PLACES_T)}:{atom(VALUES_T)}" for _ in range(rng.randint(1, 3))]),
+            f"{atom(PLACES_T)}:{atom(VALUES_T)}" for _ in range(rng.randint(1, 3))]
+            + non_place("fflift")),
         "steinberg": lambda: (["--q", atom(FIELDS)]
                               + opt("--zeta", (["0", "1", "2", "3", "4", "7", "30"], ["-1"])), []),
         "qform": lambda: ([], some(RATIONAL, 1, 4)),
@@ -330,7 +376,8 @@ STATUS_OF_CODE = {0: "ok", 2: "invalid", 3: "failed"}
 def test_fuzzed_argv_keeps_the_report_contract(capsys):
     """300 seeded argv: each either stops in argparse (exit 2, usage on
     stderr, no report) or prints exactly one JSON report whose status
-    matches an exit code of 0, 2 or 3.  Any other exception fails the test."""
+    matches an exit code of 0, 2 or 3, and 2 when a key is no place.  Any
+    other exception fails the test."""
     rng = random.Random(2024)
     start = time.perf_counter()
     for _ in range(300):
@@ -345,4 +392,6 @@ def test_fuzzed_argv_keeps_the_report_contract(capsys):
         report = json.loads(out)  # one JSON document, nothing after it
         assert set(report) == REPORT_KEYS, argv
         assert report["status"] == STATUS_OF_CODE[code], argv
+        if set(argv) & set(NON_PLACES.get(argv[0], ())):
+            assert code == 2, argv
     assert time.perf_counter() - start < 30

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k2sym.arith import FACTOR_BOUND
 from k2sym.localsym import REAL, PlaceQ, hilbert, support_places
 from k2sym.quadforms import (
     ConicCertificate,
@@ -72,6 +73,38 @@ def test_diagonalize_congruence_relation():
                 assert prod[i][j] == (form.entries[i] if i == j else 0)
 
 
+def test_diagonalize_matches_the_elementary_matrix_oracle():
+    """The in-place substitutions give exactly the (form, U) of the former
+    elementary-matrix steps: on zero pivots, on an all-zero trailing
+    diagonal (the hyperbolic repair), and on singular matrices, which
+    both refuse."""
+    rng = random.Random(90)
+    regular = singular = hyperbolic = 0
+    for trial in range(450):
+        n = rng.randint(1, 6)
+        M = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.7:
+                    M[i][j] = M[j][i] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        if trial % 3 == 0:
+            for i in range(rng.randrange(n), n):
+                M[i][i] = Fraction(0)
+        g = GramMatrix(tuple(tuple(row) for row in M))
+        try:
+            expected = oracles.diagonalize_by_elementary_matrices(g.rows)
+        except ValueError:
+            singular += 1
+            with pytest.raises(ValueError, match="singular matrix"):
+                diagonalize_with_basis(g)
+            continue
+        form, U = diagonalize_with_basis(g)
+        assert (form.entries, U) == expected
+        regular += 1
+        hyperbolic += all(M[i][i] == 0 for i in range(n))
+    assert regular >= 300 and singular >= 50 and hyperbolic >= 30
+
+
 def test_diagonalize_rejects_singular():
     with pytest.raises(ValueError):
         diagonalize(GramMatrix.of([[1, 1], [1, 1]]))
@@ -102,6 +135,19 @@ def test_square_class_examples():
 def test_square_class_invariance(n, t):
     assert square_class(Fraction(n) * t * t) == square_class(n)
     assert square_class(Fraction(n, t * t)) == square_class(n)
+
+
+def test_square_class_matches_the_factor_loop():
+    rng = random.Random(91)
+    for _ in range(600):
+        parts = [rng.randint(1, 10 ** rng.randint(1, 12)) for _ in range(2)]
+        if rng.random() < 0.3:
+            t = rng.randint(2, 999)
+            parts = [min(p * t * t, FACTOR_BOUND) for p in parts]
+        r = Fraction(rng.choice((1, -1)) * parts[0], parts[1])
+        assert square_class(r) == oracles.square_class_by_factoring(r), r
+    with pytest.raises(ValueError, match="zero has no square class"):
+        square_class(0)
 
 
 def test_invariants_hyperbolic():

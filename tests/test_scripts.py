@@ -10,6 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 SMALL_ARGS = {
+    "cli_digest.py": ["--seeds", "0"],
     "reciprocity_survey.py": ["--trials", "20"],
     "trace_survey.py": ["--primes", "5"],
     "regulator_demo.py": ["--steps", "4"],
