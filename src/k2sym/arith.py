@@ -200,8 +200,9 @@ def legendre(a: int, p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Coefficient-list arithmetic over F_p: the kernels of Poly over prime
-# fields (through Fq.poly_mul and Fq.poly_divmod) and of the Cartier
-# operator in charpforms.  Lists are little-endian, no trailing zeros.
+# fields (through Fq.poly_mul, Fq.poly_divmod, Fq.poly_rem, Fq.poly_pow_mod
+# and Fq.poly_gcd) and of the Cartier operator in charpforms.  Lists are
+# little-endian, no trailing zeros.
 
 
 def _fp_trim(a: list[int]) -> list[int]:
@@ -226,34 +227,41 @@ def _fp_mul(a, b, p):
     return _fp_trim(out)
 
 
-def _fp_divmod(a, b, p):
+def _fp_rem(a, b, p, quot=None):
+    """a mod b, row by row from the top down.  With quot, a list of
+    len(a) - deg b zeros, the quotient digits also go into it."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     db = len(b) - 1
     a = list(a)
     if len(a) <= db:
-        return [], _fp_trim(a)
+        return _fp_trim(a)
     inv_lead = pow(b[db], -1, p)
     low = b[:db]
-    q = [0] * (len(a) - db)
     for k in range(len(a) - 1, db - 1, -1):
         c = a[k] * inv_lead % p
         if c:
-            q[k - db] = c
+            if quot is not None:
+                quot[k - db] = c
             for i, bi in enumerate(low, k - db):
                 a[i] = (a[i] - c * bi) % p
     del a[db:]
-    return _fp_trim(q), _fp_trim(a)
+    return _fp_trim(a)
+
+
+def _fp_divmod(a, b, p):
+    q = [0] * (len(a) - len(b) + 1)
+    r = _fp_rem(a, b, p, q)
+    return _fp_trim(q), r
 
 
 def _fp_gcd(a, b, p):
-    a, b = list(a), list(b)
     while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
+        a, b = b, _fp_rem(a, b, p)
+    if not a:
+        return []
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
 # ---------------------------------------------------------------------------
@@ -460,24 +468,32 @@ class Fq:
         """(quotient, remainder) of two coefficient lists, b nonzero."""
         if self.k == 1:
             return _fp_divmod(a, b, self.p)
+        quot = [0] * (len(a) - len(b) + 1)
+        return quot, self.poly_rem(a, b, quot)
+
+    def poly_rem(self, a, b, quot=None) -> list[int]:
+        """a mod b on coefficient lists, b nonzero.  With quot, a list of
+        len(a) - deg b zeros, the quotient digits also go into it."""
+        if self.k == 1:
+            return _fp_rem(a, b, self.p, quot)
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        exp, log, zech, log_minus_one = self._tables
-        n = self.q - 1
         db = len(b) - 1
         rem = list(a)
         if len(rem) <= db:
-            return [], rem
+            return rem
+        exp, log, zech, log_minus_one = self._tables
+        n = self.q - 1
         log_lead = log[b[db]]
         log_b = [log[c] for c in b[:db]]
-        quot = [0] * (len(rem) - db)
         for k in range(len(rem) - 1, db - 1, -1):
             r = rem[k]
             if not r:
                 continue
             # the quotient digit c = r / lc(b); exp takes its log in (-n, n)
             lc = log[r] - log_lead
-            quot[k - db] = exp[lc]
+            if quot is not None:
+                quot[k - db] = exp[lc]
             row = (lc + log_minus_one) % n  # log of -c: the row adds -c * b
             for i, lb in enumerate(log_b, k - db):
                 if lb < 0:
@@ -491,7 +507,31 @@ class Fq:
                 else:
                     rem[i] = exp[t]
         del rem[db:]
-        return quot, _fp_trim(rem)
+        return _fp_trim(rem)
+
+    def poly_pow_mod(self, a, e, m) -> list[int]:
+        """a^e mod m on coefficient lists, e >= 0 and m nonzero."""
+        rem, mul = self.poly_rem, self.poly_mul
+        result = rem([self.one], m)
+        base = rem(a, m)
+        while e:
+            if e & 1:
+                result = rem(mul(result, base), m)
+            e >>= 1
+            if e:
+                base = rem(mul(base, base), m)
+        return result
+
+    def poly_gcd(self, a, b) -> list[int]:
+        """The monic gcd of two coefficient lists; [] when both are zero."""
+        if self.k == 1:
+            return _fp_gcd(a, b, self.p)
+        while b:
+            a, b = b, self.poly_rem(a, b)
+        if not a:
+            return []
+        inv = self.inv(a[-1])
+        return [self.mul(c, inv) for c in a]
 
     def __repr__(self):
         return f"Fq({self.p}^{self.k})" if self.k > 1 else f"Fq({self.p})"
@@ -682,17 +722,34 @@ class Poly:
     def __floordiv__(self, other):
         return self.divmod(other)[0]
 
+    # Over F_q, %, pow_mod and gcd each make one call to a list kernel,
+    # which builds no quotient; other fields go through divmod.
+
     def __mod__(self, other):
+        F = self.field
+        if isinstance(F, Fq):
+            self._check(other)
+            return Poly._trusted(F, F.poly_rem(self.coeffs, other.coeffs))
         return self.divmod(other)[1]
 
     def gcd(self, other) -> "Poly":
+        F = self.field
+        if isinstance(F, Fq):
+            self._check(other)
+            return Poly._trusted(F, F.poly_gcd(self.coeffs, other.coeffs))
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
 
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
-        result = Poly.const(self.field, self.field.one) % mod
+        if e < 0:
+            raise ValueError("negative polynomial power")
+        F = self.field
+        if isinstance(F, Fq):
+            self._check(mod)
+            return Poly._trusted(F, F.poly_pow_mod(self.coeffs, e, mod.coeffs))
+        result = Poly.const(F, F.one) % mod
         base = self % mod
         while e:
             if e & 1:

@@ -104,7 +104,7 @@ def _poly_mod(a, b, p):
 
 
 def _poly_powmod(a, e, mod, p):
-    result, base = [1], _poly_mod(a, mod, p)
+    result, base = _poly_mod([1], mod, p), _poly_mod(a, mod, p)
     while e:
         if e & 1:
             result = _poly_mod(_poly_mul(result, base, p), mod, p)
@@ -116,6 +116,8 @@ def _poly_powmod(a, e, mod, p):
 def _poly_gcd(a, b, p):
     while b:
         a, b = b, _poly_mod(a, b, p)
+    if not a:
+        return []
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 
@@ -205,6 +207,25 @@ def field_poly_mod(D: DigitField, a: list[int], b: list[int]) -> list[int]:
             a[d + i] = D.sub(a[d + i], D.mul(c, bi))
         _trim(a)
     return a
+
+
+def field_poly_powmod(D: DigitField, a: list[int], e: int, mod: list[int]) -> list[int]:
+    result, base = field_poly_mod(D, [1], mod), field_poly_mod(D, a, mod)
+    while e:
+        if e & 1:
+            result = field_poly_mod(D, field_poly_mul(D, result, base), mod)
+        base = field_poly_mod(D, field_poly_mul(D, base, base), mod)
+        e >>= 1
+    return result
+
+
+def field_poly_gcd(D: DigitField, a: list[int], b: list[int]) -> list[int]:
+    while b:
+        a, b = b, field_poly_mod(D, a, b)
+    if not a:
+        return []
+    inv = D.inv(a[-1])
+    return [D.mul(c, inv) for c in a]
 
 
 def order_and_unit_at(D: DigitField, coeffs: list[int], r: int) -> tuple[int, int]:

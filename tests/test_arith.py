@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from k2sym import arith
 from k2sym.arith import (
     FIELD_LIMIT,
     NEG_INF,
@@ -263,17 +264,21 @@ FIELDS_TO_81 = [q for q in range(2, 82) if len(oracles.naive_factor(q)) == 1]
 
 @pytest.mark.parametrize("q", FIELDS_TO_81)
 def test_poly_kernels_match_schoolbook(q):
-    """Poly *, //, % and divmod over F_q against schoolbook arithmetic: on
-    ints mod p for prime q, on DigitField elements for prime powers."""
+    """Poly *, //, %, divmod, pow_mod and gcd over F_q against schoolbook
+    arithmetic: on ints mod p for prime q, on DigitField elements for prime
+    powers."""
     (p, k), = oracles.naive_factor(q).items()
     F, rng = field(q), random.Random(q)
     if k == 1:
-        add, mul, mod = (lambda a, b, op=op: op(a, b, p)
-                         for op in (oracles._poly_add, oracles._poly_mul, oracles._poly_mod))
+        add, mul, mod, powmod, gcd = (lambda *args, op=op: op(*args, p)
+                                      for op in (oracles._poly_add, oracles._poly_mul, oracles._poly_mod,
+                                                 oracles._poly_powmod, oracles._poly_gcd))
     else:
         D = oracles.DigitField(p, k)
-        add, mul, mod = (lambda a, b, op=op: op(D, a, b)
-                         for op in (oracles.field_poly_add, oracles.field_poly_mul, oracles.field_poly_mod))
+        add, mul, mod, powmod, gcd = (lambda *args, op=op: op(D, *args)
+                                      for op in (oracles.field_poly_add, oracles.field_poly_mul,
+                                                 oracles.field_poly_mod, oracles.field_poly_powmod,
+                                                 oracles.field_poly_gcd))
 
     def rand(degree):
         return [rng.randrange(q) for _ in range(degree)] + [rng.randrange(1, q)]
@@ -290,6 +295,46 @@ def test_poly_kernels_match_schoolbook(q):
         assert (f // g, f % g) == (quo, rem)
         assert list(rem.coeffs) == mod(a, b), (a, b)
         assert add(mul(list(quo.coeffs), b), list(rem.coeffs)) == a, (a, b)
+        for e in (0, 1, rng.randrange(2, 64)):
+            assert list(f.pow_mod(e, g).coeffs) == powmod(a, e, b), (a, e, b)
+        assert list(f.gcd(g).coeffs) == gcd(a, b), (a, b)
+        assert list(g.gcd(f).coeffs) == gcd(b, a), (a, b)   # zero on the other side too
+    zero, unit = Poly(F, []), Poly(F, rand(0))
+    assert zero.gcd(zero) == zero
+    for a in (rand(3), []):
+        for e in (0, 5):
+            assert Poly(F, a).pow_mod(e, unit) == zero       # everything is 0 mod a unit
+
+
+@pytest.mark.parametrize("F", [field(5), field(9), CX], ids=["F5", "F9", "Q(i)"])
+def test_pow_mod_refuses_a_negative_exponent(F):
+    m = Poly(F, [F.one, F.zero, F.one])
+    with pytest.raises(ValueError, match="negative polynomial power"):
+        Poly.x(F).pow_mod(-1, m)
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_remainder_paths_build_no_quotient(q, monkeypatch):
+    """%, pow_mod and gcd over F_q run on the remainder kernel alone; only
+    // and divmod reach the quotient-building division."""
+    (p, k), = oracles.naive_factor(q).items()
+    F, D, rng = field(q), oracles.DigitField(p, k), random.Random(q)
+    h, a, b = ([rng.randrange(q) for _ in range(d)] + [1] for d in (2, 5, 3))
+    a, b = oracles.field_poly_mul(D, h, a), oracles.field_poly_mul(D, h, b)
+    f, g = Poly(F, a), Poly(F, b)
+
+    def refuse(*args):
+        raise AssertionError("quotient built")
+
+    monkeypatch.setattr(Fq, "poly_divmod", refuse)
+    monkeypatch.setattr(arith, "_fp_divmod", refuse)
+    assert list((f % g).coeffs) == oracles.field_poly_mod(D, a, b)
+    assert list(f.pow_mod(q + 3, g).coeffs) == oracles.field_poly_powmod(D, a, q + 3, b)
+    assert list(f.gcd(g).coeffs) == oracles.field_poly_gcd(D, a, b)
+    assert f.gcd(g).degree >= 2                                   # h divides both
+    for quotient_path in (lambda: f // g, lambda: f.divmod(g)):
+        with pytest.raises(AssertionError, match="quotient built"):
+            quotient_path()
 
 
 def test_irreducibility_examples():
