@@ -934,11 +934,38 @@ def poly_factor(f: Poly) -> tuple:
 
 
 class PolyFraction:
-    """A quotient num/den of polynomials, immutable.  A subclass puts the
-    pair in canonical form in its __init__, which every operation here
-    calls through type(self); the arithmetic itself is shared."""
+    """A quotient num/den of polynomials, immutable, in canonical form: num
+    and den coprime, and den with leading coefficient 1 (1 itself when num
+    is 0).  The canonical form and the arithmetic are shared; a subclass
+    supplies for its polynomial type only _one, _cancel and _monic, and
+    every operation builds its result through type(self).
+
+    A canonical constant denominator is 1, so when both operands have one
+    the operations skip the cross products."""
 
     __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        num._check(den)
+        if num.is_zero():
+            den = self._one(den)
+        else:
+            if not (num.is_constant() or den.is_constant()):
+                # a nonzero constant is coprime to everything: no gcd to take
+                num, den = self._cancel(num, den)
+            num, den = self._monic(num, den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _canonical(cls, num, den):
+        """A fraction from a pair already in canonical form."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -950,25 +977,34 @@ class PolyFraction:
         return self.num.is_constant() and self.den.is_constant()
 
     def __add__(self, other):
+        if self.den.is_constant() and other.den.is_constant():
+            return self._canonical(self.num + other.num, self.den)
         return type(self)(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other):
+        if self.den.is_constant() and other.den.is_constant():
+            return self._canonical(self.num - other.num, self.den)
         return type(self)(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self):
-        return type(self)(-self.num, self.den)
+        return self._canonical(-self.num, self.den)
 
     def __mul__(self, other):
+        if self.den.is_constant() and other.den.is_constant():
+            return self._canonical(self.num * other.num, self.den)
         return type(self)(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
+        if self.den.is_constant() and other.den.is_constant():
+            return type(self)(self.num, other.num)
         return type(self)(self.num * other.den, self.den * other.num)
 
     def __pow__(self, e: int):
         if e >= 0:
-            return type(self)(self.num**e, self.den**e)
+            # powers of a coprime pair stay coprime, and of a monic den monic
+            return self._canonical(self.num**e, self.den**e)
         return type(self)(self.den ** (-e), self.num ** (-e))
 
     def _quotient_rule(self, dnum, dden):
@@ -988,28 +1024,27 @@ class RatFunc(PolyFraction):
 
     __slots__ = ()
 
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.field != den.field:
-            raise ValueError("mixed coefficient fields")
-        if num.is_zero():
-            den = Poly.const(den.field, den.field.one)
-        elif not (num.is_constant() or den.is_constant()):
-            # a nonzero constant is coprime to everything: no gcd to take
-            g = num.gcd(den)
-            if not g.is_constant():
-                num, den = num // g, den // g
+    @staticmethod
+    def _one(f: Poly) -> Poly:
+        return Poly._trusted(f.field, (f.field.one,))
+
+    @staticmethod
+    def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+        g = num.gcd(den)
+        return (num, den) if g.is_constant() else (num // g, den // g)
+
+    @staticmethod
+    def _monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+        F = den.field
         lead = den.lc()
-        if lead != den.field.one:
-            inv = den.field.inv(lead)
-            num, den = num.scale(inv), den.scale(inv)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        if lead == F.one:
+            return num, den
+        inv = F.inv(lead)
+        return num.scale(inv), den.scale(inv)
 
     @staticmethod
     def from_poly(f: Poly) -> "RatFunc":
-        return RatFunc(f, Poly.const(f.field, f.field.one))
+        return RatFunc._canonical(f, RatFunc._one(f))
 
     @property
     def field(self):

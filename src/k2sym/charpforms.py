@@ -18,18 +18,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import (PolyFraction, _fp_divmod, _fp_gcd, _fp_mul, _fp_sub, _fp_trim, is_prime,
+from .arith import (PolyFraction, _fp_divmod, _fp_gcd, _fp_mul, _fp_sub, _fp_trim, _unchecked, is_prime,
                     square_and_multiply)
 
 
-def _grlex(ij):
-    i, j = ij
+def _grlex(term):
+    """Sort key of a term ((i, j), c) in graded lex order."""
+    (i, j), _ = term
     return (i + j, i, j)
+
+
+def _sorted_terms(p: int, coeffs: dict) -> tuple:
+    """The terms of a coefficient dict: reduced mod p, zeros dropped,
+    sorted by graded lex."""
+    items = [(ij, r) for ij, c in coeffs.items() if (r := c % p)]
+    items.sort(key=_grlex)
+    return tuple(items)
+
+
+def _kernel(p: int, coeffs: dict) -> "BiPoly":
+    """A BiPoly out of this module's own arithmetic: p was checked when the
+    operands were built and _sorted_terms orders the terms, so it skips
+    __post_init__."""
+    return _unchecked(BiPoly, p=p, terms=_sorted_terms(p, coeffs))
 
 
 @dataclass(frozen=True)
 class BiPoly:
-    """Sparse bivariate polynomial over F_p; terms sorted by graded lex."""
+    """Sparse bivariate polynomial over F_p; terms sorted by graded lex.
+
+    BiPoly(p, terms) and BiPoly.make check p and the terms; the results of
+    its own arithmetic are built by _kernel without a second check."""
 
     p: int
     terms: tuple[tuple[tuple[int, int], int], ...]
@@ -38,21 +57,20 @@ class BiPoly:
         if not is_prime(self.p):
             raise ValueError(f"coefficient modulus must be prime, got {self.p}")
         last = None
-        for (i, j), c in self.terms:
+        for term in self.terms:
+            (i, j), c = term
             if i < 0 or j < 0:
                 raise ValueError("negative exponent")
             if not 0 < c < self.p:
                 raise ValueError("coefficient not reduced")
-            key = _grlex((i, j))
+            key = _grlex(term)
             if last is not None and key <= last:
                 raise ValueError("terms out of order")
             last = key
 
     @staticmethod
     def make(p: int, coeffs: dict) -> "BiPoly":
-        items = [(ij, c % p) for ij, c in coeffs.items() if c % p]
-        items.sort(key=lambda t: _grlex(t[0]))
-        return BiPoly(p, tuple(items))
+        return BiPoly(p, _sorted_terms(p, coeffs))
 
     @staticmethod
     def zero(p: int) -> "BiPoly":
@@ -74,7 +92,9 @@ class BiPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(ij == (0, 0) for ij, _ in self.terms)
+        # (0, 0) comes first in graded lex, so a constant has at most it
+        terms = self.terms
+        return not terms or (len(terms) == 1 and terms[0][0] == (0, 0))
 
     def constant_value(self) -> int:
         if self.is_zero():
@@ -99,11 +119,11 @@ class BiPoly:
         self._check(other)
         out = dict(self.terms)
         for ij, c in other.terms:
-            out[ij] = (out.get(ij, 0) + c) % self.p
-        return BiPoly.make(self.p, out)
+            out[ij] = out.get(ij, 0) + c
+        return _kernel(self.p, out)
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly(self.p, tuple((ij, self.p - c) for ij, c in self.terms))
+        return _unchecked(BiPoly, p=self.p, terms=tuple((ij, self.p - c) for ij, c in self.terms))
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         return self + (-other)
@@ -114,17 +134,16 @@ class BiPoly:
         for (i1, j1), c1 in self.terms:
             for (i2, j2), c2 in other.terms:
                 ij = (i1 + i2, j1 + j2)
-                out[ij] = (out.get(ij, 0) + c1 * c2) % self.p
-        return BiPoly.make(self.p, out)
+                out[ij] = out.get(ij, 0) + c1 * c2
+        return _kernel(self.p, out)
 
     def scale(self, c: int) -> "BiPoly":
-        c %= self.p
-        return BiPoly.make(self.p, {ij: a * c for ij, a in self.terms})
+        return _kernel(self.p, {ij: a * c for ij, a in self.terms})
 
     def __pow__(self, e: int) -> "BiPoly":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        return square_and_multiply(self, e, BiPoly.const(self.p, 1))
+        return square_and_multiply(self, e, _kernel(self.p, {(0, 0): 1}))
 
     def exact_div(self, d: "BiPoly") -> "BiPoly":
         """Quotient self/d when d divides exactly; ValueError otherwise.
@@ -148,14 +167,14 @@ class BiPoly:
                 raise ValueError("not an exact division")
             c = rc * dc_inv % p
             q[(mi, mj)] = c
-            rem = rem - d * BiPoly.make(p, {(mi, mj): c})
-        return BiPoly.make(p, q)
+            rem = rem - d * _unchecked(BiPoly, p=p, terms=(((mi, mj), c),))
+        return _kernel(p, q)
 
     def derivative_s(self) -> "BiPoly":
-        return BiPoly.make(self.p, {(i - 1, j): i * c for (i, j), c in self.terms if i})
+        return _kernel(self.p, {(i - 1, j): i * c for (i, j), c in self.terms if i})
 
     def derivative_t(self) -> "BiPoly":
-        return BiPoly.make(self.p, {(i, j - 1): j * c for (i, j), c in self.terms if j})
+        return _kernel(self.p, {(i, j - 1): j * c for (i, j), c in self.terms if j})
 
     def __repr__(self):
         return f"BiPoly({self.p}, {dict(self.terms)})"
@@ -182,7 +201,7 @@ def _from_tmajor(p: int, cols: list[list[int]]) -> BiPoly:
         for i, c in enumerate(col):
             if c:
                 coeffs[(i, j)] = c
-    return BiPoly.make(p, coeffs)
+    return _kernel(p, coeffs)
 
 
 def _trim_t(cols):
@@ -262,26 +281,26 @@ class MultiRatFunc(PolyFraction):
 
     __slots__ = ()
 
-    def __init__(self, num: BiPoly, den: BiPoly):
-        num._check(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = BiPoly.const(num.p, 1)
-        else:
-            g = bipoly_gcd(num, den)
-            if not (g.is_constant() and g.constant_value() == 1):
-                num, den = num.exact_div(g), den.exact_div(g)
-            _, lc = den.leading()
-            if lc != 1:
-                inv = pow(lc, -1, num.p)
-                num, den = num.scale(inv), den.scale(inv)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    @staticmethod
+    def _one(f: BiPoly) -> BiPoly:
+        return _unchecked(BiPoly, p=f.p, terms=(((0, 0), 1),))
+
+    @staticmethod
+    def _cancel(num: BiPoly, den: BiPoly) -> tuple[BiPoly, BiPoly]:
+        g = bipoly_gcd(num, den)
+        return (num, den) if g.is_constant() else (num.exact_div(g), den.exact_div(g))
+
+    @staticmethod
+    def _monic(num: BiPoly, den: BiPoly) -> tuple[BiPoly, BiPoly]:
+        _, lc = den.leading()
+        if lc == 1:
+            return num, den
+        inv = pow(lc, -1, den.p)
+        return num.scale(inv), den.scale(inv)
 
     @staticmethod
     def from_poly(f: BiPoly) -> "MultiRatFunc":
-        return MultiRatFunc(f, BiPoly.const(f.p, 1))
+        return MultiRatFunc._canonical(f, MultiRatFunc._one(f))
 
     @staticmethod
     def const(p: int, c: int) -> "MultiRatFunc":

@@ -53,8 +53,7 @@ class PlaceFq:
 
     def __post_init__(self):
         if self.pi is not None:
-            if not self.pi.is_monic() or not is_irreducible(self.pi):
-                raise ValueError(f"not a monic irreducible: {self.pi}")
+            _check_place(self.pi)
 
     @staticmethod
     def finite(pi: Poly) -> "PlaceFq":
@@ -78,6 +77,12 @@ class PlaceFq:
         return (1, ()) if self.pi is None else (0, self.pi.sort_key())
 
 
+def _check_place(pi: Poly) -> None:
+    """Rabin's test: pi must be monic irreducible."""
+    if not pi.is_monic() or not is_irreducible(pi):
+        raise ValueError(f"not a monic irreducible: {pi}")
+
+
 def as_ratfunc(f) -> RatFunc:
     if isinstance(f, RatFunc):
         return f
@@ -87,14 +92,20 @@ def as_ratfunc(f) -> RatFunc:
 
 
 def _strip(f: Poly, pi: Poly) -> tuple[Poly, int]:
-    """f = pi^m * g with pi not dividing g; returns (g, m)."""
+    """f = pi^m * g with pi not dividing g, for nonzero f and a place pi;
+    returns (g, m).  Each step tests divisibility before it divides, so no
+    quotient is built for the last, failing step: by Horner at the root
+    when pi = T - r, else by the remainder alone."""
     m = 0
-    while True:
-        q, r = f.divmod(pi)
-        if not r.is_zero():
-            return f, m
-        f = q
-        m += 1
+    if pi.degree == 1:
+        F = pi.field
+        root = F.neg(pi.coeffs[0])  # pi is monic
+        while f.evaluate(root) == F.zero:
+            f, m = f // pi, m + 1
+    else:
+        while (f % pi).is_zero():
+            f, m = f // pi, m + 1
+    return f, m
 
 
 def ff_valuation(f, place: PlaceFq) -> int:
@@ -241,6 +252,11 @@ def ff_symbol(f, g) -> FFSymbolExpr:
     return FFSymbolExpr.of((f, g))
 
 
+def _check_value(pi: Poly, v: Poly) -> None:
+    if v.is_zero() or v.degree >= pi.degree:
+        raise ValueError(f"value not reduced mod {pi}")
+
+
 @dataclass(frozen=True)
 class K2FFClass:
     """Element of the direct sum of residue-field unit groups over the
@@ -253,20 +269,36 @@ class K2FFClass:
     def __post_init__(self):
         seen = set()
         for pi, v in self.entries:
+            _check_place(pi)
             if pi in seen:
                 raise ValueError("duplicate place")
             seen.add(pi)
-            if v.is_zero() or (v % pi) != v:
-                raise ValueError(f"value not reduced mod {pi}")
+            _check_value(pi, v)
             if v == Poly.const(self.base, self.base.one):
                 raise ValueError("identity values must be dropped")
 
     @staticmethod
     def make(base: Fq, entries: dict[Poly, Poly]) -> "K2FFClass":
+        """The class with value v mod pi at each key pi; identity values are
+        dropped.  Every key must be a place (monic irreducible): a key that
+        is not raises ValueError, even when its value is the identity."""
+        for pi in entries:
+            _check_place(pi)
+        return K2FFClass._at_places(base, entries)
+
+    @staticmethod
+    def _at_places(base: Fq, entries: dict[Poly, Poly]) -> "K2FFClass":
+        """make, for keys already known to be places; the key test, Rabin's,
+        is skipped (arith._unchecked)."""
         one = Poly.const(base, base.one)
-        items = [(pi, v % pi) for pi, v in entries.items() if (v % pi) != one]
+        items = []
+        for pi, v in entries.items():
+            v = v % pi
+            _check_value(pi, v)
+            if v != one:
+                items.append((pi, v))
         items.sort(key=lambda pv: pv[0].sort_key())
-        return K2FFClass(base, tuple(items))
+        return _unchecked(K2FFClass, base=base, entries=tuple(items))
 
     def value_at(self, pi: Poly) -> Poly:
         for q, v in self.entries:
@@ -283,10 +315,10 @@ class K2FFClass:
         vals = dict(self.entries)
         for pi, v in other.entries:
             vals[pi] = vals.get(pi, Poly.const(self.base, self.base.one)) * v % pi
-        return K2FFClass.make(self.base, vals)
+        return K2FFClass._at_places(self.base, vals)
 
     def __neg__(self) -> "K2FFClass":
-        return K2FFClass.make(self.base, {pi: _residue_inv(v, pi) for pi, v in self.entries})
+        return K2FFClass._at_places(self.base, {pi: _residue_inv(v, pi) for pi, v in self.entries})
 
     def __sub__(self, other: "K2FFClass") -> "K2FFClass":
         return self + (-other)
@@ -316,7 +348,7 @@ def decompose(e: FFSymbolExpr, base: Fq | None = None) -> K2FFClass:
     if not e.terms:
         if base is None:
             raise ValueError("empty expression needs an explicit base field")
-        return K2FFClass.make(base, {})
+        return K2FFClass._at_places(base, {})
     base = e.terms[0][0].field
     vals: dict[Poly, Poly] = {}
     one = Poly.const(base, base.one)
@@ -328,7 +360,7 @@ def decompose(e: FFSymbolExpr, base: Fq | None = None) -> K2FFClass:
             t = tame_ff(f, g, place)
             acc = acc * t.pow_mod(m % group_order, pi) % pi
         vals[pi] = acc
-    return K2FFClass.make(base, vals)
+    return K2FFClass._at_places(base, vals)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .arith import Poly, RatFunc, _unchecked, bernoulli
 from .funcfield import PlaceFq, ff_valuation, tame_with_orders
@@ -36,52 +37,121 @@ CONVERGENCE_TARGET = 1e-9
 MAX_SAMPLES = 2**20
 
 
-@dataclass(frozen=True)
 class GaussRat:
-    """Exact Gaussian rational re + im*i."""
+    """Exact Gaussian rational re + im*i.
 
-    re: Fraction
-    im: Fraction
+    Stored on integers as (a + b*i)/d with d > 0 and gcd(a, b, d) = 1, so
+    each operation reduces once, by one gcd (Knuth, TAOCP vol. 2, 4.5.1).
+    re and im read as Fractions; GaussRat(re, im) and make take anything
+    Fraction takes.  Equality, hashing and repr are those of the pair
+    (re, im)."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re, im=0):
+        if type(re) is int and type(im) is int:
+            _set_parts(self, re, im, 1)
+            return
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        _set_parts(self, re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
 
     @staticmethod
     def make(re, im=0) -> "GaussRat":
-        return GaussRat(Fraction(re), Fraction(im))
+        return GaussRat(re, im)
+
+    def __setattr__(self, *a):
+        raise AttributeError("GaussRat is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, o):
-        return GaussRat(self.re + o.re, self.im + o.im)
+        d, e = self.d, o.d
+        if d == e:
+            return _reduced(self.a + o.a, self.b + o.b, d)
+        return _reduced(self.a * e + o.a * d, self.b * e + o.b * d, d * e)
 
     def __sub__(self, o):
-        return GaussRat(self.re - o.re, self.im - o.im)
+        d, e = self.d, o.d
+        if d == e:
+            return _reduced(self.a - o.a, self.b - o.b, d)
+        return _reduced(self.a * e - o.a * d, self.b * e - o.b * d, d * e)
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _parts(-self.a, -self.b, self.d)
 
     def __mul__(self, o):
-        return GaussRat(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        return _reduced(a * c - b * e, a * e + b * c, self.d * o.d)
 
     def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _parts(self.a, -self.b, self.d)
 
     def norm2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def inverse(self) -> "GaussRat":
-        n = self.norm2()
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of 0")
-        return GaussRat(self.re / n, -self.im / n)
+        return _reduced(d * a, -d * b, n)
 
     def __truediv__(self, o):
-        return self * o.inverse()
+        # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+        a, b, c, e, f = self.a, self.b, o.a, o.b, o.d
+        n = c * c + e * e
+        if n == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return _reduced(f * (a * c + b * e), f * (b * c - a * e), self.d * n)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.a or self.b)
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # float(Fraction(a, d)) is a / d: the same correctly rounded float
+        return complex(self.a / self.d, self.b / self.d)
+
+    def __eq__(self, o):
+        if not isinstance(o, GaussRat):
+            return NotImplemented
+        return self.a == o.a and self.b == o.b and self.d == o.d
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     def __repr__(self):
         return f"GaussRat({self.re}, {self.im})"
+
+
+_set_a, _set_b, _set_d = GaussRat.a.__set__, GaussRat.b.__set__, GaussRat.d.__set__
+
+
+def _set_parts(z: GaussRat, a: int, b: int, d: int) -> None:
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+
+
+def _parts(a: int, b: int, d: int) -> GaussRat:
+    """(a + b*i)/d from parts already in lowest terms, d > 0."""
+    z = object.__new__(GaussRat)
+    _set_parts(z, a, b, d)
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussRat:
+    """(a + b*i)/d in lowest terms, for d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _parts(a, b, d)
 
 
 class GaussField:

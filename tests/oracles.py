@@ -6,6 +6,7 @@ dense linear algebra, alternating series.  Slow but obviously correct.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -256,6 +257,60 @@ def tame_at_root(D: DigitField, f: tuple[list[int], list[int]], g: tuple[list[in
     w = D.mul(ugn, D.inv(ugd))
     sign = D.neg(1) if a * b % 2 else 1
     return D.mul(sign, D.mul(D.pow(u, b), D.pow(w, -a)))
+
+
+# -- Gaussian rationals as a pair of Fractions --------------------------------------
+# The GaussRat the regulator module used before it stored (a + b*i)/d on
+# integers: every component a Fraction, each normalized on its own.
+
+
+@dataclass(frozen=True)
+class GaussRatFraction:
+    """Exact Gaussian rational re + im*i; its repr is the one GaussRat
+    prints."""
+
+    re: Fraction
+    im: Fraction
+
+    @staticmethod
+    def make(re, im=0) -> "GaussRatFraction":
+        return GaussRatFraction(Fraction(re), Fraction(im))
+
+    def __add__(self, o):
+        return GaussRatFraction(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return GaussRatFraction(self.re - o.re, self.im - o.im)
+
+    def __neg__(self):
+        return GaussRatFraction(-self.re, -self.im)
+
+    def __mul__(self, o):
+        return GaussRatFraction(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def conjugate(self) -> "GaussRatFraction":
+        return GaussRatFraction(self.re, -self.im)
+
+    def norm2(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+    def inverse(self) -> "GaussRatFraction":
+        n = self.norm2()
+        if n == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return GaussRatFraction(self.re / n, -self.im / n)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def to_complex(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self):
+        return f"GaussRat({self.re}, {self.im})"
 
 
 # -- tame symbols over Q(i) by evaluation ------------------------------------------
@@ -635,6 +690,33 @@ def canonical_pair_by_gcd(num, den):
         num, den = num // g, den // g
     inv = den.field.inv(den.lc())
     return num.scale(inv), den.scale(inv)
+
+
+def bipoly_pair_by_gcd(num, den):
+    """The same canonical form for a pair of BiPolys: lowest terms, and a
+    denominator whose grlex-leading coefficient is 1."""
+    from k2sym.charpforms import bipoly_gcd
+
+    g = bipoly_gcd(num, den)
+    if not g.is_constant():
+        num, den = num.exact_div(g), den.exact_div(g)
+    inv = pow(den.leading()[1], -1, den.p)
+    return num.scale(inv), den.scale(inv)
+
+
+def fraction_op_by_cross_products(op, x, y, canonical):
+    """x op y for fractions x, y with num and den, and op one of + - * /:
+    the pair from the cross products, whatever the denominators, put in
+    canonical form by canonical(num, den)."""
+    if op == "+":
+        pair = x.num * y.den + y.num * x.den, x.den * y.den
+    elif op == "-":
+        pair = x.num * y.den - y.num * x.den, x.den * y.den
+    elif op == "*":
+        pair = x.num * y.num, x.den * y.den
+    else:
+        pair = x.num * y.den, x.den * y.num
+    return canonical(*pair)
 
 
 # -- loop integrals by scalar samples ------------------------------------------------

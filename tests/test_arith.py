@@ -1,5 +1,6 @@
 """Tests for the exact-arithmetic substrate."""
 import ast
+import operator
 import random
 from fractions import Fraction
 from math import comb
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k2sym import arith
+from k2sym import arith, charpforms
 from k2sym.arith import (
     FIELD_LIMIT,
     NEG_INF,
@@ -27,6 +28,7 @@ from k2sym.arith import (
     primes_below,
     valuation,
 )
+from k2sym.charpforms import BiPoly, MultiRatFunc
 from k2sym.regnum import CX, GaussRat
 from k2sym.zeta import COUNT_LIMIT
 
@@ -424,14 +426,16 @@ def test_ratfunc_cancellation():
     assert r.num == t - one and r.den == one
 
 
+def _gauss_elements():
+    return [GaussRat.make(Fraction(a, b), Fraction(c, b)) for a in range(-2, 3) for c in range(-2, 3) for b in (1, 3)]
+
+
 def test_ratfunc_canonical_form_matches_gcd_path():
     # RatFunc skips the gcd when num or den is constant; the pair must be
     # the one the gcd path gives, over F_2, F_9 and Q(i), with zero and
     # constant numerators and (non-monic) constant denominators among them
     rng = random.Random(71)
-    gauss_values = [GaussRat.make(Fraction(a, b), Fraction(c, b))
-                    for a in range(-2, 3) for c in range(-2, 3) for b in (1, 3)]
-    for F, elements in ((field(2), list(range(2))), (field(9), list(range(9))), (CX, gauss_values)):
+    for F, elements in ((field(2), list(range(2))), (field(9), list(range(9))), (CX, _gauss_elements())):
         units = [c for c in elements if c != F.zero]
         shapes = {"zero num": 0, "constant num": 0, "constant den": 0, "non-monic constant den": 0}
         for _ in range(150):
@@ -450,6 +454,90 @@ def test_ratfunc_canonical_form_matches_gcd_path():
         if len(units) == 1:  # F_2 has no non-monic constant
             del shapes["non-monic constant den"]
         assert all(shapes.values()), (F, shapes)
+
+
+def _ratfunc_cases(rng, F, elements):
+    """RatFuncs over F: polynomials (den 1), and quotients by a den of
+    degree 1 or 2 before canonical form."""
+    units = [c for c in elements if c != F.zero]
+
+    def poly(degree):
+        return Poly(F, [rng.choice(elements) for _ in range(degree)] + [rng.choice(units)])
+
+    return [RatFunc.from_poly(poly(rng.randint(0, 2))) if k % 2 else
+            RatFunc(poly(rng.randint(0, 2)), poly(rng.randint(1, 2))) for k in range(16)]
+
+
+def _multiratfunc_cases(rng, p):
+    def bipoly(degree):
+        terms = {(i, j): rng.randrange(p) for i in range(degree + 1) for j in range(degree + 1 - i)}
+        terms[(degree, 0)] = rng.randrange(1, p)
+        return BiPoly.make(p, terms)
+
+    return [MultiRatFunc.from_poly(bipoly(rng.randint(0, 2))) if k % 2 else
+            MultiRatFunc(bipoly(rng.randint(0, 2)), bipoly(rng.randint(1, 2))) for k in range(16)]
+
+
+def _fraction_domains():
+    rng = random.Random(83)
+    for q in (5, 9):
+        F = field(q)
+        yield f"F_{q}(T)", _ratfunc_cases(rng, F, list(range(q))), oracles.canonical_pair_by_gcd
+    yield "Q(i)(z)", _ratfunc_cases(rng, CX, _gauss_elements()), oracles.canonical_pair_by_gcd
+    for p in (2, 3, 5):
+        yield f"F_{p}(s, t)", _multiratfunc_cases(rng, p), oracles.bipoly_pair_by_gcd
+
+
+FRACTION_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+FRACTION_DOMAINS = list(_fraction_domains())
+
+
+@pytest.mark.parametrize("name, cases, canonical", FRACTION_DOMAINS, ids=[name for name, _, _ in FRACTION_DOMAINS])
+def test_fraction_operations_match_cross_products(name, cases, canonical):
+    # the fast paths for constant denominators and the trusted results of
+    # -x and x^e give the pairs of the generic cross-product formula
+    # followed by a gcd, whichever side has den 1
+    shapes = set()
+    for x in cases:
+        assert (-x).num == -x.num and (-x).den == x.den
+        for e in (0, 1, 2, -1, -2):
+            if e < 0 and x.is_zero():
+                continue
+            pair = (x.num**e, x.den**e) if e >= 0 else (x.den ** -e, x.num ** -e)
+            assert ((x**e).num, (x**e).den) == canonical(*pair), (name, x, e)
+        for y in cases:
+            shapes.add((x.den.is_constant(), y.den.is_constant()))
+            for op, apply in FRACTION_OPS.items():
+                if op == "/" and y.is_zero():
+                    continue
+                z = apply(x, y)
+                assert (z.num, z.den) == oracles.fraction_op_by_cross_products(op, x, y, canonical), (name, x, op, y)
+    assert shapes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_no_gcd_against_a_constant(monkeypatch):
+    # a nonzero constant is coprime to everything: PolyFraction takes no
+    # gcd when num or den is constant, for RatFunc and MultiRatFunc alike
+    def refuse(*args):
+        raise AssertionError("gcd against a constant")
+
+    F, p = field(9), 3
+    T = Poly.x(F)
+    s, t = BiPoly.var_s(p), BiPoly.var_t(p)
+    f = T * T + Poly.const(F, 2) * T + Poly.const(F, 3)
+    h = s * t + s * s + BiPoly.const(p, 2)  # irreducible
+    monkeypatch.setattr(Poly, "gcd", refuse)
+    monkeypatch.setattr(charpforms, "bipoly_gcd", refuse)
+    for num, den, one, cls in ((f, Poly.const(F, 4), Poly.const(F, 1), RatFunc),
+                               (h, BiPoly.const(p, 2), BiPoly.const(p, 1), MultiRatFunc)):
+        with pytest.raises(AssertionError):  # the patches are live
+            cls(num, num)
+        x = cls(num, den)  # constant den
+        y = cls(den, num)  # constant num
+        z = cls.from_poly(num * num)
+        assert x.den == one and not y.den.is_constant()
+        for w in (x + z, x - z, x * z, x / y, -y, y**3, z**-1, cls(num - num, num), x / cls.from_poly(den)):
+            assert w.num.is_constant() or w.den.is_constant()
 
 
 @settings(max_examples=60, deadline=None)

@@ -377,18 +377,23 @@ def test_fuzzed_argv_keeps_the_report_contract(capsys):
     """300 seeded argv: each either stops in argparse (exit 2, usage on
     stderr, no report) or prints exactly one JSON report whose status
     matches an exit code of 0, 2 or 3, and 2 when a key is no place.  Any
-    other exception fails the test."""
+    other exception fails the test, and so does any one call taking 2 s
+    or more."""
     rng = random.Random(2024)
     start = time.perf_counter()
     for _ in range(300):
         argv = _fuzz_argv(rng)
+        call = time.perf_counter()
         try:
-            code = main(argv)
+            code, in_argparse = main(argv), False
         except SystemExit as exc:
-            out = capsys.readouterr().out
-            assert exc.code == 2 and out == "", argv
-            continue
+            code, in_argparse = exc.code, True
+        elapsed = time.perf_counter() - call
+        assert elapsed < 2, f"{argv} took {elapsed:.2f} s"
         out = capsys.readouterr().out
+        if in_argparse:
+            assert code == 2 and out == "", argv
+            continue
         report = json.loads(out)  # one JSON document, nothing after it
         assert set(report) == REPORT_KEYS, argv
         assert report["status"] == STATUS_OF_CODE[code], argv

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from k2sym import funcfield
-from k2sym.arith import Poly, RatFunc, field, generator, irreducibles
+from k2sym.arith import Poly, RatFunc, _unchecked, field, generator, irreducibles
 from k2sym.funcfield import (
     CHAR2,
     FFSymbolExpr,
@@ -284,9 +284,29 @@ def test_lift_ff_rejects_keys_that_are_not_places():
     F = field(5)
     T = Poly.x(F)
     for key in (T * T, T * T + T, Poly.const(F, 2) * T):  # reducible, reducible, not monic
-        target = K2FFClass.make(F, {key: Poly.const(F, 3)})
+        with pytest.raises(ValueError, match="not a monic irreducible"):
+            K2FFClass.make(F, {key: Poly.const(F, 3)})
+        # a class built past the key check still stops lift_ff's descent
+        target = _unchecked(K2FFClass, base=F, entries=((key, Poly.const(F, 3)),))
         with pytest.raises(ValueError, match="not a place"):
             lift_ff(F, target)
+
+
+def test_k2ff_class_keys_must_be_places():
+    F = field(5)
+    T = Poly.x(F)
+    # refused before the identity value 1 could drop the key
+    with pytest.raises(ValueError, match="not a monic irreducible"):
+        K2FFClass.make(F, {T * T: Poly.const(F, 1)})
+    # refused rather than kept as a class at a reducible key
+    with pytest.raises(ValueError, match="not a monic irreducible"):
+        K2FFClass.make(F, {T * T: T})
+    with pytest.raises(ValueError, match="not a monic irreducible"):
+        K2FFClass(F, ((T * T, T),))
+    with pytest.raises(ValueError, match="value not reduced"):
+        K2FFClass.make(F, {T: T})
+    t1 = T + Poly.const(F, 1)
+    assert K2FFClass.make(F, {T: Poly.const(F, 1), t1: Poly.const(F, 2)}).support() == (t1,)
 
 
 def test_lift_place_degrees_never_increase():
@@ -330,15 +350,19 @@ def test_weil_random_pairs_all_q():
 
 
 def test_weil_and_decompose_do_not_retest_factors(monkeypatch):
-    # their places are factors from poly_factor, already proven irreducible
+    # their places are factors from poly_factor, already proven irreducible,
+    # and the class operations and lift_ff only combine proven places
     rng = random.Random(71)
     for q in (5, 9):
         F = field(q)
         f, g = random_ratfunc(F, rng, 4), random_ratfunc(F, rng, 4)
         expected = weil_check(f, g), decompose(ff_symbol(f, g))
+        target = expected[1]
         with monkeypatch.context() as m:
             m.setattr(funcfield, "is_irreducible", lambda pi: pytest.fail(f"re-tested {pi}"))
             assert (weil_check(f, g), decompose(ff_symbol(f, g))) == expected
+            assert (target + target - target) == target and (-(-target)) == target
+            assert decompose(lift_ff(F, target), F) == target
 
 
 def test_residue_norm_surjects_onto_units():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k2sym.arith import RatFunc
 from k2sym.regnum import (
@@ -26,6 +27,7 @@ from k2sym.regnum import (
     tame_symbol_cx,
 )
 from oracles import (
+    GaussRatFraction,
     catalan_by_series,
     loop_integral_by_pullback,
     order_and_unit_by_evaluation,
@@ -68,6 +70,54 @@ def test_gaussrat_field_ops():
         assert a * a.conjugate() == gauss(a.norm2())
     with pytest.raises(ZeroDivisionError):
         CX.zero.inverse()
+
+
+# Gaussian rationals for the oracle test: zero, purely real and purely
+# imaginary values, and pairs drawn over one shared denominator.
+_PARTS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+_ZERO = st.just(Fraction(0))
+
+
+def _over_one_denominator(d):
+    part = st.integers(-99, 99).map(lambda n: Fraction(n, d))
+    return st.tuples(st.tuples(part, part), st.tuples(part, part))
+
+
+_GAUSS_PAIRS = st.one_of(
+    st.tuples(st.tuples(_PARTS, _PARTS), st.tuples(_PARTS, _PARTS)),
+    st.tuples(st.tuples(_PARTS, _ZERO), st.tuples(_ZERO, _PARTS)),
+    st.tuples(st.tuples(_ZERO, _ZERO), st.tuples(_PARTS, _PARTS)),
+    st.tuples(st.tuples(_PARTS, _PARTS), st.tuples(_ZERO, _ZERO)),
+    st.integers(1, 36).flatmap(_over_one_denominator),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_GAUSS_PAIRS)
+def test_gaussrat_matches_fraction_pair_oracle(pair):
+    # (a + b*i)/d on integers against the pair of Fractions it replaced
+    (xr, xi), (yr, yi) = pair
+    x, y = GaussRat(xr, xi), GaussRat.make(yr, yi)
+    xo, yo = GaussRatFraction(xr, xi), GaussRatFraction.make(yr, yi)
+
+    def same(z, zo):
+        assert (z.re, z.im) == (zo.re, zo.im) and type(z.re) is Fraction
+        assert repr(z) == repr(zo) and hash(z) == hash(zo)
+        assert z.to_complex() == zo.to_complex()
+        assert math.gcd(z.a, z.b, z.d) == 1 and z.d > 0
+
+    for z, zo in ((x, xo), (y, yo), (x + y, xo + yo), (x - y, xo - yo), (x * y, xo * yo), (-x, -xo),
+                  (x.conjugate(), xo.conjugate()), (x * x, xo * xo), (x - x, xo - xo)):
+        same(z, zo)
+    assert x.norm2() == xo.norm2() and (x == y) == (xo == yo) and x.is_zero() == xo.is_zero()
+    if yo.is_zero():
+        for op in (lambda: y.inverse(), lambda: x / y):
+            with pytest.raises(ZeroDivisionError, match="inverse of 0"):
+                op()
+    else:
+        same(y.inverse(), yo.inverse())
+        same(x / y, xo / yo)
+    assert x == GaussRat(xo.re, xo.im) and hash(x) == hash(GaussRat.make(xr, xi))
 
 
 def test_ratfunc_over_gauss_cancels():
