@@ -200,9 +200,8 @@ def legendre(a: int, p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Coefficient-list arithmetic over F_p: the kernels of Poly over prime
-# fields (through Fq.poly_mul, Fq.poly_divmod, Fq.poly_rem, Fq.poly_pow_mod
-# and Fq.poly_gcd) and of the Cartier operator in charpforms.  Lists are
-# little-endian, no trailing zeros.
+# fields (through Fq.poly_mul and Fq.poly_rem) and of the Cartier operator
+# in charpforms.  Lists are little-endian, no trailing zeros.
 
 
 def _fp_trim(a: list[int]) -> list[int]:
@@ -265,6 +264,83 @@ def _fp_gcd(a, b, p):
 
 
 # ---------------------------------------------------------------------------
+# Polynomial kernels on trimmed little-endian coefficient lists, written once
+# from the field operations.
+
+
+class PolyKernels:
+    """The list kernels behind Poly, for any coefficient field that supplies
+    add, sub, mul, inv, zero and one (von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, ch. 2-3).  A field with faster loops overrides
+    poly_mul and poly_rem; divmod, pow_mod and gcd run on those two.
+    Trimming compares with self.zero, so elements need only ==."""
+
+    def poly_mul(self, a, b) -> list:
+        """Product of two coefficient lists."""
+        if not a or not b:
+            return []
+        add, mul, zero = self.add, self.mul, self.zero
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai != zero:
+                for j, bj in enumerate(b, i):
+                    out[j] = add(out[j], mul(ai, bj))
+        return out  # lc(a) lc(b) is not zero in a field
+
+    def poly_rem(self, a, b, quot=None) -> list:
+        """a mod b, row by row from the top down, b nonzero.  With quot, a
+        list of len(a) - deg b zeros, the quotient digits also go into it."""
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        db = len(b) - 1
+        rem = list(a)
+        if len(rem) <= db:
+            return rem
+        sub, mul, zero = self.sub, self.mul, self.zero
+        inv_lead = self.inv(b[db])
+        low = b[:db]
+        for k in range(len(rem) - 1, db - 1, -1):
+            c = mul(rem[k], inv_lead)
+            if c != zero:
+                if quot is not None:
+                    quot[k - db] = c
+                for i, bi in enumerate(low, k - db):
+                    rem[i] = sub(rem[i], mul(c, bi))
+        del rem[db:]
+        while rem and rem[-1] == zero:
+            rem.pop()
+        return rem
+
+    def poly_divmod(self, a, b) -> tuple[list, list]:
+        """(quotient, remainder) of two coefficient lists, b nonzero."""
+        quot = [self.zero] * (len(a) - len(b) + 1)
+        return quot, self.poly_rem(a, b, quot)
+
+    def poly_pow_mod(self, a, e, m) -> list:
+        """a^e mod m on coefficient lists, e >= 0 and m nonzero."""
+        rem, mul = self.poly_rem, self.poly_mul
+        result = rem([self.one], m)
+        base = rem(a, m)
+        while e:
+            if e & 1:
+                result = rem(mul(result, base), m)
+            e >>= 1
+            if e:
+                base = rem(mul(base, base), m)
+        return result
+
+    def poly_gcd(self, a, b) -> list:
+        """The monic gcd of two coefficient lists; [] when both are zero."""
+        rem = self.poly_rem
+        while b:
+            a, b = b, rem(a, b)
+        if not a:
+            return []
+        inv, mul = self.inv(a[-1]), self.mul
+        return [mul(c, inv) for c in a]
+
+
+# ---------------------------------------------------------------------------
 # Finite fields F_q, q = p^k.  Elements are encoded as integers in [0, q):
 # the element with polynomial-basis coordinates (c_0, ..., c_{k-1}) is
 # c_0 + c_1 p + ... + c_{k-1} p^{k-1}.  Integer order on encodings is the
@@ -275,7 +351,7 @@ def _fp_gcd(a, b, p):
 FIELD_LIMIT = 10**6
 
 
-class Fq:
+class Fq(PolyKernels):
     """The finite field with q = p^k elements.
 
     For k > 1 the field is F_p[X]/(m) where m is the monic irreducible of
@@ -434,10 +510,9 @@ class Fq:
         """The unique p-th root of a (inverse Frobenius)."""
         return self.pow(a, self.p ** (self.k - 1)) if self.k > 1 else a
 
-    # -- polynomial kernels on trimmed little-endian coefficient lists --
+    # -- the list kernels: _fp_* for k = 1, the Zech tables for k > 1 --
 
     def poly_mul(self, a, b) -> list[int]:
-        """Product of two coefficient lists."""
         if self.k == 1:
             return _fp_mul(a, b, self.p)
         if not a or not b:
@@ -464,16 +539,7 @@ class Fq:
                     out[j] = exp[t]
         return out
 
-    def poly_divmod(self, a, b) -> tuple[list[int], list[int]]:
-        """(quotient, remainder) of two coefficient lists, b nonzero."""
-        if self.k == 1:
-            return _fp_divmod(a, b, self.p)
-        quot = [0] * (len(a) - len(b) + 1)
-        return quot, self.poly_rem(a, b, quot)
-
     def poly_rem(self, a, b, quot=None) -> list[int]:
-        """a mod b on coefficient lists, b nonzero.  With quot, a list of
-        len(a) - deg b zeros, the quotient digits also go into it."""
         if self.k == 1:
             return _fp_rem(a, b, self.p, quot)
         if not b:
@@ -508,30 +574,6 @@ class Fq:
                     rem[i] = exp[t]
         del rem[db:]
         return _fp_trim(rem)
-
-    def poly_pow_mod(self, a, e, m) -> list[int]:
-        """a^e mod m on coefficient lists, e >= 0 and m nonzero."""
-        rem, mul = self.poly_rem, self.poly_mul
-        result = rem([self.one], m)
-        base = rem(a, m)
-        while e:
-            if e & 1:
-                result = rem(mul(result, base), m)
-            e >>= 1
-            if e:
-                base = rem(mul(base, base), m)
-        return result
-
-    def poly_gcd(self, a, b) -> list[int]:
-        """The monic gcd of two coefficient lists; [] when both are zero."""
-        if self.k == 1:
-            return _fp_gcd(a, b, self.p)
-        while b:
-            a, b = b, self.poly_rem(a, b)
-        if not a:
-            return []
-        inv = self.inv(a[-1])
-        return [self.mul(c, inv) for c in a]
 
     def __repr__(self):
         return f"Fq({self.p}^{self.k})" if self.k > 1 else f"Fq({self.p})"
@@ -570,8 +612,8 @@ def generator(q_or_field: int | Fq) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomials over any exact field (Fq, or the Gaussian
-# rationals from the regulator module).
+# Univariate polynomials over any exact field with the PolyKernels
+# interface (Fq, or the Gaussian rationals from the regulator module).
 
 
 def square_and_multiply(x, e: int, one):
@@ -676,17 +718,7 @@ class Poly:
     def __mul__(self, other):
         self._check(other)
         F = self.field
-        if isinstance(F, Fq):
-            return Poly._trusted(F, F.poly_mul(self.coeffs, other.coeffs))
-        if self.is_zero() or other.is_zero():
-            return Poly(F, [])
-        out = [F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai == F.zero:
-                continue
-            for j, bj in enumerate(other.coeffs):
-                out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-        return Poly(F, out)
+        return Poly._trusted(F, F.poly_mul(self.coeffs, other.coeffs))
 
     def scale(self, c) -> "Poly":
         F = self.field
@@ -697,67 +729,34 @@ class Poly:
             raise ValueError("negative polynomial power")
         return square_and_multiply(self, e, Poly.const(self.field, self.field.one))
 
+    # Each of these is one call to a list kernel of the field; %, gcd and
+    # pow_mod build no quotient.
+
     def divmod(self, other) -> tuple["Poly", "Poly"]:
         self._check(other)
         F = self.field
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if isinstance(F, Fq):
-            q, r = F.poly_divmod(self.coeffs, other.coeffs)
-            return Poly._trusted(F, q), Poly._trusted(F, r)
-        rem = list(self.coeffs)
-        d = other.coeffs
-        inv_lead = F.inv(d[-1])
-        q = [F.zero] * max(0, len(rem) - len(d) + 1)
-        while len(rem) >= len(d) and rem:
-            c = F.mul(rem[-1], inv_lead)
-            k = len(rem) - len(d)
-            q[k] = c
-            for i, di in enumerate(d):
-                rem[k + i] = F.sub(rem[k + i], F.mul(c, di))
-            while rem and rem[-1] == F.zero:
-                rem.pop()
-        return Poly(F, q), Poly(F, rem)
+        q, r = F.poly_divmod(self.coeffs, other.coeffs)
+        return Poly._trusted(F, q), Poly._trusted(F, r)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
 
-    # Over F_q, %, pow_mod and gcd each make one call to a list kernel,
-    # which builds no quotient; other fields go through divmod.
-
     def __mod__(self, other):
+        self._check(other)
         F = self.field
-        if isinstance(F, Fq):
-            self._check(other)
-            return Poly._trusted(F, F.poly_rem(self.coeffs, other.coeffs))
-        return self.divmod(other)[1]
+        return Poly._trusted(F, F.poly_rem(self.coeffs, other.coeffs))
 
     def gcd(self, other) -> "Poly":
+        self._check(other)
         F = self.field
-        if isinstance(F, Fq):
-            self._check(other)
-            return Poly._trusted(F, F.poly_gcd(self.coeffs, other.coeffs))
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        return Poly._trusted(F, F.poly_gcd(self.coeffs, other.coeffs))
 
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
         if e < 0:
             raise ValueError("negative polynomial power")
+        self._check(mod)
         F = self.field
-        if isinstance(F, Fq):
-            self._check(mod)
-            return Poly._trusted(F, F.poly_pow_mod(self.coeffs, e, mod.coeffs))
-        result = Poly.const(F, F.one) % mod
-        base = self % mod
-        while e:
-            if e & 1:
-                result = (result * base) % mod
-            e >>= 1
-            if e:
-                base = (base * base) % mod
-        return result
+        return Poly._trusted(F, F.poly_pow_mod(self.coeffs, e, mod.coeffs))
 
     def derivative(self) -> "Poly":
         F = self.field

@@ -206,7 +206,7 @@ def _cmd_fflift(args):
     F = field(args.q)
     entries = _components(args.component, lambda text: PlaceFq(parse_poly(text, args.q)).pi,
                           lambda text: parse_poly(text, args.q))
-    target = funcfield.K2FFClass.make(F, entries)
+    target = funcfield.K2FFClass._at_places(F, entries)  # PlaceFq tested each key
     expr = funcfield.lift_ff(F, target)
     roundtrip = funcfield.decompose(expr, F) == target
     terms = [[_ratfunc(a), _ratfunc(b), m] for a, b, m in expr.terms]

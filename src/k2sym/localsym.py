@@ -94,9 +94,6 @@ class MuValue:
             if not 1 <= self.value < self.place.p:
                 raise ValueError(f"value out of range at {self.place}: {self.value}")
 
-    def is_identity(self) -> bool:
-        return self.value == 1
-
 
 def _as_nonzero_fraction(x) -> Fraction:
     x = Fraction(x)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import Poly, RatFunc, _unchecked, bernoulli
+from .arith import Poly, PolyKernels, RatFunc, _unchecked, bernoulli
 from .funcfield import PlaceFq, ff_valuation, tame_with_orders
 
 CONVERGENCE_TARGET = 1e-9
@@ -154,8 +154,10 @@ def _reduced(a: int, b: int, d: int) -> GaussRat:
     return _parts(a, b, d)
 
 
-class GaussField:
-    """Field-protocol wrapper so Poly and RatFunc run over Q(i)."""
+class GaussField(PolyKernels):
+    """The field Q(i) of Gaussian rationals, with the field operations that
+    Poly and RatFunc use.  Its polynomial kernels (product, remainder,
+    divmod, pow_mod, gcd) are the generic ones of PolyKernels."""
 
     char = 0
     zero = GaussRat.make(0)

@@ -2,6 +2,8 @@
 import ast
 import operator
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -13,8 +15,8 @@ from k2sym import arith, charpforms
 from k2sym.arith import (
     FIELD_LIMIT,
     NEG_INF,
-    Fq,
     Poly,
+    PolyKernels,
     RatFunc,
     bernoulli,
     factorize,
@@ -315,25 +317,70 @@ def test_pow_mod_refuses_a_negative_exponent(F):
         Poly.x(F).pow_mod(-1, m)
 
 
-@pytest.mark.parametrize("q", [5, 9])
-def test_remainder_paths_build_no_quotient(q, monkeypatch):
-    """%, pow_mod and gcd over F_q run on the remainder kernel alone; only
-    // and divmod reach the quotient-building division."""
-    (p, k), = oracles.naive_factor(q).items()
-    F, D, rng = field(q), oracles.DigitField(p, k), random.Random(q)
-    h, a, b = ([rng.randrange(q) for _ in range(d)] + [1] for d in (2, 5, 3))
-    a, b = oracles.field_poly_mul(D, h, a), oracles.field_poly_mul(D, h, b)
-    f, g = Poly(F, a), Poly(F, b)
+def _gauss_poly(rng, degree):
+    """A random polynomial of the given degree over Q(i), small parts."""
+    def c():
+        return GaussRat.make(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+    lead = c()
+    while lead == CX.zero:
+        lead = c()
+    return Poly(CX, [c() for _ in range(degree)] + [lead])
+
+
+def test_poly_kernels_over_gaussian_rationals():
+    """divmod, pow_mod and gcd over Q(i) on the generic kernels: the
+    division identity, pow_mod against a power and one remainder, and a
+    monic gcd that divides both inputs, on random pairs and on products
+    sharing a factor h."""
+    rng = random.Random("Q(i) kernels")
+    one = Poly.const(CX, CX.one)
+    cases = [(_gauss_poly(rng, rng.randint(0, 5)), _gauss_poly(rng, rng.randint(0, 4)), one) for _ in range(8)]
+    for _ in range(6):
+        h = _gauss_poly(rng, rng.randint(1, 2))
+        cases.append((h * _gauss_poly(rng, rng.randint(0, 3)), h * _gauss_poly(rng, rng.randint(0, 2)), h))
+    cases += [(Poly(CX, []), _gauss_poly(rng, 2), one), (_gauss_poly(rng, 1), _gauss_poly(rng, 3), one)]
+    for f, g, h in cases:
+        q, r = f.divmod(g)
+        assert q * g + r == f and r.degree < g.degree, (f, g)
+        assert (f // g, f % g) == (q, r)
+        for e in (0, 1, rng.randrange(2, 41)):
+            assert f.pow_mod(e, g) == (f**e) % g, (f, e, g)
+        for d in (f.gcd(g), g.gcd(f)):
+            assert d.is_monic() and d.degree >= h.degree, (f, g, d)
+            assert (f % d).is_zero() and (g % d).is_zero(), (f, g, d)
+    zero = Poly(CX, [])
+    assert zero.gcd(zero) == zero
+
+
+@pytest.mark.parametrize("F", [field(5), field(9), CX], ids=["5", "9", "Q(i)"])
+def test_remainder_paths_build_no_quotient(F, monkeypatch):
+    """%, pow_mod and gcd over F_q and over Q(i) run on the remainder
+    kernel alone; only // and divmod reach the quotient-building division.
+    Over F_q the answers are the schoolbook oracle's; over Q(i), those of
+    the quotient path taken before it is refused."""
+    rng, e = random.Random(repr(F)), 13
+    if F is CX:
+        h, a, b = (_gauss_poly(rng, d) for d in (2, 5, 3))
+        f, g = h * a, h * b
+        rem, power, common = f.divmod(g)[1], (f**e).divmod(g)[1], h.monic()
+    else:
+        D = oracles.DigitField(F.p, F.k)
+        h, a, b = ([rng.randrange(F.q) for _ in range(d)] + [1] for d in (2, 5, 3))
+        a, b = oracles.field_poly_mul(D, h, a), oracles.field_poly_mul(D, h, b)
+        f, g = Poly(F, a), Poly(F, b)
+        rem, power, common = (Poly(F, c) for c in (oracles.field_poly_mod(D, a, b),
+                                                    oracles.field_poly_powmod(D, a, e, b),
+                                                    oracles.field_poly_gcd(D, a, b)))
 
     def refuse(*args):
         raise AssertionError("quotient built")
 
-    monkeypatch.setattr(Fq, "poly_divmod", refuse)
+    monkeypatch.setattr(PolyKernels, "poly_divmod", refuse)
     monkeypatch.setattr(arith, "_fp_divmod", refuse)
-    assert list((f % g).coeffs) == oracles.field_poly_mod(D, a, b)
-    assert list(f.pow_mod(q + 3, g).coeffs) == oracles.field_poly_powmod(D, a, q + 3, b)
-    assert list(f.gcd(g).coeffs) == oracles.field_poly_gcd(D, a, b)
-    assert f.gcd(g).degree >= 2                                   # h divides both
+    assert f % g == rem
+    assert f.pow_mod(e, g) == power
+    assert f.gcd(g) == common
+    assert common.degree >= 2                                     # h divides both
     for quotient_path in (lambda: f // g, lambda: f.divmod(g)):
         with pytest.raises(AssertionError, match="quotient built"):
             quotient_path()
@@ -610,3 +657,79 @@ def test_no_unused_imports():
     assert modules
     unused = {path.name: unused_imports(path.read_text()) for path in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _references(tree) -> Counter:
+    """How often code in tree names each identifier: as a variable, an
+    attribute or an import, or inside a dotted-name string such as the
+    benchmark tracer's "Fq.mul"."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and DOTTED_NAME.fullmatch(node.value):
+            out.update(node.value.split("."))
+    return out
+
+
+def unreferenced_definitions(defining: dict[str, ast.AST], others: list[ast.AST]) -> list[tuple[str, str]]:
+    """(module, name) of each function, class and method of the defining
+    modules (dunders aside) that no code in them or in others names outside
+    the definition itself."""
+    total = sum((_references(tree) for tree in [*defining.values(), *others]), Counter())
+    out = []
+    for module, tree in defining.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not (
+                    node.name.startswith("__") and node.name.endswith("__")):
+                if total[node.name] == _references(node)[node.name]:
+                    out.append((module, node.name))
+    return out
+
+
+# Definitions that only tests name, each with a test function that needs it.
+TEST_ONLY = {
+    "valuation": "test_arith.py::test_valuation",
+    "from_ints": "test_arith.py::test_irreducibility_examples",
+    "d0": "test_charpforms.py::test_d1_after_d0_is_zero",
+    "total_degree": "test_charpforms.py::oracle_in_B2",
+    "retraction": "test_funcfield.py::test_retraction_traces_vanish",
+    "finite": "test_funcfield.py::test_place_validation",
+    "value_at": "test_funcfield.py::test_class_group_ops",
+    "coordinate": "test_k2q.py::test_k2qclass_group_ops",
+    "norm_residue": "test_localsym.py::test_norm_residue_values",
+    "conic_local": "test_localsym.py::test_h_p_matches_congruence_oracle_small_primes",
+    "milnor_sign_class": "test_localsym.py::test_milnor_sign_class",
+    "mu_order": "test_localsym.py::test_place_validation",
+    "format_expression": "test_parsing.py::test_print_examples",
+    "eta_pullback": "test_regnum.py::test_eta_rejects_zero_or_pole_on_path",
+    "order_at": "test_regnum.py::test_order_at",
+    "tame_symbol_cx": "test_regnum.py::test_tame_symbol_frozen_examples",
+    "conjugate": "test_regnum.py::test_gaussrat_field_ops",
+}
+
+
+def test_no_unused_definitions():
+    toy = ast.parse("def used(): pass\ndef dead(n): return dead(n - 1)\n"
+                    "class A:\n    def __init__(self): pass\n    def m(self): return A\n"
+                    "TABLE = ('A.m',)\nused()\n")
+    assert unreferenced_definitions({"toy": toy}, []) == [("toy", "dead")]
+    root = Path(__file__).resolve().parent.parent
+    defining = {path.name: ast.parse(path.read_text()) for path in sorted((root / "src" / "k2sym").glob("*.py"))}
+    others = [ast.parse(path.read_text()) for folder in ("scripts", "benchmarks")
+              for path in sorted((root / folder).glob("*.py"))]
+    assert len(defining) > 1 and others
+    names = {name for _, name in unreferenced_definitions(defining, others)}
+    assert sorted(names) == sorted(TEST_ONLY)
+    for name, where in TEST_ONLY.items():
+        test_file, function = where.split("::")
+        tree = ast.parse((root / "tests" / test_file).read_text())
+        node = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function)
+        assert _references(node)[name], where

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import k2sym
-from k2sym import cli, regnum, zeta
+from k2sym import cli, funcfield, regnum, zeta
 from k2sym.cli import main
 
 REPORT_KEYS = {"certificates", "command", "inputs", "result", "schema", "status"}
@@ -83,6 +83,22 @@ def test_fflift_roundtrip(capsys):
     assert rep["certificates"] == {"roundtrip": True}
     terms = rep["result"]["terms"]
     assert terms == [[{"den": [1], "num": [3]}, {"den": [1], "num": [0, 1]}, 1]]
+
+
+def test_fflift_tests_each_key_once(capsys, monkeypatch):
+    # the parser's PlaceFq runs Rabin's test on each key; the class is then
+    # built on proven places, with no second test
+    calls = []
+    original = funcfield.is_irreducible
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(funcfield, "is_irreducible", counted)
+    code, _, rep = run(capsys, ["fflift", "--q", "5", "T+1:3", "T^2+2:T"])
+    assert code == 0 and rep["certificates"] == {"roundtrip": True}
+    assert len(calls) == 2
 
 
 def test_weil_product(capsys):
