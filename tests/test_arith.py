@@ -319,12 +319,9 @@ def test_pow_mod_refuses_a_negative_exponent(F):
 
 def _gauss_poly(rng, degree):
     """A random polynomial of the given degree over Q(i), small parts."""
-    def c():
-        return GaussRat.make(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
-    lead = c()
-    while lead == CX.zero:
-        lead = c()
-    return Poly(CX, [c() for _ in range(degree)] + [lead])
+    elements = _gauss_elements()
+    units = [c for c in elements if c != CX.zero]
+    return Poly(CX, [rng.choice(elements) for _ in range(degree)] + [rng.choice(units)])
 
 
 def test_poly_kernels_over_gaussian_rationals():
