@@ -4,36 +4,31 @@ local factors of {p, q} distribute for small odd primes."""
 import argparse
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from k2sym.arith import primes_below
 from k2sym.k2q import hilbert_reciprocity, quadratic_reciprocity
 
 
-@dataclass(frozen=True)
-class Config:
-    trials: int = 2000
-    bound: int = 10**6
-    prime_bound: int = 100
-    seed: int = 0
+# Numerators and denominators of the random pairs are drawn from 1..BOUND.
+BOUND = 10**6
 
 
-def random_product_check(cfg: Config) -> int:
-    rng = random.Random(cfg.seed)
+def random_product_check(trials: int, seed: int) -> int:
+    rng = random.Random(seed)
     violations = 0
-    for _ in range(cfg.trials):
-        x = Fraction(rng.randint(1, cfg.bound) * rng.choice([1, -1]), rng.randint(1, cfg.bound))
-        y = Fraction(rng.randint(1, cfg.bound) * rng.choice([1, -1]), rng.randint(1, cfg.bound))
+    for _ in range(trials):
+        x = Fraction(rng.randint(1, BOUND) * rng.choice([1, -1]), rng.randint(1, BOUND))
+        y = Fraction(rng.randint(1, BOUND) * rng.choice([1, -1]), rng.randint(1, BOUND))
         if hilbert_reciprocity(x, y).product != 1:
             violations += 1
             print(f"  product formula FAILED at x={x}, y={y}")
     return violations
 
 
-def sign_pattern_table(cfg: Config) -> Counter:
+def sign_pattern_table(prime_bound: int) -> Counter:
     patterns = Counter()
-    odd = [p for p in primes_below(cfg.prime_bound) if p > 2]
+    odd = [p for p in primes_below(prime_bound) if p > 2]
     for p in odd:
         for q in odd:
             if p >= q:
@@ -49,14 +44,13 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--prime-bound", type=int, default=100)
     args = ap.parse_args()
-    cfg = Config(trials=args.trials, seed=args.seed, prime_bound=args.prime_bound)
 
-    print(f"checking the product formula on {cfg.trials} random pairs ...")
-    bad = random_product_check(cfg)
+    print(f"checking the product formula on {args.trials} random pairs ...")
+    bad = random_product_check(args.trials, args.seed)
     print(f"  violations: {bad}")
 
-    print(f"\nlegendre sign patterns for unordered odd prime pairs below {cfg.prime_bound}:")
-    table = sign_pattern_table(cfg)
+    print(f"\nlegendre sign patterns for unordered odd prime pairs below {args.prime_bound}:")
+    table = sign_pattern_table(args.prime_bound)
     total = sum(table.values())
     for (a, b), n in sorted(table.items()):
         print(f"  ({a:+d}, {b:+d}): {n:5d}  ({n / total:.1%})")

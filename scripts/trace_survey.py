@@ -4,14 +4,8 @@ Frobenius traces, and confirm the degree identity deg(1 - q pi) against the
 zeta special value for every curve."""
 import argparse
 from collections import Counter
-from dataclasses import dataclass
 
 from k2sym.zeta import CurveFq, l_polynomial, tate_identity
-
-
-@dataclass(frozen=True)
-class Config:
-    primes: tuple = (5, 7, 11, 13)
 
 
 def survey(p: int) -> Counter:
@@ -31,7 +25,7 @@ def survey(p: int) -> Counter:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--primes", type=int, nargs="*", default=list(Config.primes))
+    ap.add_argument("--primes", type=int, nargs="*", default=[5, 7, 11, 13])
     args = ap.parse_args()
 
     for p in args.primes:

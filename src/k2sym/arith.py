@@ -796,25 +796,17 @@ _set_coeffs = Poly.coeffs.__set__
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin irreducibility over F_q: works for prime and prime-power q."""
-    F = f.field
-    if not isinstance(F, Fq):
+    """Irreducibility over F_q by the distinct-degree loop (Ben-Or): f of
+    degree n is irreducible iff it has no monic factor of degree <= n/2,
+    i.e. the loop finds f itself as its only part.  A repeated factor g^2
+    has deg g <= n/2, so the loop also rejects f that is not squarefree."""
+    if not isinstance(f.field, Fq):
         raise ValueError("irreducibility test requires a finite field")
     n = f.degree
     if n is NEG_INF or n < 1:
         return False
-    if n == 1:
-        return True
-    x = Poly.x(F)
     f = f.monic()
-    xq = x.pow_mod(F.q**n, f)
-    if xq != x % f:
-        return False
-    for ell in {p for p, _ in _factor_positive(n).items()}:
-        xql = x.pow_mod(F.q ** (n // ell), f)
-        if (xql - x).gcd(f).degree != 0:
-            return False
-    return True
+    return _distinct_degree(f) == [(f, n)]
 
 
 def irreducibles(F: Fq, degree: int):
@@ -850,7 +842,7 @@ def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
         g = (h - x % rest).gcd(rest)
         if g.degree != 0:
             out.append((g, d))
-            rest = (rest // g).monic()
+            rest = rest // g
             h = h % rest
     return out
 
@@ -866,7 +858,7 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> Poly:
             continue
         g = r.gcd(f)
         if 0 < g.degree < n:
-            return g.monic()
+            return g
         if F.char == 2:
             # trace map to F_2: sum of 2-power Frobenius images
             bits = F.k * d
@@ -880,14 +872,14 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> Poly:
             e = (F.q**d - 1) // 2
             g = (r.pow_mod(e, f) - one).gcd(f)
         if 0 < g.degree < n:
-            return g.monic()
+            return g
 
 
 def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     if f.degree == d:
-        return [f.monic()]
+        return [f]
     g = _equal_degree_split(f, d, rng)
-    return _equal_degree(g, d, rng) + _equal_degree((f // g).monic(), d, rng)
+    return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 
 
 def poly_factor(f: Poly) -> tuple:
@@ -918,11 +910,11 @@ def poly_factor(f: Poly) -> tuple:
             for g, e in sub:
                 exps[g] = exps.get(g, 0) + e * F.char
             break
-        radical = (remaining // remaining.gcd(d)).monic()
+        radical = remaining // remaining.gcd(d)
         for g, dd in _distinct_degree(radical):
             for irr in _equal_degree(g, dd, rng):
                 exps[irr] = exps.get(irr, 0) + 1
-        remaining = (remaining // radical).monic()
+        remaining = remaining // radical
     items = sorted(exps.items(), key=lambda ge: ge[0].sort_key())
     return lead, tuple(items)
 

@@ -3,11 +3,12 @@ rational function field k(T).
 
 Places are the monic irreducible polynomials plus a place at infinity with
 uniformizer 1/T; the residue field at a finite place pi is k[T]/(pi), and
-k itself at infinity.  The tame symbol at each place takes values in the
-residue field units.  At infinity it needs no change of chart: f has
-order a = deg den - deg num there, its unit part takes the value
-c(f) = lc(num)/lc(den) (the leading-coefficient retraction), and the
-symbol of f and g is (-1)^{ab} c(f)^b c(g)^{-a}.
+k itself, as k[T]/(T), at infinity.  The tame symbol at each place takes
+values in the residue field units, by one evaluation for every place.  At
+infinity it needs no change of chart: f has order a = deg den - deg num
+there, its unit part takes the value c(f) = lc(num)/lc(den) (the
+leading-coefficient retraction), and the symbol of f and g is
+(-1)^{ab} c(f)^b c(g)^{-a}.
 
 K_2(F_q(T)) decomposes as the direct sum of the residue unit groups over
 the finite places -- exactly, with no extra summand, because K_2 of a
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Final
 
-from .arith import Fq, Poly, RatFunc, _unchecked, field, generator, is_irreducible, poly_factor
+from .arith import FIELD_LIMIT, Fq, Poly, RatFunc, _unchecked, field, generator, is_irreducible, poly_factor
 
 # Returned by steinberg_witness over fields of characteristic 2, where the
 # relation {zeta, zeta} = {zeta, -zeta} = 0 is immediate and no quadratic
@@ -43,7 +44,7 @@ class PlaceFq:
     """A place of a rational function field k(T): a monic irreducible
     polynomial, or infinity.
 
-    PlaceFq(pi) and PlaceFq.finite(pi) run Rabin's test, so they need k
+    PlaceFq(pi) runs the distinct-degree irreducibility test, so it needs k
     finite.  A place whose polynomial is already known to be monic
     irreducible (a factor out of poly_factor, or z - a over Q(i)) is built
     by arith._unchecked(PlaceFq, pi=pi), which skips the test.
@@ -54,10 +55,6 @@ class PlaceFq:
     def __post_init__(self):
         if self.pi is not None:
             _check_place(self.pi)
-
-    @staticmethod
-    def finite(pi: Poly) -> "PlaceFq":
-        return PlaceFq(pi)
 
     @staticmethod
     def infinity() -> "PlaceFq":
@@ -78,7 +75,7 @@ class PlaceFq:
 
 
 def _check_place(pi: Poly) -> None:
-    """Rabin's test: pi must be monic irreducible."""
+    """The distinct-degree test: pi must be monic irreducible."""
     if not pi.is_monic() or not is_irreducible(pi):
         raise ValueError(f"not a monic irreducible: {pi}")
 
@@ -108,16 +105,25 @@ def _strip(f: Poly, pi: Poly) -> tuple[Poly, int]:
     return f, m
 
 
+def _order_and_units(f: RatFunc, place: PlaceFq) -> tuple[int, Poly, Poly]:
+    """(a, n, d) with f = u^a n/d, u a uniformizer at the place and n, d
+    units there, for nonzero f.  At pi: u = pi, and n, d are num and den with
+    pi stripped out.  At infinity: u = 1/T, a = deg den - deg num, and n, d
+    are the constants lc(num), lc(den), the values at u = 0 of the units."""
+    if place.pi is None:
+        F = f.field
+        return f.den.degree - f.num.degree, Poly.const(F, f.num.lc()), Poly.const(F, f.den.lc())
+    n, a = _strip(f.num, place.pi)
+    d, b = _strip(f.den, place.pi)
+    return a - b, n, d
+
+
 def ff_valuation(f, place: PlaceFq) -> int:
     """Order of vanishing of a nonzero rational function at the place."""
     f = as_ratfunc(f)
     if f.is_zero():
         raise ValueError("valuation of 0")
-    if place.is_infinite:
-        return f.den.degree - f.num.degree
-    _, a = _strip(f.num, place.pi)
-    _, b = _strip(f.den, place.pi)
-    return a - b
+    return _order_and_units(f, place)[0]
 
 
 def _residue_inv(a: Poly, pi: Poly) -> Poly:
@@ -142,45 +148,34 @@ def _residue_inv(a: Poly, pi: Poly) -> Poly:
     return s0.scale(F.inv(r0.coeffs[0]))
 
 
-def tame_ff(f, g, place: PlaceFq) -> Poly:
-    """Tame symbol at a place of k(T), valued in the residue field.
+def _modulus(place: PlaceFq, F) -> Poly:
+    """The polynomial whose quotient of k[T] is the residue field: pi, or
+    T at infinity, where the unit parts are constants."""
+    return Poly.x(F) if place.pi is None else place.pi
 
-    At a finite place pi: the class of (-1)^{v(f)v(g)} f^{v(g)} g^{-v(f)}
-    in k[T]/(pi), returned as the reduced representative.  At infinity:
-    (-1)^{ab} c(f)^b c(g)^{-a}, with a and b the orders of f and g there and
-    c the leading-coefficient retraction, since in U = 1/T the function f is
-    U^a times a unit whose value at U = 0 is c(f).  The result is a
-    constant polynomial whose value lies in k.
+
+def tame_ff(f, g, place: PlaceFq) -> Poly:
+    """Tame symbol at a place of k(T), valued in the residue field: the
+    class of (-1)^{v(f)v(g)} f^{v(g)} g^{-v(f)}, returned as the reduced
+    representative.  At a finite place pi the residue field is k[T]/(pi).
+    Infinity is the place U = 0 of U = 1/T: there f is U^a times a unit
+    whose value at U = 0 is c(f), the leading-coefficient retraction, so the
+    symbol is (-1)^{ab} c(f)^b c(g)^{-a}, a constant polynomial in k.
     """
     f, g = as_ratfunc(f), as_ratfunc(g)
     if f.is_zero() or g.is_zero():
         raise ValueError("tame symbol needs nonzero arguments")
-    if not place.is_infinite:
-        return tame_with_orders(f, g, place.pi)[2]
+    return tame_with_orders(f, g, place)[2]
+
+
+def tame_with_orders(f: RatFunc, g: RatFunc, place: PlaceFq) -> tuple[int, int, Poly]:
+    """(v(f), v(g), tame symbol) at the place, for nonzero f and g.  The
+    unit parts are reduced mod pi, or mod T at infinity, where the residue
+    field k = k[T]/(T) holds the leading-coefficient constants."""
     F = f.field
-    a, b = ff_valuation(f, place), ff_valuation(g, place)
-    # c(f)^b c(g)^-a as top / bottom over the four leading coefficients,
-    # with one inversion
-    top = Poly.const(F, F.one if (a * b) % 2 == 0 else F.neg(F.one))
-    bottom = Poly.const(F, F.one)
-    for lc, e in ((f.num.lc(), b), (f.den.lc(), -b), (g.num.lc(), -a), (g.den.lc(), a)):
-        if e > 0:
-            top = top * Poly.const(F, lc) ** e
-        elif e < 0:
-            bottom = bottom * Poly.const(F, lc) ** -e
-    return top.scale(F.inv(bottom.constant_value()))
-
-
-def tame_with_orders(f: RatFunc, g: RatFunc, pi: Poly) -> tuple[int, int, Poly]:
-    """(v(f), v(g), tame symbol) at the finite place pi, for nonzero f and
-    g, from one strip of pi out of each of the four polynomials."""
-    F = pi.field
-    fn, a_num = _strip(f.num, pi)
-    fd, a_den = _strip(f.den, pi)
-    gn, b_num = _strip(g.num, pi)
-    gd, b_den = _strip(g.den, pi)
-    a = a_num - a_den
-    b = b_num - b_den
+    a, fn, fd = _order_and_units(f, place)
+    b, gn, gd = _order_and_units(g, place)
+    pi = _modulus(place, F)
     # (-1)^(ab) fn^b fd^-b gn^-a gd^a as top / bottom, with one inversion
     top = Poly.const(F, F.one if (a * b) % 2 == 0 else F.neg(F.one))
     bottom = None
@@ -195,16 +190,15 @@ def tame_with_orders(f: RatFunc, g: RatFunc, pi: Poly) -> tuple[int, int, Poly]:
 
 def residue_norm(value: Poly, place: PlaceFq) -> int:
     """Norm of a residue-field unit down to F_q^*, by the exponent formula
-    x -> x^((q^d - 1)/(q - 1)).  Returns the F_q encoding."""
+    x -> x^((q^d - 1)/(q - 1)) mod pi, or mod T at infinity.  Returns the
+    F_q encoding."""
     F = value.field
-    if place.is_infinite or place.degree == 1:
-        v = value % place.pi if place.pi is not None else value
-        if not v.is_constant():
-            raise ValueError("degree-1 residue value must be constant")
-        return v.constant_value()
+    pi = _modulus(place, F)
+    if place.degree == 1:
+        return (value % pi).constant_value()
     d = place.degree
     e = (F.q**d - 1) // (F.q - 1)
-    nm = value.pow_mod(e, place.pi)
+    nm = value.pow_mod(e, pi)
     if not nm.is_constant():
         raise ArithmeticError("norm did not land in the base field")
     return nm.constant_value()
@@ -288,8 +282,8 @@ class K2FFClass:
 
     @staticmethod
     def _at_places(base: Fq, entries: dict[Poly, Poly]) -> "K2FFClass":
-        """make, for keys already known to be places; the key test, Rabin's,
-        is skipped (arith._unchecked)."""
+        """make, for keys already known to be places; the key test, the
+        distinct-degree one, is skipped (arith._unchecked)."""
         one = Poly.const(base, base.one)
         items = []
         for pi, v in entries.items():
@@ -427,25 +421,31 @@ def lift_ff(base: Fq, target: K2FFClass) -> FFSymbolExpr:
 # K_2 of the finite field itself is trivial: witnesses and reduction.
 
 
-def _check_zeta(F: Fq, zeta: int | None) -> None:
-    """A given zeta must encode a unit of F: 1..q-1."""
+def _witness_field(q: int, zeta: int | None) -> Fq:
+    """F_q for the witness search and the counting bound, which scan F_q:
+    q is at most FIELD_LIMIT, prime fields included, and a given zeta must
+    encode a unit of F_q, 1..q-1."""
+    F = field(q)
+    if F.q > FIELD_LIMIT:
+        raise ValueError(f"the witness search scans F_q: q = {F.q} exceeds the bound {FIELD_LIMIT}")
     if zeta is not None and not 1 <= zeta < F.q:
         raise ValueError(f"zeta must encode a unit of F_{F.q}, 1..{F.q - 1}; got {zeta}")
+    return F
 
 
 def steinberg_witness(q: int, zeta: int | None = None):
     """For odd q: the first pair (x, y) of units with zeta x^2 + zeta y^2 = 1.
 
-    zeta defaults to the generator; a given zeta must encode a unit
-    (1..q-1), else ValueError.  For a non-square zeta such a pair exists
-    by counting: zeta*squares and 1 - zeta*squares are sets of size
-    (q+1)/2 each, so they intersect; x = 0 or y = 0 would make zeta a
-    square.  A square zeta may have no witness (q = 5, zeta = 1), which is
-    a ValueError.  For even q returns the CHAR2 marker: there -zeta = zeta,
-    so {zeta, zeta} = {zeta, -zeta} = 0 with no witness needed.
+    q must be at most FIELD_LIMIT, and zeta defaults to the generator; a
+    given zeta must encode a unit (1..q-1), else ValueError.  For a
+    non-square zeta such a pair exists by counting: zeta*squares and
+    1 - zeta*squares are sets of size (q+1)/2 each, so they intersect;
+    x = 0 or y = 0 would make zeta a square.  A square zeta may have no
+    witness (q = 5, zeta = 1), which is a ValueError.  For even q returns
+    the CHAR2 marker: there -zeta = zeta, so {zeta, zeta} = {zeta, -zeta}
+    = 0 with no witness needed.
     """
-    F = field(q)
-    _check_zeta(F, zeta)
+    F = _witness_field(q, zeta)
     if F.q % 2 == 0:
         return CHAR2
     if zeta is None:
@@ -474,8 +474,7 @@ class CountingBound:
 
 
 def counting_bound(q: int, zeta: int | None = None) -> CountingBound:
-    F = field(q)
-    _check_zeta(F, zeta)
+    F = _witness_field(q, zeta)
     if zeta is None:
         zeta = generator(F)
     s1 = {F.mul(zeta, F.mul(x, x)) for x in F.elements()}

@@ -411,7 +411,7 @@ def _orders_and_tame(f: RatFunc, g: RatFunc, a: GaussRat) -> tuple[int, int, Gau
     strip of z - a out of each of the four polynomials."""
     if f.is_zero() or g.is_zero():
         raise ValueError("tame symbol needs nonzero functions")
-    m, n, value = tame_with_orders(f, g, _place(a).pi)
+    m, n, value = tame_with_orders(f, g, _place(a))
     return m, n, value.constant_value()
 
 

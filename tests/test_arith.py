@@ -392,19 +392,16 @@ def test_irreducibility_examples():
 
 def test_irreducible_matches_trial_division_oracle():
     # brute force: f of degree n is irreducible iff no monic divisor of
-    # degree 1..n-1 divides it
-    for q in [2, 3, 5]:
+    # degree 1..n-1 divides it.  Degree 4 includes the squares of degree-2
+    # irreducibles, whose factor sits exactly at the distinct-degree bound n/2.
+    for q, degree in [(2, 3), (3, 3), (5, 3), (2, 4), (3, 4), (4, 3), (4, 4)]:
         F = field(q)
-        for n in range(q**3):
-            coeffs = [(n // q**i) % q for i in range(3)]
+        divisors = [Poly(F, [(m // q**i) % q for i in range(d)] + [1])
+                    for d in range(1, degree) for m in range(q**d)]
+        for n in range(q**degree):
+            coeffs = [(n // q**i) % q for i in range(degree)]
             f = Poly(F, coeffs + [1])
-            has_divisor = False
-            for d in (1, 2):
-                for m in range(q**d):
-                    dc = [(m // q**i) % q for i in range(d)]
-                    g = Poly(F, dc + [1])
-                    if (f % g).is_zero():
-                        has_divisor = True
+            has_divisor = any((f % g).is_zero() for g in divisors)
             assert is_irreducible(f) == (not has_divisor), (q, f)
 
 
@@ -416,23 +413,31 @@ def test_poly_factor_t2_plus_1_over_f5():
 
 
 def test_poly_factor_reconstructs_and_factors_irreducible():
-    import random
-
     rng = random.Random(7)
+    inputs = []
     for q in [2, 3, 4, 5, 9]:
         F = field(q)
         for _ in range(40):
-            coeffs = [rng.randrange(q) for _ in range(rng.randint(1, 7))]
-            f = Poly(F, coeffs)
-            if f.is_zero():
-                continue
-            lead, fac = poly_factor(f)
-            prod = Poly.const(F, lead)
-            for g, e in fac:
-                assert is_irreducible(g), (q, g)
-                assert g.is_monic()
-                prod = prod * g**e
-            assert prod == f, (q, coeffs)
+            f = Poly(F, [rng.randrange(q) for _ in range(rng.randint(1, 7))])
+            if not f.is_zero():
+                inputs.append(f)
+    # non-monic c g^p h^2 over F_4 and F_9: the p-th-root branch and the
+    # repeated-factor loop, on factors that arrive monic
+    for q in [4, 9]:
+        F = field(q)
+        irr = [g for d in (1, 2) for g in irreducibles(F, d)]
+        for _ in range(12):
+            g, h = rng.sample(irr, 2)
+            inputs.append(Poly.const(F, rng.randrange(2, q)) * g**F.char * h**2)
+    for f in inputs:
+        F = f.field
+        lead, fac = poly_factor(f)
+        prod = Poly.const(F, lead)
+        for g, e in fac:
+            assert is_irreducible(g), (F.q, g)
+            assert g.is_monic()
+            prod = prod * g**e
+        assert prod == f, (F.q, f)
 
 
 def test_poly_factor_with_multiplicity_char2():
@@ -698,7 +703,6 @@ TEST_ONLY = {
     "d0": "test_charpforms.py::test_d1_after_d0_is_zero",
     "total_degree": "test_charpforms.py::oracle_in_B2",
     "retraction": "test_funcfield.py::test_retraction_traces_vanish",
-    "finite": "test_funcfield.py::test_place_validation",
     "value_at": "test_funcfield.py::test_class_group_ops",
     "coordinate": "test_k2q.py::test_k2qclass_group_ops",
     "norm_residue": "test_localsym.py::test_norm_residue_values",

@@ -86,8 +86,8 @@ def test_fflift_roundtrip(capsys):
 
 
 def test_fflift_tests_each_key_once(capsys, monkeypatch):
-    # the parser's PlaceFq runs Rabin's test on each key; the class is then
-    # built on proven places, with no second test
+    # the parser's PlaceFq runs the irreducibility test on each key; the
+    # class is then built on proven places, with no second test
     calls = []
     original = funcfield.is_irreducible
 
@@ -141,13 +141,14 @@ def test_dilog_catalan(capsys):
         ["fflift", "--q", "5", "2*T:1"],
         ["fflift", "--q", "5", "T^2+1:6"],
         ["fflift", "--q", "5", "0:1"],
+        ["steinberg", "--q", "1000003"],
     ],
     ids=["syntax", "bad-place", "singular-curve", "not-closed", "div-zero", "field-too-large",
          "deep-nesting", "huge-exponent", "reducible-key", "non-monic-key", "repeated-prime",
          "repeated-place", "square-zeta-without-witness", "zeta-zero", "zeta-beyond-field",
          "zeta-beyond-q", "composite-key-trivial", "key-2-trivial", "key-4-trivial",
          "key-0", "reducible-key-trivial", "non-monic-key-trivial", "split-key-trivial",
-         "zero-key"],
+         "zero-key", "steinberg-beyond-field-limit"],
 )
 def test_invalid_inputs_exit_2(capsys, argv):
     code, _, rep = run(capsys, argv)
