@@ -1,0 +1,180 @@
+#!/usr/bin/env python3
+"""Re-run the catalogue of hand-made mutants against the tests that kill them.
+
+Each entry names a file under src/k2sym, an exact text in it, the text that
+replaces it, and the test node ids that must fail once it is replaced.  The
+script copies src/, tests/, scripts/, benchmarks/ and pyproject.toml to a
+temporary directory, applies one entry at a time there, runs only that
+entry's nodes, and prints one line per entry:
+
+    killed    the nodes failed
+    survived  the nodes passed: the tests no longer see the mutant
+    stale     the old text is not in the file exactly once, or a node names
+              a test function that does not exist; re-aim the entry
+    error     pytest stopped without a test result (exit 2 to 5)
+
+Before any mutant, the chosen entries' nodes run once on the unmutated
+copy; if they do not all pass, no mutant is run.
+
+    python3 scripts/mutants.py                  # every entry
+    python3 scripts/mutants.py legendre-euler   # the named entries
+    python3 scripts/mutants.py --check          # stale entries only, no tests
+
+Exits 1 when any entry is not killed (with --check, when any is stale).
+The working tree is never modified.
+"""
+import argparse
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "scripts", "benchmarks", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str   # relative to src/k2sym
+    old: str
+    new: str
+    nodes: tuple[str, ...]
+
+
+CATALOGUE = (
+    Mutant("cartier-den-power", "charpforms.py",
+           "P = h.num * h.den ** (p - 1)",
+           "P = h.num * h.den ** p",
+           ("tests/test_charpforms.py::test_cartier_semilinearity",)),
+    Mutant("square-scale-abs", "quadforms.py",
+           "t *= Fraction(p) ** (e // 2)",
+           "t *= Fraction(p) ** (abs(e) // 2)",
+           ("tests/test_quadforms.py::test_point_search_fractional_coefficients",)),
+    Mutant("square-class-numerator-only", "quadforms.py",
+           "        if e % 2:\n            sf *= p",
+           "        if e % 2 and e > 0:\n            sf *= p",
+           ("tests/test_quadforms.py::test_congruence_obstruction_matches_oracle",)),
+    Mutant("legendre-euler", "arith.py",
+           "r = pow(a, (p - 1) // 2, p)",
+           "r = pow(a, (p + 1) // 2, p)",
+           ("tests/test_arith.py::test_legendre_matches_exhaustion_for_p_below_100",)),
+    Mutant("tame-sign", "localsym.py",
+           "return p - t if a * b % 2 else t",
+           "return t",
+           ("tests/test_localsym.py::test_tame_examples",)),
+    Mutant("s2-omega-swap", "localsym.py",
+           "omega_u * b + omega_w * a",
+           "omega_u * a + omega_w * b",
+           ("tests/test_localsym.py::test_s_2_examples",)),
+    Mutant("zech-last-row", "arith.py",
+           "for k in range(len(rem) - 1, db - 1, -1):\n            r = rem[k]",
+           "for k in range(len(rem) - 1, db, -1):\n            r = rem[k]",
+           ("tests/test_arith.py::test_poly_kernels_match_schoolbook[9]",)),
+    Mutant("mod-on-divmod", "arith.py",
+           "return Poly._trusted(F, F.poly_rem(self.coeffs, other.coeffs))",
+           "return Poly._trusted(F, F.poly_divmod(self.coeffs, other.coeffs)[1])",
+           ("tests/test_arith.py::test_remainder_paths_build_no_quotient",)),
+    Mutant("local-data-zero", "localsym.py",
+           "x = _as_nonzero_fraction(x)\n    _, fac = factorize(x)",
+           "x = Fraction(x)\n    _, fac = factorize(x)",
+           ("tests/test_cli.py::test_invalid_inputs_exit_2[zero-reciprocity]",
+            "tests/test_cli.py::test_invalid_inputs_exit_2[zero-quaternion]",
+            "tests/test_cli.py::test_invalid_inputs_exit_2[zero-pfister]")),
+    Mutant("conic-height", "quadforms.py",
+           "if height_bound < 1:",
+           "if height_bound < -10**9:",
+           ("tests/test_cli.py::test_invalid_inputs_exit_2[conic-height-0]",)),
+)
+
+
+def _test_functions(test_file: Path) -> set[str]:
+    tree = ast.parse(test_file.read_text())
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def stale_reason(m: Mutant, root: Path = ROOT) -> str | None:
+    """Why the entry no longer applies to the tree at root, or None."""
+    source = root / "src" / "k2sym" / m.path
+    if not source.is_file():
+        return f"no file {m.path}"
+    count = source.read_text().count(m.old)
+    if count != 1:
+        return f"old text found {count} times in {m.path}"
+    for node in m.nodes:
+        test_path, _, test = node.partition("::")
+        test_file = root / test_path
+        if not test_file.is_file() or test.split("[")[0] not in _test_functions(test_file):
+            return f"no test {node}"
+    return None
+
+
+def run_nodes(nodes, work: Path) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *nodes],
+                          cwd=work, env=env, capture_output=True, text=True)
+
+
+def run_mutant(m: Mutant, work: Path) -> str:
+    """Apply m in the copy at work, run its nodes, restore the file."""
+    source = work / "src" / "k2sym" / m.path
+    original = source.read_text()
+    source.write_text(original.replace(m.old, m.new))
+    try:
+        code = run_nodes(m.nodes, work).returncode
+    finally:
+        source.write_text(original)
+    return {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("names", nargs="*", help="entries to run (default: all)")
+    ap.add_argument("--check", action="store_true", help="report stale entries without running tests")
+    args = ap.parse_args()
+
+    known = {m.name: m for m in CATALOGUE}
+    unknown = [n for n in args.names if n not in known]
+    if unknown:
+        ap.error(f"unknown entries {unknown}; known: {sorted(known)}")
+    chosen = [known[n] for n in args.names] if args.names else list(CATALOGUE)
+
+    bad = 0
+    if args.check:
+        for m in chosen:
+            reason = stale_reason(m)
+            print(f"{'stale' if reason else 'ok':9s} {m.name}" + (f": {reason}" if reason else ""))
+            bad += reason is not None
+        return 1 if bad else 0
+
+    with tempfile.TemporaryDirectory(prefix="k2sym-mutants-") as tmp:
+        work = Path(tmp)
+        for item in COPIED:
+            src = ROOT / item
+            if src.is_dir():
+                shutil.copytree(src, work / item, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+            else:
+                shutil.copy2(src, work / item)
+        start = time.perf_counter()
+        nodes = sorted({node for m in chosen for node in m.nodes})
+        baseline = run_nodes(nodes, work)
+        if baseline.returncode != 0:
+            print(baseline.stdout[-2000:])
+            print(f"the unmutated tree fails its nodes (pytest exit {baseline.returncode}): no mutant run")
+            return 1
+        for m in chosen:
+            reason = stale_reason(m, work)
+            t = time.perf_counter()
+            outcome = f"stale: {reason}" if reason else run_mutant(m, work)
+            print(f"{outcome:9s} {m.name}  ({time.perf_counter() - t:.1f} s)", flush=True)
+            bad += outcome != "killed"
+        print(f"{len(chosen) - bad} of {len(chosen)} killed in {time.perf_counter() - start:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -187,15 +187,18 @@ def valuation(x: int | Fraction, p: int) -> int:
     return _split(x, p)[0]
 
 
+def _legendre(a: int, p: int) -> int:
+    """Euler's criterion a^((p-1)/2) mod p as 0, 1 or -1, for an odd prime
+    p that the caller has checked."""
+    r = pow(a, (p - 1) // 2, p)
+    return r if r <= 1 else -1
+
+
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for odd prime p, via Euler's criterion."""
+    """Legendre symbol (a/p) for odd prime p."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
+    return _legendre(a, p)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ the Cartier operator C.  In two variables Omega^2 is top degree, so every
                        when p | i+1 and p | j+1, else 0
 
 with coefficients passing through unchanged (F_p is its own p-th roots).
-Rational coefficients reduce to the polynomial case by clearing the
-denominator to a p-th power and using semilinearity C(u^p w) = u C(w).
+Rational coefficients reduce to the polynomial case by semilinearity
+C(u^p w) = u C(w): C(h w) = C(num den^(p-1) w) / den, one coefficient (and
+its own denominator) at a time, by one rule for both degrees.
 Ker C on closed forms is exactly the space of exact forms, which turns
 B-membership and the fixed-point test for nu = Ker(gamma - Id) into
 finite computations.
@@ -394,42 +395,30 @@ def dlog2(f: MultiRatFunc, g: MultiRatFunc) -> Form2:
     return Form2(a.ds * b.dt - a.dt * b.ds)
 
 
-def _cartier_terms(P: BiPoly, shift_s: int, shift_t: int) -> BiPoly:
-    """Keep monomials with p | i+shift_s and p | j+shift_t, dividing the
-    shifted exponents by p.  Coefficients are their own p-th roots."""
-    p = P.p
+def _cartier(h: MultiRatFunc, shift_s: int, shift_t: int) -> MultiRatFunc:
+    """C of h ds^dt (shifts 1, 1), h ds (1, 0) or h dt (0, 1), as the new
+    coefficient: the monomial rule on P = num den^(p-1), then a division
+    by den, since h = P / den^p."""
+    p = h.p
+    P = h.num * h.den ** (p - 1)
     out = {}
     for (i, j), c in P.terms:
         if (i + shift_s) % p == 0 and (j + shift_t) % p == 0:
-            out[((i + shift_s) // p - (1 if shift_s else 0), (j + shift_t) // p - (1 if shift_t else 0))] = c
-    return BiPoly.make(p, out)
+            out[((i + shift_s) // p - shift_s, (j + shift_t) // p - shift_t)] = c
+    return MultiRatFunc(_kernel(p, out), h.den)
 
 
 def cartier2(w: Form2) -> Form2:
     """The Cartier operator on 2-forms (all closed in two variables)."""
-    h = w.h
-    if h.is_zero():
-        return w
-    p = h.p
-    P = h.num * h.den ** (p - 1)  # h = P / den^p
-    C = _cartier_terms(P, 1, 1)
-    return Form2(MultiRatFunc(C, h.den))
+    return Form2(_cartier(w.h, 1, 1))
 
 
 def cartier1(w: Form1) -> Form1:
-    """The Cartier operator on closed 1-forms; raises off Z^1."""
+    """The Cartier operator on closed 1-forms; raises off Z^1.  Each
+    component clears its own denominator: C(f ds + g dt) = C(f ds) + C(g dt)."""
     if not d1(w).is_zero():
         raise ValueError("1-form is not closed")
-    f, g = w.ds, w.dt
-    p = f.p
-    gd = bipoly_gcd(f.den, g.den)
-    D = f.den * g.den.exact_div(gd)
-    Dp = D**p
-    P = f.num * Dp.exact_div(f.den)
-    Q = g.num * Dp.exact_div(g.den)
-    Cs = _cartier_terms(P, 1, 0)
-    Ct = _cartier_terms(Q, 0, 1)
-    return Form1(MultiRatFunc(Cs, D), MultiRatFunc(Ct, D))
+    return Form1(_cartier(w.ds, 1, 0), _cartier(w.dt, 0, 1))
 
 
 def in_B2(w: Form2) -> bool:

@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import _unchecked, is_prime, legendre
+from .arith import _legendre, _unchecked, is_prime, legendre
 from .localsym import (
     LocalData,
     PlaceQ,
-    _legendre,
     _residue,
     _residue8,
     _s2,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import _split, _unchecked, factorize, is_prime
+from .arith import _legendre, _split, _unchecked, factorize, is_prime
 
 
 @dataclass(frozen=True)
@@ -126,10 +126,6 @@ def _tame(a: int, u: int, b: int, w: int, p: int) -> int:
     """(-1)^{ab} u^b w^{-a} mod p: the tame symbol of p^a u and p^b w."""
     t = pow(u, b, p) * pow(w, -a, p) % p
     return p - t if a * b % 2 else t
-
-
-def _legendre(u: int, p: int) -> int:
-    return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
 
 
 def _h(a: int, u: int, b: int, w: int, p: int) -> int:
@@ -252,8 +248,8 @@ class LocalData(NamedTuple):
 
 def local_data(x) -> LocalData:
     """Factor a nonzero rational once, for evaluation at every place."""
-    x = Fraction(x)
-    _, fac = factorize(x)  # raises ValueError on 0
+    x = _as_nonzero_fraction(x)
+    _, fac = factorize(x)
     return LocalData(x.numerator, x.denominator, dict(fac.factors))
 
 

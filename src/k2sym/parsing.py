@@ -313,7 +313,7 @@ def parse_gauss_ratfunc(text: str) -> RatFunc:
         lambda n: ratfunc_z([n]),
         {
             "z": lambda: ratfunc_z([0, 1]),
-            "i": lambda: RatFunc.from_poly(poly_z([GaussRat.make(0, 1)])),
+            "i": lambda: RatFunc.from_poly(poly_z([GaussRat(0, 1)])),
         },
         "here; use z and i",
     )

@@ -154,13 +154,20 @@ def square_class(r) -> int:
     return _disc_class([local_data(r)])
 
 
-def _square_scale(r: Fraction) -> tuple[int, Fraction]:
-    """Write r = sf * t^2 with sf squarefree; returns (sf, t), t > 0."""
-    sf = square_class(r)
-    t2 = r / sf
-    t = Fraction(isqrt(t2.numerator), isqrt(t2.denominator))
-    assert t * t == t2
-    return sf, t
+def _square_scale(r: Fraction) -> tuple[int, Fraction, list[int]]:
+    """Write r = sf * t^2 with sf a squarefree integer and t > 0, from one
+    factorization of r != 0: returns (sf, t, odd), where t = prod p^(e // 2)
+    (negative exponents included) and odd lists the odd primes of sf."""
+    sf, fac = factorize(r)
+    t = Fraction(1)
+    odd = []
+    for p, e in fac.factors:
+        t *= Fraction(p) ** (e // 2)
+        if e % 2:
+            sf *= p
+            if p != 2:
+                odd.append(p)
+    return sf, t, odd
 
 
 @dataclass(frozen=True)
@@ -321,18 +328,13 @@ def conic_congruence_obstruction(x, y):
     support.  A returned obstruction is unconditional (a rational point
     would reduce to a primitive solution at every modulus).
     """
-    x, y = Fraction(x), Fraction(y)
-    xs, _ = _square_scale(x)
-    ys, _ = _square_scale(y)
+    xs, _, x_odd = _square_scale(Fraction(x))
+    ys, _, y_odd = _square_scale(Fraction(y))
     if xs < 0 and ys < 0:
         return "real: both coefficients negative"
     if _congruence_obstruction_2(xs, ys):
         return "no primitive solution mod 64"
-    primes = set()
-    for c in (xs, ys):
-        _, fac = factorize(c)
-        primes.update(p for p in fac.primes() if p != 2)
-    for p in sorted(primes):
+    for p in sorted({*x_odd, *y_odd}):
         if _congruence_obstruction_odd(xs, ys, p):
             return f"no primitive solution at {p}"
     return None
@@ -349,10 +351,12 @@ def conic_point_search(x, y, height_bound: int):
     x, y = Fraction(x), Fraction(y)
     if x == 0 or y == 0:
         raise ValueError("conic coefficients must be nonzero")
+    if height_bound < 1:
+        raise ValueError(f"height bound must be at least 1, got {height_bound}")
     if conic_congruence_obstruction(x, y) is not None:
         return None
-    xs, tx = _square_scale(x)
-    ys, ty = _square_scale(y)
+    xs, tx, _ = _square_scale(x)
+    ys, ty, _ = _square_scale(y)
     # solve xs r^2 + ys s^2 = c^2 in integers, then (R, S) = (r/(c tx), s/(c ty))
     for H in range(1, height_bound + 1):
         for r in range(H, -1, -1):

@@ -34,7 +34,9 @@ from .arith import Poly, PolyKernels, RatFunc, _unchecked, bernoulli
 from .funcfield import PlaceFq, ff_valuation, tame_with_orders
 
 CONVERGENCE_TARGET = 1e-9
+FIRST_SAMPLES = 64
 MAX_SAMPLES = 2**20
+RESIDUE_TOLERANCE = 1e-6
 
 
 class GaussRat:
@@ -42,8 +44,8 @@ class GaussRat:
 
     Stored on integers as (a + b*i)/d with d > 0 and gcd(a, b, d) = 1, so
     each operation reduces once, by one gcd (Knuth, TAOCP vol. 2, 4.5.1).
-    re and im read as Fractions; GaussRat(re, im) and make take anything
-    Fraction takes.  Equality, hashing and repr are those of the pair
+    re and im read as Fractions; GaussRat(re, im) takes anything Fraction
+    takes.  Equality, hashing and repr are those of the pair
     (re, im)."""
 
     __slots__ = ("a", "b", "d")
@@ -55,10 +57,6 @@ class GaussRat:
         re, im = Fraction(re), Fraction(im)
         d = lcm(re.denominator, im.denominator)
         _set_parts(self, re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
-
-    @staticmethod
-    def make(re, im=0) -> "GaussRat":
-        return GaussRat(re, im)
 
     def __setattr__(self, *a):
         raise AttributeError("GaussRat is immutable")
@@ -160,12 +158,12 @@ class GaussField(PolyKernels):
     divmod, pow_mod, gcd) are the generic ones of PolyKernels."""
 
     char = 0
-    zero = GaussRat.make(0)
-    one = GaussRat.make(1)
-    i = GaussRat.make(0, 1)
+    zero = GaussRat(0)
+    one = GaussRat(1)
+    i = GaussRat(0, 1)
 
     def from_int(self, n):
-        return GaussRat.make(n)
+        return GaussRat(n)
 
     def add(self, a, b):
         return a + b
@@ -183,7 +181,7 @@ class GaussField(PolyKernels):
         return a.inverse()
 
     def div(self, a, b):
-        return a * b.inverse()
+        return a / b
 
     def __repr__(self):
         return "Q(i)"
@@ -199,14 +197,14 @@ CX = GaussField()
 
 
 def gauss(re, im=0) -> GaussRat:
-    return GaussRat.make(re, im)
+    return GaussRat(re, im)
 
 
 def poly_z(coeffs) -> Poly:
     """Polynomial in z from ints, Fractions, or GaussRat, little-endian."""
     out = []
     for c in coeffs:
-        out.append(c if isinstance(c, GaussRat) else GaussRat.make(c))
+        out.append(c if isinstance(c, GaussRat) else GaussRat(c))
     return Poly(CX, out)
 
 
@@ -271,21 +269,18 @@ def bloch_wigner(z) -> float:
 
 @dataclass(frozen=True)
 class Loop:
-    """Circle center + radius e^(i orientation theta), sampled dyadically."""
+    """Circle center + radius e^(i orientation theta).  loop_integral
+    samples it dyadically, from FIRST_SAMPLES equally spaced angles up."""
 
     center: complex
     radius: float
     orientation: int = 1
-    samples: int = 64
 
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("radius must be positive")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
-        s = self.samples
-        if s < 4 or s & (s - 1):
-            raise ValueError("samples must be a power of two, at least 4")
 
     def point(self, theta: float) -> complex:
         return self.center + self.radius * cmath.exp(1j * self.orientation * theta)
@@ -378,7 +373,7 @@ def loop_integral(f: RatFunc, g: RatFunc, loop: Loop) -> LoopIntegral:
     import numpy
 
     sample = _eta_sampler(f, g, loop)
-    n = loop.samples
+    n = FIRST_SAMPLES
     values = sample(numpy.arange(n) * (2 * math.pi / n)).tolist()
     prev = math.fsum(values) / n
     trajectory = [(n, prev, None)]
@@ -448,9 +443,10 @@ class ResidueCheck:
     trajectory: tuple[tuple[int, float, float | None], ...]
 
 
-def residue_check(f: RatFunc, g: RatFunc, point: GaussRat, tolerance: float = 1e-6) -> ResidueCheck:
+def residue_check(f: RatFunc, g: RatFunc, point: GaussRat) -> ResidueCheck:
     """Compare the loop integral of eta around the point with log of the
-    exact tame symbol's absolute value."""
+    exact tame symbol's absolute value; they agree when they differ by at
+    most RESIDUE_TOLERANCE."""
     m, n, tame = _orders_and_tame(f, g, point)
     if tame.is_zero():
         raise ValueError("tame symbol vanished; functions not coprime enough")
@@ -461,4 +457,4 @@ def residue_check(f: RatFunc, g: RatFunc, point: GaussRat, tolerance: float = 1e
     radius = min(dists) / 2 if dists else 1.0
     li = loop_integral(f, g, Loop(pc, radius))
     diff = abs(li.value - expected)
-    return ResidueCheck(point, m, n, tame, expected, li.value, diff, diff <= tolerance, li.trajectory)
+    return ResidueCheck(point, m, n, tame, expected, li.value, diff, diff <= RESIDUE_TOLERANCE, li.trajectory)

@@ -24,6 +24,9 @@ from .arith import FIELD_LIMIT, bernoulli, field, is_prime
 # n > 1, so they share its size bound.
 COUNT_LIMIT = FIELD_LIMIT
 
+# w2_of_Q searches the moduli up to this bound; w2(Q) = 24 lies well inside.
+W2_BOUND = 200
+
 
 @dataclass(frozen=True)
 class CurveFq:
@@ -165,9 +168,9 @@ def w2_witness(m: int):
     return None
 
 
-def w2_of_Q(bound: int = 200) -> int:
-    """Largest m <= bound such that every unit mod m squares to 1."""
-    for m in range(bound, 0, -1):
+def w2_of_Q() -> int:
+    """Largest m <= W2_BOUND such that every unit mod m squares to 1."""
+    for m in range(W2_BOUND, 0, -1):
         if w2_witness(m) is None:
             return m
     raise RuntimeError("unreachable: m = 1 always qualifies")

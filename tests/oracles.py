@@ -337,7 +337,7 @@ def order_and_unit_by_evaluation(p, a):
 def _gauss_pow(a, e):
     if e < 0:
         a, e = a.inverse(), -e
-    out = type(a).make(1)
+    out = type(a)(1)
     for _ in range(e):
         out = out * a
     return out
@@ -727,17 +727,17 @@ def fraction_op_by_cross_products(op, x, y, canonical):
 
 def loop_integral_by_pullback(f, g, loop):
     """(1/2pi) times the loop integral of eta(f, g) by the periodic
-    trapezoid rule, doubling from loop.samples with the same convergence
+    trapezoid rule, doubling from FIRST_SAMPLES with the same convergence
     test as regnum.loop_integral; returns a LoopIntegral with trajectory."""
     import math
 
-    from k2sym.regnum import CONVERGENCE_TARGET, MAX_SAMPLES, LoopIntegral, eta_pullback
+    from k2sym.regnum import CONVERGENCE_TARGET, FIRST_SAMPLES, MAX_SAMPLES, LoopIntegral, eta_pullback
 
     def trapezoid(n):
         step = 2 * math.pi / n
         return math.fsum(eta_pullback(f, g, loop, k * step) for k in range(n)) / n
 
-    n = loop.samples
+    n = FIRST_SAMPLES
     prev = trapezoid(n)
     trajectory = [(n, prev, None)]
     while n < MAX_SAMPLES:

@@ -241,8 +241,8 @@ def test_zero_poly_degree_marker():
 
 
 def test_poly_divmod_over_gaussian_rationals():
-    f = Poly(CX, [GaussRat.make(1), GaussRat.make(0), GaussRat.make(1)])
-    g = Poly(CX, [GaussRat.make(1), GaussRat.make(1)])
+    f = Poly(CX, [GaussRat(1), GaussRat(0), GaussRat(1)])
+    g = Poly(CX, [GaussRat(1), GaussRat(1)])
     q, r = f.divmod(g)
     assert q * g + r == f
     assert r.degree < g.degree
@@ -476,7 +476,7 @@ def test_ratfunc_cancellation():
 
 
 def _gauss_elements():
-    return [GaussRat.make(Fraction(a, b), Fraction(c, b)) for a in range(-2, 3) for c in range(-2, 3) for b in (1, 3)]
+    return [GaussRat(Fraction(a, b), Fraction(c, b)) for a in range(-2, 3) for c in range(-2, 3) for b in (1, 3)]
 
 
 def test_ratfunc_canonical_form_matches_gcd_path():

@@ -355,6 +355,21 @@ def test_cartier_semilinearity():
             lhs = cartier2(Form2((u**p) * h))
             rhs = Form2(u * cartier2(Form2(h)).h)
             assert lhs == rhs
+    # closed 1-forms u^p dlog(y) + d(h) with y = (s + c) b: the two
+    # components have different denominators with the common factor b, and
+    # C gives u dlog(y)
+    for p in (2, 3, 5):
+        found = 0
+        while found < 4:
+            u, h = random_mrf(rng, p, 1), random_mrf(rng, p, 1, allow_zero=True)
+            b = random_bipoly(rng, p, 2)
+            y = MultiRatFunc.from_poly(mk(p, {(1, 0): 1, (0, 0): rng.randrange(p)}) * b)
+            dy, dh = dlog1(y), d0(Form0(h))
+            w = Form1(u**p * dy.ds + dh.ds, u**p * dy.dt + dh.dt)
+            if w.ds.den == w.dt.den or bipoly_gcd(w.ds.den, w.dt.den).is_constant():
+                continue
+            found += 1
+            assert cartier1(w) == Form1(u * dy.ds, u * dy.dt)
 
 
 def test_cartier_inverts_gamma_on_symbols():

@@ -142,19 +142,28 @@ def test_dilog_catalan(capsys):
         ["fflift", "--q", "5", "T^2+1:6"],
         ["fflift", "--q", "5", "0:1"],
         ["steinberg", "--q", "1000003"],
+        ["reciprocity", "0", "1"],
+        ["quaternion", "0", "1"],
+        ["pfister", "0", "1"],
+        ["hilbert", "--place", "3", "0", "1"],
+        ["conic", "--height", "0", "1", "1"],
     ],
     ids=["syntax", "bad-place", "singular-curve", "not-closed", "div-zero", "field-too-large",
          "deep-nesting", "huge-exponent", "reducible-key", "non-monic-key", "repeated-prime",
          "repeated-place", "square-zeta-without-witness", "zeta-zero", "zeta-beyond-field",
          "zeta-beyond-q", "composite-key-trivial", "key-2-trivial", "key-4-trivial",
          "key-0", "reducible-key-trivial", "non-monic-key-trivial", "split-key-trivial",
-         "zero-key", "steinberg-beyond-field-limit"],
+         "zero-key", "steinberg-beyond-field-limit", "zero-reciprocity", "zero-quaternion",
+         "zero-pfister", "zero-hilbert", "conic-height-0"],
 )
 def test_invalid_inputs_exit_2(capsys, argv):
     code, _, rep = run(capsys, argv)
     assert code == 2
     assert rep["status"] == "invalid"
     assert "error" in rep["result"]
+    if argv[-2:] == ["0", "1"]:
+        # one message for a zero argument, at one place or at all of them
+        assert "symbols are defined on nonzero arguments only" in rep["result"]["error"]
 
 
 @pytest.mark.parametrize("argv, key", [

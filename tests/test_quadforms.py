@@ -263,9 +263,12 @@ def test_point_search_obstructed():
 
 
 def test_point_search_fractional_coefficients():
-    x, y = Fraction(5, 4), Fraction(-1, 9)
-    pt = conic_point_search(x, y, 10**4)
-    assert pt is not None and x * pt[0] ** 2 + y * pt[1] ** 2 == 1
+    # square factors and odd negative exponents in the coefficients
+    for x, y in [(Fraction(5, 4), Fraction(-1, 9)), (Fraction(12, 25), Fraction(-18, 49)),
+                 (Fraction(45, 8), Fraction(-5, 27)), (Fraction(1, 8), Fraction(-18, 49)),
+                 (Fraction(45, 8), Fraction(45, 8)), (Fraction(1, 8), Fraction(1, 8))]:
+        pt = conic_point_search(x, y, 10**4)
+        assert pt is not None and x * pt[0] ** 2 + y * pt[1] ** 2 == 1, (x, y)
 
 
 def test_point_search_agrees_with_symbols_small_range():
@@ -284,13 +287,18 @@ def test_point_search_agrees_with_symbols_small_range():
 
 def test_congruence_obstruction_matches_oracle():
     rng = random.Random(83)
-    for _ in range(50):
-        x = rng.choice([n for n in range(-30, 31) if n])
-        y = rng.choice([n for n in range(-30, 31) if n])
+    pairs = [(rng.choice([n for n in range(-30, 31) if n]), rng.choice([n for n in range(-30, 31) if n]))
+             for _ in range(50)]
+    # square factors and odd negative exponents; n/d has the square class of n d
+    fractions = [Fraction(12, 25), Fraction(-18, 49), Fraction(45, 8), Fraction(1, 8),
+                 Fraction(7, 3), Fraction(-5, 27), Fraction(-2, 7), Fraction(20, 3)]
+    pairs += [(x, y) for x in fractions for y in fractions]
+    for x, y in pairs:
         obstructed = conic_congruence_obstruction(x, y) is not None
-        xs, ys = oracles.squarefree_part(x), oracles.squarefree_part(y)
+        xi, yi = (Fraction(c).numerator * Fraction(c).denominator for c in (x, y))
+        xs, ys = oracles.squarefree_part(xi), oracles.squarefree_part(yi)
         oracle_blocked = (xs < 0 and ys < 0) or any(
-            oracles.conic_primitive_count(x, y, p, 4) == 0
+            oracles.conic_primitive_count(xi, yi, p, 4) == 0
             for p in sorted({2, *oracles.naive_factor(abs(xs * ys))})
         )
         assert obstructed == oracle_blocked, (x, y)

@@ -97,7 +97,7 @@ _GAUSS_PAIRS = st.one_of(
 def test_gaussrat_matches_fraction_pair_oracle(pair):
     # (a + b*i)/d on integers against the pair of Fractions it replaced
     (xr, xi), (yr, yi) = pair
-    x, y = GaussRat(xr, xi), GaussRat.make(yr, yi)
+    x, y = GaussRat(xr, xi), GaussRat(yr, yi)
     xo, yo = GaussRatFraction(xr, xi), GaussRatFraction.make(yr, yi)
 
     def same(z, zo):
@@ -117,7 +117,7 @@ def test_gaussrat_matches_fraction_pair_oracle(pair):
     else:
         same(y.inverse(), yo.inverse())
         same(x / y, xo / yo)
-    assert x == GaussRat(xo.re, xo.im) and hash(x) == hash(GaussRat.make(xr, xi))
+    assert x == GaussRat(xo.re, xo.im) and hash(x) == hash(GaussRat(xr, xi))
 
 
 def test_ratfunc_over_gauss_cancels():
@@ -179,10 +179,6 @@ def test_loop_validation():
         Loop(0j, -1.0)
     with pytest.raises(ValueError):
         Loop(0j, 1.0, orientation=2)
-    with pytest.raises(ValueError):
-        Loop(0j, 1.0, samples=48)
-    with pytest.raises(ValueError):
-        Loop(0j, 1.0, samples=2)
 
 
 def test_loop_integral_frozen_example():

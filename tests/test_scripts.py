@@ -14,6 +14,7 @@ SMALL_ARGS = {
     "reciprocity_survey.py": ["--trials", "20"],
     "trace_survey.py": ["--primes", "5"],
     "regulator_demo.py": ["--steps", "4"],
+    "mutants.py": ["--check"],
 }
 
 
@@ -28,3 +29,10 @@ def test_script_runs(script):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_one_mutant_is_killed():
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "mutants.py"), "legendre-euler"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "killed    legendre-euler" in done.stdout
