@@ -89,6 +89,18 @@ CATALOGUE = (
            "if height_bound < 1:",
            "if height_bound < -10**9:",
            ("tests/test_cli.py::test_invalid_inputs_exit_2[conic-height-0]",)),
+    Mutant("resultant-sign", "funcfield.py",
+           "if m * n % 2:\n            res = F.neg(res)",
+           "if m * n % 2:\n            res = res",
+           ("tests/test_funcfield.py::test_residue_norm_is_the_exponent_formula[5]",)),
+    Mutant("resultant-lc-power", "funcfield.py",
+           "F.pow(b[-1], m - (len(r) - 1))",
+           "F.pow(b[-1], m - len(r))",
+           ("tests/test_funcfield.py::test_residue_norm_is_the_exponent_formula[5]",)),
+    Mutant("factor-root-multiplicity", "arith.py",
+           "exps[g] = exps.get(g, 0) + e * F.char",
+           "exps[g] = exps.get(g, 0) + e",
+           ("tests/test_funcfield.py::test_orders_from_factorizations_match_strip[9]",)),
 )
 
 

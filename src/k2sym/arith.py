@@ -273,10 +273,36 @@ def _fp_gcd(a, b, p):
 
 class PolyKernels:
     """The list kernels behind Poly, for any coefficient field that supplies
-    add, sub, mul, inv, zero and one (von zur Gathen and Gerhard, *Modern
-    Computer Algebra*, ch. 2-3).  A field with faster loops overrides
-    poly_mul and poly_rem; divmod, pow_mod and gcd run on those two.
-    Trimming compares with self.zero, so elements need only ==."""
+    add, sub, neg, mul, inv, from_int, zero and one (von zur Gathen and
+    Gerhard, *Modern Computer Algebra*, ch. 2-3).  A field with faster loops
+    overrides poly_mul and poly_rem; divmod, pow_mod and gcd run on those
+    two.  Trimming compares with self.zero, so elements need only ==."""
+
+    def _trim(self, a: list) -> list:
+        zero = self.zero
+        while a and a[-1] == zero:
+            a.pop()
+        return a
+
+    def poly_add(self, a, b) -> list:
+        """Sum of two coefficient lists."""
+        if len(a) < len(b):
+            a, b = b, a
+        add = self.add
+        return self._trim([add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
+
+    def poly_sub(self, a, b) -> list:
+        """Difference of two coefficient lists."""
+        sub, neg = self.sub, self.neg
+        n = min(len(a), len(b))
+        out = [sub(x, y) for x, y in zip(a, b)]
+        out += a[n:] if len(a) > n else [neg(y) for y in b[n:]]
+        return self._trim(out)
+
+    def poly_derivative(self, a) -> list:
+        """Formal derivative of a coefficient list."""
+        mul, from_int = self.mul, self.from_int
+        return self._trim([mul(from_int(i), c) for i, c in enumerate(a) if i])
 
     def poly_mul(self, a, b) -> list:
         """Product of two coefficient lists."""
@@ -310,9 +336,7 @@ class PolyKernels:
                 for i, bi in enumerate(low, k - db):
                     rem[i] = sub(rem[i], mul(c, bi))
         del rem[db:]
-        while rem and rem[-1] == zero:
-            rem.pop()
-        return rem
+        return self._trim(rem)
 
     def poly_divmod(self, a, b) -> tuple[list, list]:
         """(quotient, remainder) of two coefficient lists, b nonzero."""
@@ -707,12 +731,12 @@ class Poly:
     def __add__(self, other):
         self._check(other)
         F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        a, b = self.coeffs, other.coeffs
-        return Poly(F, [F.add(a[i] if i < len(a) else F.zero, b[i] if i < len(b) else F.zero) for i in range(n)])
+        return Poly._trusted(F, F.poly_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        F = self.field
+        return Poly._trusted(F, F.poly_sub(self.coeffs, other.coeffs))
 
     def __neg__(self):
         F = self.field
@@ -763,10 +787,7 @@ class Poly:
 
     def derivative(self) -> "Poly":
         F = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(F.mul(F.from_int(i), self.coeffs[i]))
-        return Poly(F, out)
+        return Poly._trusted(F, F.poly_derivative(self.coeffs))
 
     def evaluate(self, x):
         """Horner evaluation at a field element."""
@@ -803,13 +824,14 @@ def is_irreducible(f: Poly) -> bool:
     degree n is irreducible iff it has no monic factor of degree <= n/2,
     i.e. the loop finds f itself as its only part.  A repeated factor g^2
     has deg g <= n/2, so the loop also rejects f that is not squarefree."""
-    if not isinstance(f.field, Fq):
+    F = f.field
+    if not isinstance(F, Fq):
         raise ValueError("irreducibility test requires a finite field")
     n = f.degree
     if n is NEG_INF or n < 1:
         return False
-    f = f.monic()
-    return _distinct_degree(f) == [(f, n)]
+    g = list(f.monic().coeffs)
+    return _distinct_degree(F, g) == [(g, n)]
 
 
 def irreducibles(F: Fq, degree: int):
@@ -826,63 +848,84 @@ def irreducibles(F: Fq, degree: int):
 
 
 # -- polynomial factorization over F_q ---------------------------------------
+# Every step runs on the field's list kernels, on monic trimmed little-endian
+# coefficient lists; poly_factor wraps each irreducible factor once.
 
 
-def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
+def _distinct_degree(F: Fq, f: list[int]) -> list[tuple[list[int], int]]:
     """Split squarefree monic f into products of irreducibles by degree."""
-    F = f.field
     out = []
-    x = Poly.x(F)
-    h = x % f
+    x = [F.zero, F.one]
+    h = F.poly_rem(x, f)
     rest = f
     d = 0
-    while rest.degree > 0:
+    while len(rest) > 1:
         d += 1
-        if 2 * d > rest.degree:
-            out.append((rest, rest.degree))
+        if 2 * d > len(rest) - 1:
+            out.append((rest, len(rest) - 1))
             break
-        h = h.pow_mod(F.q, rest)
-        g = (h - x % rest).gcd(rest)
-        if g.degree != 0:
+        h = F.poly_pow_mod(h, F.q, rest)
+        g = F.poly_gcd(F.poly_sub(h, x), rest)  # deg rest >= 2: x is reduced
+        if len(g) > 1:
             out.append((g, d))
-            rest = rest // g
-            h = h % rest
+            rest = F.poly_divmod(rest, g)[0]
+            h = F.poly_rem(h, rest)
     return out
 
 
-def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> Poly:
-    """Find a proper monic factor of f (product of irreducibles of degree d)."""
-    F = f.field
-    n = f.degree
-    one = Poly.const(F, F.one)
+def _equal_degree_split(F: Fq, f: list[int], d: int, rng: random.Random) -> list[int]:
+    """A proper monic factor of f, a product of irreducibles of degree d."""
+    n = len(f) - 1
     while True:
-        r = Poly(F, [rng.randrange(F.q) for _ in range(n)])
-        if r.degree is NEG_INF or r.degree < 1:
+        r = F._trim([rng.randrange(F.q) for _ in range(n)])
+        if len(r) < 2:
             continue
-        g = r.gcd(f)
-        if 0 < g.degree < n:
+        g = F.poly_gcd(r, f)
+        if 1 < len(g) <= n:
             return g
         if F.char == 2:
-            # trace map to F_2: sum of 2-power Frobenius images
-            bits = F.k * d
-            t = r % f
-            acc = t
-            for _ in range(bits - 1):
-                t = t.pow_mod(2, f)
-                acc = (acc + t) % f
-            g = acc.gcd(f)
+            # trace map to F_2: sum of 2-power Frobenius images of r mod f
+            t = acc = r
+            for _ in range(F.k * d - 1):
+                t = F.poly_pow_mod(t, 2, f)
+                acc = F.poly_add(acc, t)
+            g = F.poly_gcd(acc, f)
         else:
-            e = (F.q**d - 1) // 2
-            g = (r.pow_mod(e, f) - one).gcd(f)
-        if 0 < g.degree < n:
+            g = F.poly_gcd(F.poly_sub(F.poly_pow_mod(r, (F.q**d - 1) // 2, f), [F.one]), f)
+        if 1 < len(g) <= n:
             return g
 
 
-def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
-    if f.degree == d:
+def _equal_degree(F: Fq, f: list[int], d: int, rng: random.Random) -> list[list[int]]:
+    if len(f) - 1 == d:
         return [f]
-    g = _equal_degree_split(f, d, rng)
-    return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
+    g = _equal_degree_split(F, f, d, rng)
+    return _equal_degree(F, g, d, rng) + _equal_degree(F, F.poly_divmod(f, g)[0], d, rng)
+
+
+def _factor_monic(F: Fq, f: list[int]) -> dict[tuple[int, ...], int]:
+    """The monic irreducible factors of monic f of positive degree, as
+    coefficient tuples, with their multiplicities.  The equal-degree
+    splitting RNG is seeded from f."""
+    rng = random.Random(("poly_factor", F.p, F.k, tuple(f)).__repr__())
+    exps: dict[tuple[int, ...], int] = {}
+    remaining = f
+    # Extract multiplicities by dividing out the squarefree radical repeatedly.
+    while len(remaining) > 1:
+        d = F.poly_derivative(remaining)
+        if not d:
+            # remaining = h(T^p): factor its p-th root, multiply exponents
+            root = [F.frobenius_root(c) for c in remaining[::F.char]]
+            for g, e in _factor_monic(F, root).items():
+                exps[g] = exps.get(g, 0) + e * F.char
+            break
+        radical = F.poly_divmod(remaining, F.poly_gcd(remaining, d))[0]
+        for g, dd in _distinct_degree(F, radical):
+            for irr in _equal_degree(F, g, dd, rng):
+                key = tuple(irr)
+                exps[key] = exps.get(key, 0) + 1
+        remaining = F.poly_divmod(remaining, radical)[0]
+    return exps
 
 
 def poly_factor(f: Poly) -> tuple:
@@ -900,26 +943,8 @@ def poly_factor(f: Poly) -> tuple:
     f = f.monic()
     if f.degree == 0:
         return lead, ()
-    rng = random.Random(("poly_factor", F.p, F.k, f.coeffs).__repr__())
-    exps: dict[Poly, int] = {}
-    remaining = f
-    # Extract multiplicities by dividing out the squarefree radical repeatedly.
-    while remaining.degree != 0:
-        d = remaining.derivative()
-        if d.is_zero():
-            # remaining = h(T^p): recurse on its p-th root, multiply exponents
-            cs = [F.frobenius_root(remaining.coeffs[i]) for i in range(0, len(remaining.coeffs), F.char)]
-            _, sub = poly_factor(Poly(F, cs))
-            for g, e in sub:
-                exps[g] = exps.get(g, 0) + e * F.char
-            break
-        radical = remaining // remaining.gcd(d)
-        for g, dd in _distinct_degree(radical):
-            for irr in _equal_degree(g, dd, rng):
-                exps[irr] = exps.get(irr, 0) + 1
-        remaining = remaining // radical
-    items = sorted(exps.items(), key=lambda ge: ge[0].sort_key())
-    return lead, tuple(items)
+    factors = [(Poly._trusted(F, g), e) for g, e in _factor_monic(F, list(f.coeffs)).items()]
+    return lead, tuple(sorted(factors, key=lambda ge: ge[0].sort_key()))
 
 
 # ---------------------------------------------------------------------------

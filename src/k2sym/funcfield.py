@@ -21,6 +21,9 @@ Q(i)(z).
 
 Weil reciprocity ties the places together: the product over ALL places,
 infinity included, of the norms down to F_q^* of the tame values is 1.
+The norm of v mod pi is the resultant Res(pi, v), by a Euclidean loop on
+remainders.  weil_check and decompose factor each numerator and
+denominator once and read every place's orders off the multiplicities.
 """
 from __future__ import annotations
 
@@ -92,7 +95,9 @@ def _strip(f: Poly, pi: Poly) -> tuple[Poly, int]:
     """f = pi^m * g with pi not dividing g, for nonzero f and a place pi;
     returns (g, m).  Each step tests divisibility before it divides, so no
     quotient is built for the last, failing step: by Horner at the root
-    when pi = T - r, else by the remainder alone."""
+    when pi = T - r, else by the remainder alone.  This serves a place the
+    caller gives; weil_check and decompose read their orders off the
+    factorizations instead (_orders)."""
     m = 0
     if pi.degree == 1:
         F = pi.field
@@ -172,36 +177,88 @@ def tame_with_orders(f: RatFunc, g: RatFunc, place: PlaceFq) -> tuple[int, int, 
     """(v(f), v(g), tame symbol) at the place, for nonzero f and g.  The
     unit parts are reduced mod pi, or mod T at infinity, where the residue
     field k = k[T]/(T) holds the leading-coefficient constants."""
-    F = f.field
     a, fn, fd = _order_and_units(f, place)
     b, gn, gd = _order_and_units(g, place)
-    pi = _modulus(place, F)
-    # (-1)^(ab) fn^b fd^-b gn^-a gd^a as top / bottom, with one inversion
-    top = Poly.const(F, F.one if (a * b) % 2 == 0 else F.neg(F.one))
+    return a, b, _symbol(a * b, ((fn, b), (fd, -b), (gn, -a), (gd, a)), _modulus(place, f.field))
+
+
+def _symbol(ab: int, powers, pi: Poly) -> Poly:
+    """(-1)^ab times the product of unit^e over (unit, e) in powers, reduced
+    mod pi, as top / bottom with one inversion."""
+    F = pi.field
+    top = Poly.const(F, F.one if ab % 2 == 0 else F.neg(F.one))
     bottom = None
-    for unit, e in ((fn, b), (fd, -b), (gn, -a), (gd, a)):
+    for unit, e in powers:
         if e > 0:
             top = top * unit.pow_mod(e, pi) % pi
         elif e < 0:
             power = unit.pow_mod(-e, pi)
             bottom = power if bottom is None else bottom * power % pi
-    return a, b, top if bottom is None else top * _residue_inv(bottom, pi) % pi
+    return top if bottom is None else top * _residue_inv(bottom, pi) % pi
+
+
+def _orders(f: RatFunc) -> dict[Poly, int]:
+    """v_pi(f) at every finite place pi where it is not 0, from one
+    factorization of the numerator and one of the (coprime) denominator."""
+    orders = {}
+    for poly, sign in ((f.num, 1), (f.den, -1)):
+        if not poly.is_constant():
+            orders.update((pi, sign * e) for pi, e in poly_factor(poly)[1])
+    return orders
+
+
+def _units(f: RatFunc, pi: Poly, a: int) -> tuple[Poly, Poly]:
+    """num and den of f with pi^|a| divided out of the one it divides,
+    where a = v_pi(f): one exact division, or none at order 0."""
+    if a > 0:
+        return f.num // pi**a, f.den
+    if a < 0:
+        return f.num, f.den // pi**-a
+    return f.num, f.den
+
+
+def _tame_at(f: RatFunc, f_orders: dict[Poly, int], g: RatFunc, g_orders: dict[Poly, int], pi: Poly) -> Poly:
+    """tame_ff at the finite place pi, with the orders of f and g read off
+    _orders.  f's units enter with exponent v(g) and g's with -v(f), so a
+    function's units are computed only where the other one has an order."""
+    a, b = f_orders.get(pi, 0), g_orders.get(pi, 0)
+    powers = []
+    if b:
+        fn, fd = _units(f, pi, a)
+        powers += [(fn, b), (fd, -b)]
+    if a:
+        gn, gd = _units(g, pi, b)
+        powers += [(gn, -a), (gd, a)]
+    return _symbol(a * b, powers, pi)
+
+
+def _support(orders) -> list[Poly]:
+    """The finite places in any of the order maps, in place order."""
+    return sorted({pi for o in orders for pi in o}, key=Poly.sort_key)
 
 
 def residue_norm(value: Poly, place: PlaceFq) -> int:
-    """Norm of a residue-field unit down to F_q^*, by the exponent formula
-    x -> x^((q^d - 1)/(q - 1)) mod pi, or mod T at infinity.  Returns the
-    F_q encoding."""
+    """Norm of a residue-field unit down to F_q^*: the resultant Res(pi, v)
+    of the monic place polynomial pi (T at infinity) and a representative v,
+    the product of v over the roots of pi.  Returns the F_q encoding."""
     F = value.field
-    pi = _modulus(place, F)
-    if place.degree == 1:
-        return (value % pi).constant_value()
-    d = place.degree
-    e = (F.q**d - 1) // (F.q - 1)
-    nm = value.pow_mod(e, pi)
-    if not nm.is_constant():
-        raise ArithmeticError("norm did not land in the base field")
-    return nm.constant_value()
+    return _resultant(F, _modulus(place, F).coeffs, value.coeffs)
+
+
+def _resultant(F: Fq, a, b) -> int:
+    """Res(a, b) of coefficient lists over F_q, for nonconstant a, by the
+    Euclidean loop (von zur Gathen and Gerhard, ch. 6): with r = a mod b,
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r), and
+    Res(a, c) = c^(deg a) for a constant c; a zero remainder ends at 0."""
+    res = F.one
+    while len(b) > 1:
+        r = F.poly_rem(a, b)
+        m, n = len(a) - 1, len(b) - 1
+        if m * n % 2:
+            res = F.neg(res)
+        res = F.mul(res, F.pow(b[-1], m - (len(r) - 1)))
+        a, b = b, r
+    return F.mul(res, F.pow(b[0], len(a) - 1)) if b else F.zero
 
 
 def leading_coeff(f) -> int:
@@ -229,8 +286,7 @@ class FFSymbolExpr:
 
     def __post_init__(self):
         for f, g, _ in self.terms:
-            if f.is_zero() or g.is_zero():
-                raise ValueError("symbol entries must be nonzero")
+            _check_entries(f, g)
 
     @staticmethod
     def of(*pairs, multiplicities=None) -> "FFSymbolExpr":
@@ -240,6 +296,11 @@ class FFSymbolExpr:
             key = (as_ratfunc(f), as_ratfunc(g))
             merged[key] = merged.get(key, 0) + m
         return FFSymbolExpr(tuple((f, g, m) for (f, g), m in merged.items() if m))
+
+
+def _check_entries(f: RatFunc, g: RatFunc) -> None:
+    if f.is_zero() or g.is_zero():
+        raise ValueError("symbol entries must be nonzero")
 
 
 def ff_symbol(f, g) -> FFSymbolExpr:
@@ -321,18 +382,6 @@ class K2FFClass:
         return not self.entries
 
 
-def _support_places(e: FFSymbolExpr) -> list[Poly]:
-    """Monic irreducibles dividing any numerator or denominator in e."""
-    pis: set[Poly] = set()
-    for f, g, _ in e.terms:
-        for poly in (f.num, f.den, g.num, g.den):
-            if poly.is_constant():
-                continue
-            _, fac = poly_factor(poly)
-            pis.update(pi for pi, _ in fac)
-    return sorted(pis, key=lambda pi: pi.sort_key())
-
-
 def decompose(e: FFSymbolExpr, base: Fq | None = None) -> K2FFClass:
     """Tame values of a symbol expression at every finite place.
 
@@ -344,14 +393,14 @@ def decompose(e: FFSymbolExpr, base: Fq | None = None) -> K2FFClass:
             raise ValueError("empty expression needs an explicit base field")
         return K2FFClass._at_places(base, {})
     base = e.terms[0][0].field
+    terms = [(f, _orders(f), g, _orders(g), m) for f, g, m in e.terms]
     vals: dict[Poly, Poly] = {}
     one = Poly.const(base, base.one)
-    for pi in _support_places(e):
+    for pi in _support(o for _, fo, _, go, _ in terms for o in (fo, go)):
         acc = one
         group_order = base.q**pi.degree - 1
-        place = _unchecked(PlaceFq, pi=pi)
-        for f, g, m in e.terms:
-            t = tame_ff(f, g, place)
+        for f, fo, g, go, m in terms:
+            t = _tame_at(f, fo, g, go, pi)
             acc = acc * t.pow_mod(m % group_order, pi) % pi
         vals[pi] = acc
     return K2FFClass._at_places(base, vals)
@@ -381,12 +430,16 @@ def weil_check(f, g) -> WeilResult:
     infinity is always listed.
     """
     f, g = as_ratfunc(f), as_ratfunc(g)
+    _check_entries(f, g)
     base = f.field
-    places = [_unchecked(PlaceFq, pi=pi) for pi in _support_places(ff_symbol(f, g))]
+    f_orders, g_orders = _orders(f), _orders(g)
+    values = [(_unchecked(PlaceFq, pi=pi), _tame_at(f, f_orders, g, g_orders, pi))
+              for pi in _support((f_orders, g_orders))]
+    infinity = PlaceFq.infinity()
+    values.append((infinity, tame_ff(f, g, infinity)))
     factors = []
     prod = base.one
-    for place in places + [PlaceFq.infinity()]:
-        v = tame_ff(f, g, place)
+    for place, v in values:
         nm = residue_norm(v, place)
         factors.append(WeilFactor(place, v, nm))
         prod = base.mul(prod, nm)

@@ -782,3 +782,21 @@ def tame_at_infinity_by_chart(f, g):
 
     place = _unchecked(PlaceFq, pi=Poly.x(f.field))  # U is a place over any field k
     return tame_with_orders(to_infinity_chart(f), to_infinity_chart(g), place)[2]
+
+
+# -- norms from residue fields of F_q[T] by the exponent formula ---------------------
+# The body funcfield.residue_norm ran before it took the resultant: the norm
+# from F_q[T]/(pi) to F_q is x -> x^(1 + q + ... + q^(d-1)), d = deg pi.
+
+
+def norm_by_exponent(value, place):
+    """Norm of v mod pi down to F_q^*, as v^((q^d - 1)/(q - 1)) mod pi,
+    with pi = T and d = 1 at infinity."""
+    from k2sym.arith import Poly
+
+    F = value.field
+    pi = Poly.x(F) if place.is_infinite else place.pi
+    e = (F.q**place.degree - 1) // (F.q - 1)
+    norm = value.pow_mod(e, pi)
+    assert norm.is_constant(), "the norm lies in F_q"
+    return norm.constant_value()

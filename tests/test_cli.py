@@ -147,6 +147,9 @@ def test_dilog_catalan(capsys):
         ["pfister", "0", "1"],
         ["hilbert", "--place", "3", "0", "1"],
         ["conic", "--height", "0", "1", "1"],
+        ["weil", "--q", "5", "0", "T+1"],
+        ["weil", "--q", "5", "T+1", "0"],
+        ["ffdecompose", "--q", "5", "0", "T+1"],
     ],
     ids=["syntax", "bad-place", "singular-curve", "not-closed", "div-zero", "field-too-large",
          "deep-nesting", "huge-exponent", "reducible-key", "non-monic-key", "repeated-prime",
@@ -154,7 +157,8 @@ def test_dilog_catalan(capsys):
          "zeta-beyond-q", "composite-key-trivial", "key-2-trivial", "key-4-trivial",
          "key-0", "reducible-key-trivial", "non-monic-key-trivial", "split-key-trivial",
          "zero-key", "steinberg-beyond-field-limit", "zero-reciprocity", "zero-quaternion",
-         "zero-pfister", "zero-hilbert", "conic-height-0"],
+         "zero-pfister", "zero-hilbert", "conic-height-0", "zero-weil-f", "zero-weil-g",
+         "zero-ffdecompose"],
 )
 def test_invalid_inputs_exit_2(capsys, argv):
     code, _, rep = run(capsys, argv)
@@ -164,6 +168,9 @@ def test_invalid_inputs_exit_2(capsys, argv):
     if argv[-2:] == ["0", "1"]:
         # one message for a zero argument, at one place or at all of them
         assert "symbols are defined on nonzero arguments only" in rep["result"]["error"]
+    if argv[0] in ("weil", "ffdecompose") and "0" in argv[-2:]:
+        # a symbol over F_q(T) refuses a zero entry before any place is read
+        assert rep["result"]["error"] == "symbol entries must be nonzero"
 
 
 @pytest.mark.parametrize("argv, key", [

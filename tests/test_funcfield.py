@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from k2sym import funcfield
-from k2sym.arith import Poly, RatFunc, _unchecked, field, generator, irreducibles
+from k2sym.arith import Poly, RatFunc, _unchecked, field, generator, irreducibles, is_irreducible
 from k2sym.funcfield import (
     CHAR2,
     FFSymbolExpr,
@@ -379,6 +379,73 @@ def test_residue_norm_surjects_onto_units():
                     continue
                 norms.add(residue_norm(v, place))
         assert norms == set(range(1, q))
+
+
+# The fields of the ff-prime and ff-prime-power benchmark workloads.
+BENCH_FIELDS = (2, 3, 5, 7, 4, 8, 9, 25)
+
+
+def random_place(F, degree, rng):
+    while True:
+        pi = Poly(F, [rng.randrange(F.q) for _ in range(degree)] + [F.one])
+        if is_irreducible(pi):
+            return PlaceFq(pi)
+
+
+@pytest.mark.parametrize("q", BENCH_FIELDS)
+def test_residue_norm_is_the_exponent_formula(q):
+    # the resultant Res(pi, v) against v^((q^d - 1)/(q - 1)) mod pi, on
+    # random units of degree below d + 2, reduced or not
+    F = field(q)
+    rng = random.Random(f"norm {q}")
+    places = [PlaceFq.infinity()] + [random_place(F, d, rng) for d in (1, 2, 3, 4)]
+    for place in places:
+        modulus = Poly.x(F) if place.is_infinite else place.pi
+        checked = 0
+        while checked < 12:
+            v = Poly(F, [rng.randrange(F.q) for _ in range(rng.randint(1, place.degree + 2))])
+            if (v % modulus).is_zero():
+                continue
+            assert residue_norm(v, place) == oracles.norm_by_exponent(v, place), (q, place, v)
+            checked += 1
+
+
+def order_agreement_pairs(F, rng):
+    """Random pairs, pairs with repeated factors, and (over F_3 and F_9)
+    inseparable inputs, which take poly_factor's p-th-root branch."""
+    T, one = Poly.x(F), Poly.const(F, F.one)
+    pairs = [(random_ratfunc(F, rng, 4), random_ratfunc(F, rng, 4)) for _ in range(8)]
+    for _ in range(4):
+        h, k = random_ratfunc(F, rng, 2), random_ratfunc(F, rng, 2)
+        pairs.append((h * RatFunc.from_poly((T + one) ** 3), k / RatFunc.from_poly((T + one) ** 2)))
+        pairs.append((h * RatFunc.from_poly((T + one) ** 3), k))
+    if F.q == 3:
+        f = RatFunc.from_poly((T**2 + one) ** 3)
+        g = RatFunc.from_poly((T**2 + one) * (T + one) ** 2)
+        pairs += [(f, RatFunc.from_poly(T)), (f / RatFunc.from_poly(T), g)]
+    if F.q == 9:
+        f = RatFunc.from_poly(T**9 + T**3 + one)
+        pairs += [(f, RatFunc.from_poly(T + one)), (RatFunc.from_poly(T), f * f)]
+    return pairs
+
+
+@pytest.mark.parametrize("q", BENCH_FIELDS)
+def test_orders_from_factorizations_match_strip(q):
+    # weil_check and decompose read orders off poly_factor's multiplicities;
+    # tame_ff at a given place finds them by stripping the place out
+    F = field(q)
+    rng = random.Random(f"orders {q}")
+    for f, g in order_agreement_pairs(F, rng):
+        res = weil_check(f, g)
+        assert res.holds, (q, f, g)
+        cls = decompose(ff_symbol(f, g))
+        finite = [fac for fac in res.factors if not fac.place.is_infinite]
+        for fac in res.factors:
+            assert fac.value == tame_ff(f, g, fac.place), (q, f, g, fac.place)
+        for fac in finite:
+            assert ff_valuation(f, fac.place) or ff_valuation(g, fac.place), (q, f, g, fac.place)
+            assert cls.value_at(fac.place.pi) == fac.value, (q, f, g, fac.place)
+        assert set(cls.support()) <= {fac.place.pi for fac in finite}
 
 
 # -- leading coefficient retraction ------------------------------------------------------
