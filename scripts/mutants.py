@@ -101,6 +101,14 @@ CATALOGUE = (
            "exps[g] = exps.get(g, 0) + e * F.char",
            "exps[g] = exps.get(g, 0) + e",
            ("tests/test_funcfield.py::test_orders_from_factorizations_match_strip[9]",)),
+    Mutant("hilbert-dyadic-as-real", "localsym.py",
+           "if place.p == 2:\n        return s_2(x, y)",
+           "if place.p == 2:\n        return s_infinity(x, y)",
+           ("tests/test_localsym.py::test_h_p_matches_congruence_oracle_small_primes",)),
+    Mutant("tame-ff-sign", "funcfield.py",
+           "top = Poly.const(F, F.one if ab % 2 == 0 else F.neg(F.one))",
+           "top = Poly.const(F, F.one)",
+           ("tests/test_regnum.py::test_tame_symbol_frozen_examples",)),
 )
 
 

@@ -115,12 +115,6 @@ class Factorization:
             v *= Fraction(p) ** e
         return v
 
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
@@ -177,14 +171,6 @@ def _split(x, p: int) -> tuple[int, int, int]:
         d //= p
         a -= 1
     return a, n, d
-
-
-def valuation(x: int | Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("valuation of 0")
-    return _split(x, p)[0]
 
 
 def _legendre(a: int, p: int) -> int:
@@ -460,12 +446,6 @@ class Fq(PolyKernels):
         del enc
         zech = list(map(log.__getitem__, plus_one))  # shares log's int objects
         return exp + exp, log, zech, n // 2 if p > 2 else 0
-
-    def log(self, a: int) -> int:
-        """The i in [0, q - 1) with generator(self)^i = a, for k > 1."""
-        if self.k == 1 or not a:
-            raise ValueError("table logarithm needs a unit of a prime-power field")
-        return self._tables[1][a]
 
     # -- field operations on integer encodings --
 
@@ -1068,14 +1048,6 @@ class RatFunc(PolyFraction):
     @property
     def field(self):
         return self.num.field
-
-    def derivative(self) -> "RatFunc":
-        return self._quotient_rule(self.num.derivative(), self.den.derivative())
-
-    def evaluate(self, x):
-        dv = self.den.evaluate(x)
-        F = self.field
-        return F.div(self.num.evaluate(x), dv)
 
     def __repr__(self):
         return f"RatFunc({self.num!r} / {self.den!r})"

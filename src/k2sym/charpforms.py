@@ -74,10 +74,6 @@ class BiPoly:
         return BiPoly(p, _sorted_terms(p, coeffs))
 
     @staticmethod
-    def zero(p: int) -> "BiPoly":
-        return BiPoly(p, ())
-
-    @staticmethod
     def const(p: int, c: int) -> "BiPoly":
         return BiPoly.make(p, {(0, 0): c})
 
@@ -96,13 +92,6 @@ class BiPoly:
         # (0, 0) comes first in graded lex, so a constant has at most it
         terms = self.terms
         return not terms or (len(terms) == 1 and terms[0][0] == (0, 0))
-
-    def constant_value(self) -> int:
-        if self.is_zero():
-            return 0
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return self.terms[0][1]
 
     def total_degree(self) -> int:
         return max((i + j for (i, j), _ in self.terms), default=-1)

@@ -191,7 +191,7 @@ def _cmd_weil(args):
         ],
         "product": res.product,
     }
-    return result, {}, res.product == 1
+    return result, {}, res.holds
 
 
 def _cmd_ffdecompose(args):
@@ -405,7 +405,7 @@ def _cmd_selftest(args):
                 Poly(F, [rng.randrange(q) for _ in range(4)] + [1]),
                 Poly(F, [rng.randrange(q) for _ in range(3)] + [1]),
             )
-            ok &= funcfield.weil_check(f, g).product == 1
+            ok &= funcfield.weil_check(f, g).holds
     good &= check("weil_product", ok)
 
     good &= check(

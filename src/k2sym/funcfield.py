@@ -72,10 +72,6 @@ class PlaceFq:
         """Degree of the residue field over F_q (infinity has degree 1)."""
         return 1 if self.pi is None else self.pi.degree
 
-    def sort_key(self):
-        # finite places by (degree, encoding); infinity last
-        return (1, ()) if self.pi is None else (0, self.pi.sort_key())
-
 
 def _check_place(pi: Poly) -> None:
     """The distinct-degree test: pi must be monic irreducible."""
@@ -121,14 +117,6 @@ def _order_and_units(f: RatFunc, place: PlaceFq) -> tuple[int, Poly, Poly]:
     n, a = _strip(f.num, place.pi)
     d, b = _strip(f.den, place.pi)
     return a - b, n, d
-
-
-def ff_valuation(f, place: PlaceFq) -> int:
-    """Order of vanishing of a nonzero rational function at the place."""
-    f = as_ratfunc(f)
-    if f.is_zero():
-        raise ValueError("valuation of 0")
-    return _order_and_units(f, place)[0]
 
 
 def _residue_inv(a: Poly, pi: Poly) -> Poly:
@@ -261,19 +249,6 @@ def _resultant(F: Fq, a, b) -> int:
     return F.mul(res, F.pow(b[0], len(a) - 1)) if b else F.zero
 
 
-def leading_coeff(f) -> int:
-    """The leading-coefficient retraction c(f) = lc(num)/lc(den) in F_q^*.
-
-    c is multiplicative, restricts to the identity on constants, and sends
-    T to 1; it splits F_q^* off of F_q(T)^*.
-    """
-    f = as_ratfunc(f)
-    if f.is_zero():
-        raise ValueError("leading coefficient of 0")
-    F = f.field
-    return F.div(f.num.lc(), f.den.lc())
-
-
 # ---------------------------------------------------------------------------
 # Symbol expressions and classes.
 
@@ -354,12 +329,6 @@ class K2FFClass:
                 items.append((pi, v))
         items.sort(key=lambda pv: pv[0].sort_key())
         return _unchecked(K2FFClass, base=base, entries=tuple(items))
-
-    def value_at(self, pi: Poly) -> Poly:
-        for q, v in self.entries:
-            if q == pi:
-                return v
-        return Poly.const(self.base, self.base.one)
 
     def support(self) -> tuple[Poly, ...]:
         return tuple(pi for pi, _ in self.entries)
@@ -471,7 +440,7 @@ def lift_ff(base: Fq, target: K2FFClass) -> FFSymbolExpr:
 
 
 # ---------------------------------------------------------------------------
-# K_2 of the finite field itself is trivial: witnesses and reduction.
+# K_2 of the finite field itself is trivial: witnesses and the counting bound.
 
 
 def _witness_field(q: int, zeta: int | None) -> Fq:
@@ -533,84 +502,3 @@ def counting_bound(q: int, zeta: int | None = None) -> CountingBound:
     s1 = {F.mul(zeta, F.mul(x, x)) for x in F.elements()}
     s2 = {F.sub(F.one, F.mul(zeta, F.mul(y, y))) for y in F.elements()}
     return CountingBound(q, len(s1), len(s2), len(s1) + len(s2), len(s1) + len(s2) > q)
-
-
-@dataclass(frozen=True)
-class ReductionTrace:
-    """Proof trace that a symbol {zeta^m, zeta^n} vanishes in K_2(F_q)."""
-
-    q: int
-    m: int
-    n: int
-    steps: tuple[str, ...]
-    witness: object  # (x, y) or CHAR2
-    is_zero: bool
-
-
-def k2_fq_reduce(m: int, n: int, q: int) -> ReductionTrace:
-    """Reduce {zeta^m, zeta^n} to 0 in K_2(F_q), recording each step.
-
-    Bilinearity gives {zeta^m, zeta^n} = mn*c with c = {zeta, zeta}; c has
-    order dividing 2 since c = {-1, zeta}; and for odd q a Steinberg witness
-    zeta x^2 + zeta y^2 = 1 expands to 0 = c + 2w, where w is again a
-    multiple of the generator c, so c = 0.  In characteristic 2 already
-    -zeta = zeta makes c = {zeta, -zeta} = 0.
-    """
-    F = field(q)
-    steps = [f"bilinearity: {{zeta^{m}, zeta^{n}}} = {m * n} * {{zeta, zeta}}"]
-    if F.q % 2 == 0:
-        steps.append("char 2: -zeta = zeta, so {zeta, zeta} = {zeta, -zeta} = 0")
-        steps.append(f"hence {{zeta^{m}, zeta^{n}}} = 0")
-        return ReductionTrace(q, m, n, tuple(steps), CHAR2, True)
-    w = steinberg_witness(q)
-    x, y = w
-    steps.append("{zeta, zeta} = {-1, zeta}, so 2 {zeta, zeta} = 0")
-    steps.append(
-        f"witness: zeta*{x}^2 + zeta*{y}^2 = 1, so 0 = {{zeta {x}^2, zeta {y}^2}}"
-    )
-    steps.append(
-        "expanding: 0 = {zeta, zeta} + 2*w with w in the cyclic group "
-        "generated by {zeta, zeta}, and 2*w = 0"
-    )
-    steps.append(f"hence {{zeta, zeta}} = 0 and {{zeta^{m}, zeta^{n}}} = 0")
-    return ReductionTrace(q, m, n, tuple(steps), w, True)
-
-
-@dataclass(frozen=True)
-class RetractionResult:
-    """Leading-coefficient retraction of a symbol expression: the constant
-    pair of each term and the proof that its K_2(F_q) class vanishes."""
-
-    constants: tuple[tuple[int, int], ...]  # (c(f), c(g)) per term
-    traces: tuple[ReductionTrace, ...]
-
-
-def retraction(e: FFSymbolExpr) -> RetractionResult:
-    """Apply c termwise and reduce each constant symbol {c(f), c(g)} to 0."""
-    if not e.terms:
-        return RetractionResult((), ())
-    base = e.terms[0][0].field
-    zeta = generator(base)
-    consts = []
-    traces = []
-    for f, g, _ in e.terms:
-        cf, cg = leading_coeff(f), leading_coeff(g)
-        consts.append((cf, cg))
-        mf = _discrete_log(base, zeta, cf)
-        mg = _discrete_log(base, zeta, cg)
-        traces.append(k2_fq_reduce(mf, mg, base.q))
-    return RetractionResult(tuple(consts), tuple(traces))
-
-
-def _discrete_log(F: Fq, zeta: int, a: int) -> int:
-    """Smallest m >= 0 with zeta^m = a: the field's log table when zeta is
-    the generator of a prime-power field, else by stepping (prime fields
-    here are tiny)."""
-    if F.k > 1 and a and zeta == generator(F):
-        return F.log(a)
-    x = F.one
-    for mm in range(F.q - 1):
-        if x == a:
-            return mm
-        x = F.mul(x, zeta)
-    raise ValueError("element not in the cyclic group")

@@ -124,15 +124,6 @@ class K2QClass:
     def make(two_slot: int, odd_map: dict[int, int] | None = None) -> "K2QClass":
         return K2QClass(two_slot, _normalized(_odd_prime_keys(odd_map)))
 
-    def coordinate(self, p: int) -> int:
-        for q, a in self.odd:
-            if q == p:
-                return a
-        return 1
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.odd)
-
     def __add__(self, other: "K2QClass") -> "K2QClass":
         odd: dict[int, int] = dict(self.odd)
         for p, a in other.odd:
@@ -321,16 +312,6 @@ class MooreVector:
     @staticmethod
     def make(real: int, two: int, odd_map: dict[int, int] | None = None) -> "MooreVector":
         return MooreVector(real, two, _normalized(_odd_prime_keys(odd_map)))
-
-    def coordinate(self, place: PlaceQ) -> int:
-        if place.is_real():
-            return self.real
-        if place.p == 2:
-            return self.two
-        for q, a in self.odd:
-            if q == place.p:
-                return a
-        return 1
 
 
 def moore_map(e: SymbolExpr) -> MooreVector:

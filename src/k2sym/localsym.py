@@ -15,11 +15,11 @@ Conventions fixed here and relied on everywhere else:
   * h_p(x, y) = tame(x, y, p)^{(p-1)/2} is the +-1 squashing of the tame
     symbol used in product formulas.
 
-The single-place functions (tame, s_2, h_p, hilbert, norm_residue) take the
-valuation at the one place asked for and never factor.  Checks over every
-place factor each argument once into a LocalData record and read each
-place's valuation and unit residue from it with integer operations
-(Milnor, Introduction to Algebraic K-theory, section 11).
+The single-place functions (tame, s_2, h_p, hilbert) take the valuation at
+the one place asked for and never factor.  Checks over every place factor
+each argument once into a LocalData record and read each place's valuation
+and unit residue from it with integer operations (Milnor, Introduction to
+Algebraic K-theory, section 11).
 """
 from __future__ import annotations
 
@@ -48,20 +48,8 @@ class PlaceQ:
             raise ValueError(f"unknown place kind: {self.kind}")
 
     @staticmethod
-    def real() -> "PlaceQ":
-        return REAL
-
-    @staticmethod
     def prime(p: int) -> "PlaceQ":
         return PlaceQ("prime", p)
-
-    @property
-    def mu_order(self) -> int:
-        """Order of the local roots of unity: 2 at the real place and at 2,
-        p-1 at an odd prime."""
-        if self.kind == "real" or self.p == 2:
-            return 2
-        return self.p - 1
 
     def is_real(self) -> bool:
         return self.kind == "real"
@@ -69,30 +57,9 @@ class PlaceQ:
     def __repr__(self):
         return "PlaceQ(real)" if self.kind == "real" else f"PlaceQ({self.p})"
 
-    def sort_key(self):
-        # real place first, then primes in order
-        return (0, 0) if self.kind == "real" else (1, self.p)
-
 
 REAL = PlaceQ("real")
 TWO = PlaceQ("prime", 2)
-
-
-@dataclass(frozen=True)
-class MuValue:
-    """A local symbol value: +-1 at the real place and at 2, a unit in
-    [1, p-1] at an odd prime p."""
-
-    place: PlaceQ
-    value: int
-
-    def __post_init__(self):
-        if self.place.kind == "real" or self.place.p == 2:
-            if self.value not in (1, -1):
-                raise ValueError(f"value must be +-1 at {self.place}")
-        else:
-            if not 1 <= self.value < self.place.p:
-                raise ValueError(f"value out of range at {self.place}: {self.value}")
 
 
 def _as_nonzero_fraction(x) -> Fraction:
@@ -208,24 +175,6 @@ def hilbert(x, y, place: PlaceQ) -> int:
     return _h(*_odd_args(x, y, place.p))
 
 
-def norm_residue(x, y, place: PlaceQ) -> MuValue:
-    """The full local symbol value in mu_v: +-1 at real and 2, the tame
-    value in F_p^* at odd p."""
-    if place.is_real():
-        return MuValue(place, s_infinity(x, y))
-    if place.p == 2:
-        return MuValue(place, s_2(x, y))
-    return MuValue(place, _tame(*_odd_args(x, y, place.p)))
-
-
-def conic_local(x, y, place: PlaceQ) -> bool:
-    """Local solvability of x R^2 + y S^2 = 1 at the given place.
-
-    The conic has a point over the completion iff the Hilbert symbol is +1.
-    """
-    return hilbert(x, y, place) == 1
-
-
 # ---------------------------------------------------------------------------
 # Every place at once.  A nonzero rational is factored once into a
 # LocalData record, and each place reads its local data from the record
@@ -288,17 +237,3 @@ def support_places(x, y) -> tuple[PlaceQ, ...]:
     trivially 1, so any product formula over all places reduces to this set.
     """
     return (REAL, TWO) + tuple(_unchecked(PlaceQ, kind="prime", p=p) for p in odd_support(x, y))
-
-
-def milnor_sign_class(xs) -> int:
-    """Degree-n component of the mod-2 symbol on the reals.
-
-    The graded square-class algebra of R is F_2[T]; the class of the symbol
-    {x_1, ..., x_n} is T^n iff every x_i is negative, else 0.  Returns 1 or
-    0 for the T^n coefficient.  The empty product gives 1 (the unit class).
-    """
-    for x in xs:
-        x = _as_nonzero_fraction(x)
-        if x > 0:
-            return 0
-    return 1

@@ -10,11 +10,12 @@ The pairing side: for nonzero f, g in C(z) the real 1-form
     eta(f, g) = log|f| d(arg g) - log|g| d(arg f)
 
 is closed away from the zeros and poles of f and g, and its loop integrals
-recover logs of tame symbol absolute values.  eta_value is the pointwise
-form; loop_integral samples it as numpy arrays, converting the coefficients
-of f and g and of their exact derivatives to complex once per call, and
-evaluating at each dyadic level only the nodes that level adds.  Its
-LoopIntegral records the estimate at every level.
+recover logs of tame symbol absolute values.  loop_integral samples it as
+numpy arrays, converting the coefficients of f and g and of their exact
+derivatives to complex once per call, and evaluating at each dyadic level
+only the nodes that level adds.  Its LoopIntegral records the estimate at
+every level.  The pointwise scalar form of eta lives in the tests
+(tests/oracles.py), as the independent reference for loop_integral.
 
 Coefficients are exact Gaussian rationals, and the tame side of the
 comparison is funcfield's tame symbol at the place z - a of Q(i)(z), so it
@@ -31,7 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .arith import Poly, PolyKernels, RatFunc, _unchecked, bernoulli
-from .funcfield import PlaceFq, ff_valuation, tame_with_orders
+from .funcfield import PlaceFq, tame_with_orders
 
 CONVERGENCE_TARGET = 1e-9
 FIRST_SAMPLES = 64
@@ -87,9 +88,6 @@ class GaussRat:
     def __mul__(self, o):
         a, b, c, e = self.a, self.b, o.a, o.b
         return _reduced(a * c - b * e, a * e + b * c, self.d * o.d)
-
-    def conjugate(self) -> "GaussRat":
-        return _parts(self.a, -self.b, self.d)
 
     def norm2(self) -> Fraction:
         return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
@@ -179,9 +177,6 @@ class GaussField(PolyKernels):
 
     def inv(self, a):
         return a.inverse()
-
-    def div(self, a, b):
-        return a / b
 
     def __repr__(self):
         return "Q(i)"
@@ -282,43 +277,10 @@ class Loop:
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
 
-    def point(self, theta: float) -> complex:
-        return self.center + self.radius * cmath.exp(1j * self.orientation * theta)
-
-    def tangent(self, theta: float) -> complex:
-        return self.radius * self.orientation * 1j * cmath.exp(1j * self.orientation * theta)
-
-
-def _horner(p: Poly, zc: complex) -> complex:
-    acc = 0j
-    for c in reversed(p.coeffs):
-        acc = acc * zc + c.to_complex()
-    return acc
-
-
-def _log_abs_and_dlog(f: RatFunc, zc: complex) -> tuple[float, complex]:
-    """(log|f(z)|, f'(z)/f(z)) via numerator and denominator separately."""
-    n = _horner(f.num, zc)
-    d = _horner(f.den, zc)
-    if n == 0 or d == 0:
-        raise ValueError("evaluation at a zero or pole")
-    dlog = _horner(f.num.derivative(), zc) / n - _horner(f.den.derivative(), zc) / d
-    return math.log(abs(n)) - math.log(abs(d)), dlog
-
-
 def _eta(log_f, dlog_f, log_g, dlog_g, dz):
     """eta(f, g) on dz from log|f|, f'/f, log|g| and g'/g: scalars or
     numpy arrays alike."""
     return log_f * (dlog_g * dz).imag - log_g * (dlog_f * dz).imag
-
-
-def eta_value(f: RatFunc, g: RatFunc, zc: complex, dz: complex) -> float:
-    """The 1-form eta(f, g) contracted with the tangent vector dz at zc."""
-    return _eta(*_log_abs_and_dlog(f, zc), *_log_abs_and_dlog(g, zc), dz)
-
-
-def eta_pullback(f: RatFunc, g: RatFunc, loop: Loop, theta: float) -> float:
-    return eta_value(f, g, loop.point(theta), loop.tangent(theta))
 
 
 @dataclass(frozen=True)
@@ -397,10 +359,6 @@ def _place(a: GaussRat) -> PlaceFq:
     return _unchecked(PlaceFq, pi=Poly(CX, [-a, CX.one]))
 
 
-def order_at(f: RatFunc, a: GaussRat) -> int:
-    return ff_valuation(f, _place(a))
-
-
 def _orders_and_tame(f: RatFunc, g: RatFunc, a: GaussRat) -> tuple[int, int, GaussRat]:
     """Orders of f and g at a and their exact tame symbol there, from one
     strip of z - a out of each of the four polynomials."""
@@ -408,11 +366,6 @@ def _orders_and_tame(f: RatFunc, g: RatFunc, a: GaussRat) -> tuple[int, int, Gau
         raise ValueError("tame symbol needs nonzero functions")
     m, n, value = tame_with_orders(f, g, _place(a))
     return m, n, value.constant_value()
-
-
-def tame_symbol_cx(f: RatFunc, g: RatFunc, a: GaussRat) -> GaussRat:
-    """Exact tame symbol (-1)^(mn) f^n g^(-m) evaluated at a."""
-    return _orders_and_tame(f, g, a)[2]
 
 
 def _singularities(f: RatFunc, g: RatFunc, pc: complex, m: int, n: int) -> list[complex]:

@@ -6,6 +6,8 @@ dense linear algebra, alternating series.  Slow but obviously correct.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -287,9 +289,6 @@ class GaussRatFraction:
 
     def __mul__(self, o):
         return GaussRatFraction(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    def conjugate(self) -> "GaussRatFraction":
-        return GaussRatFraction(self.re, -self.im)
 
     def norm2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -721,17 +720,47 @@ def fraction_op_by_cross_products(op, x, y, canonical):
 
 # -- loop integrals by scalar samples ------------------------------------------------
 # The body the regulator module used before it sampled loops as numpy arrays:
-# every sample through the public pointwise eta_pullback, and every level
-# re-evaluating all of its nodes.
+# every sample through the pointwise eta below, and every level re-evaluating
+# all of its nodes.  eta is written out here again, apart from regnum._eta.
+
+
+def _horner(p, zc):
+    acc = 0j
+    for c in reversed(p.coeffs):
+        acc = acc * zc + c.to_complex()
+    return acc
+
+
+def _log_abs_and_dlog(f, zc):
+    """(log|f(z)|, f'(z)/f(z)) via numerator and denominator separately."""
+    n = _horner(f.num, zc)
+    d = _horner(f.den, zc)
+    if n == 0 or d == 0:
+        raise ValueError("evaluation at a zero or pole")
+    dlog = _horner(f.num.derivative(), zc) / n - _horner(f.den.derivative(), zc) / d
+    return math.log(abs(n)) - math.log(abs(d)), dlog
+
+
+def eta_value(f, g, zc, dz):
+    """The 1-form eta(f, g) = log|f| d(arg g) - log|g| d(arg f) contracted
+    with the tangent vector dz at zc."""
+    log_f, dlog_f = _log_abs_and_dlog(f, zc)
+    log_g, dlog_g = _log_abs_and_dlog(g, zc)
+    return log_f * (dlog_g * dz).imag - log_g * (dlog_f * dz).imag
+
+
+def eta_pullback(f, g, loop, theta):
+    """eta(f, g) pulled back to the loop center + radius e^(i orientation
+    theta) at the angle theta."""
+    u = cmath.exp(1j * loop.orientation * theta)
+    return eta_value(f, g, loop.center + loop.radius * u, loop.radius * loop.orientation * 1j * u)
 
 
 def loop_integral_by_pullback(f, g, loop):
     """(1/2pi) times the loop integral of eta(f, g) by the periodic
     trapezoid rule, doubling from FIRST_SAMPLES with the same convergence
     test as regnum.loop_integral; returns a LoopIntegral with trajectory."""
-    import math
-
-    from k2sym.regnum import CONVERGENCE_TARGET, FIRST_SAMPLES, MAX_SAMPLES, LoopIntegral, eta_pullback
+    from k2sym.regnum import CONVERGENCE_TARGET, FIRST_SAMPLES, MAX_SAMPLES, LoopIntegral
 
     def trapezoid(n):
         step = 2 * math.pi / n

@@ -3,7 +3,6 @@ import ast
 import operator
 import random
 import re
-from collections import Counter
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -18,6 +17,7 @@ from k2sym.arith import (
     Poly,
     PolyKernels,
     RatFunc,
+    _split,
     bernoulli,
     factorize,
     field,
@@ -28,7 +28,6 @@ from k2sym.arith import (
     legendre,
     poly_factor,
     primes_below,
-    valuation,
 )
 from k2sym.charpforms import BiPoly, MultiRatFunc
 from k2sym.regnum import CX, GaussRat
@@ -92,9 +91,9 @@ def test_factorize_matches_naive_oracle_small():
 
 
 def test_valuation():
-    assert valuation(Fraction(12), 2) == 2
-    assert valuation(Fraction(9, 10), 5) == -1
-    assert valuation(Fraction(7), 3) == 0
+    assert _split(Fraction(12), 2) == (2, 3, 1)
+    assert _split(Fraction(9, 10), 5) == (-1, 9, 2)
+    assert _split(Fraction(-7), 3) == (0, -7, 1)
 
 
 # -- legendre symbol ----------------------------------------------------------
@@ -189,6 +188,7 @@ def test_tables_match_digit_arithmetic(q):
     assert oracles.multiplicative_order(g, D.mul, 1, q) == q - 1
     assert all(oracles.multiplicative_order(a, D.mul, 1, q) < q - 1 for a in range(1, g))
     inverses = [None] + [D.inv(b) for b in F.units()]
+    log = F._tables[1]
     for a in F.elements():
         assert F.neg(a) == D.neg(a)
         assert D.pow(F.frobenius_root(a), p) == a
@@ -197,7 +197,7 @@ def test_tables_match_digit_arithmetic(q):
         if a:
             assert F.inv(a) == inverses[a]
             assert F.pow(a, -3) == D.pow(a, -3)
-            assert D.pow(g, F.log(a)) == a
+            assert D.pow(g, log[a]) == a
         for b in F.elements():
             assert F.add(a, b) == D.add(a, b), (a, b)
             assert F.sub(a, b) == D.sub(a, b), (a, b)
@@ -664,73 +664,97 @@ def test_no_unused_imports():
 DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
-def _references(tree) -> Counter:
-    """How often code in tree names each identifier: as a variable, an
-    attribute or an import, or inside a dotted-name string such as the
-    benchmark tracer's "Fq.mul"."""
-    out = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            out[node.name.split(".")[-1]] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and DOTTED_NAME.fullmatch(node.value):
-            out.update(node.value.split("."))
-    return out
+def _names(node) -> list[str]:
+    """The identifiers node itself names: as a variable, an attribute or an
+    import, or inside a dotted-name string such as the benchmark tracer's
+    "Fq.mul"."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [node.name.split(".")[-1]]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) and DOTTED_NAME.fullmatch(node.value):
+        return node.value.split(".")
+    return []
 
 
-def unreferenced_definitions(defining: dict[str, ast.AST], others: list[ast.AST]) -> list[tuple[str, str]]:
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _bodies(node, owner: set, out: list) -> None:
+    """Add to owner the names that node's own code mentions, and to out a
+    (definition, names) pair for each function, class and method under it.
+    A dunder method is code of its class, not a definition of its own."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            continue  # not a use: test_no_unused_imports sees each import read
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and not _is_dunder(child.name):
+            names: set = set()
+            out.append((child.name, names))
+            _bodies(child, names, out)
+        else:
+            owner.update(_names(child))
+            _bodies(child, owner, out)
+
+
+def unreachable_definitions(defining: dict[str, ast.AST], others: list[ast.AST]) -> list[tuple[str, str]]:
     """(module, name) of each function, class and method of the defining
-    modules (dunders aside) that no code in them or in others names outside
-    the definition itself."""
-    total = sum((_references(tree) for tree in [*defining.values(), *others]), Counter())
-    out = []
+    modules (dunders aside) that the roots do not reach.  The roots are
+    main (cli.main, the console script), every name module-level code
+    mentions, and every name in others.  Reaching a name reaches each
+    definition of it, and with it every name that definition's body
+    mentions."""
+    reached, todo, found = set(), ["main"], []
     for module, tree in defining.items():
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not (
-                    node.name.startswith("__") and node.name.endswith("__")):
-                if total[node.name] == _references(node)[node.name]:
-                    out.append((module, node.name))
-    return out
+        top: set = set()
+        definitions: list = []
+        _bodies(tree, top, definitions)
+        todo += top
+        found += [(module, name, names) for name, names in definitions]
+    for tree in others:
+        todo += [name for node in ast.walk(tree) for name in _names(node)]
+    bodies: dict[str, list] = {}
+    for _, name, names in found:
+        bodies.setdefault(name, []).append(names)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for names in bodies.get(name, ()):
+                todo += names
+    return [(module, name) for module, name, _ in found if name not in reached]
 
 
-# Definitions that only tests name, each with a test function that needs it.
+# Definitions that only tests reach, each with a test function that needs it.
 TEST_ONLY = {
-    "valuation": "test_arith.py::test_valuation",
-    "from_ints": "test_arith.py::test_irreducibility_examples",
+    # d on functions, the test vocabulary for exact forms: B1 is its image
     "d0": "test_charpforms.py::test_d1_after_d0_is_zero",
+    # the tests' spelling of a polynomial over F_q by integer coefficients
+    "from_ints": "test_arith.py::test_irreducibility_examples",
+    # the monomial bound of the linear-algebra oracles for B1 and B2
     "total_degree": "test_charpforms.py::oracle_in_B2",
-    "retraction": "test_funcfield.py::test_retraction_traces_vanish",
-    "value_at": "test_funcfield.py::test_class_group_ops",
-    "coordinate": "test_k2q.py::test_k2qclass_group_ops",
-    "norm_residue": "test_localsym.py::test_norm_residue_values",
-    "conic_local": "test_localsym.py::test_h_p_matches_congruence_oracle_small_primes",
-    "milnor_sign_class": "test_localsym.py::test_milnor_sign_class",
-    "mu_order": "test_localsym.py::test_place_validation",
-    "format_expression": "test_parsing.py::test_print_examples",
-    "eta_pullback": "test_regnum.py::test_eta_rejects_zero_or_pole_on_path",
-    "order_at": "test_regnum.py::test_order_at",
-    "tame_symbol_cx": "test_regnum.py::test_tame_symbol_frozen_examples",
-    "conjugate": "test_regnum.py::test_gaussrat_field_ops",
 }
 
 
 def test_no_unused_definitions():
     toy = ast.parse("def used(): pass\ndef dead(n): return dead(n - 1)\n"
                     "class A:\n    def __init__(self): pass\n    def m(self): return A\n"
+                    "def a(): return b()\ndef b(): return a()\n"
                     "TABLE = ('A.m',)\nused()\n")
-    assert unreferenced_definitions({"toy": toy}, []) == [("toy", "dead")]
+    assert unreachable_definitions({"toy": toy}, []) == [("toy", "dead"), ("toy", "a"), ("toy", "b")]
     root = Path(__file__).resolve().parent.parent
-    defining = {path.name: ast.parse(path.read_text()) for path in sorted((root / "src" / "k2sym").glob("*.py"))}
-    others = [ast.parse(path.read_text()) for folder in ("scripts", "benchmarks")
-              for path in sorted((root / folder).glob("*.py"))]
+    package = root / "src" / "k2sym"
+    defining = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))
+                if path.name != "__init__.py"}
+    sources = [package / "__init__.py", *sorted(root.glob("scripts/*.py")), *sorted(root.glob("benchmarks/*.py"))]
+    others = [ast.parse(path.read_text()) for path in sources]
     assert len(defining) > 1 and others
-    names = {name for _, name in unreferenced_definitions(defining, others)}
+    names = {name for _, name in unreachable_definitions(defining, others)}
     assert sorted(names) == sorted(TEST_ONLY)
     for name, where in TEST_ONLY.items():
         test_file, function = where.split("::")
         tree = ast.parse((root / "tests" / test_file).read_text())
         node = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function)
-        assert _references(node)[name], where
+        assert name in {n for sub in ast.walk(node) for n in _names(sub)}, where

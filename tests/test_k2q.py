@@ -22,7 +22,7 @@ from k2sym.k2q import (
     quadratic_reciprocity,
     symbol,
 )
-from k2sym.localsym import REAL, PlaceQ
+from k2sym.localsym import PlaceQ
 from k2sym.quadforms import DiagForm, conic_solvable_Q, invariants, quaternion_splits
 
 import oracles
@@ -75,8 +75,7 @@ def test_k2qclass_group_ops():
     b = K2QClass.make(-1, {3: 2})
     s = a + b
     assert s.two_slot == 1
-    assert s.coordinate(3) == 1  # 2*2 = 4 = 1 mod 3
-    assert s.coordinate(7) == 4
+    assert s.odd == ((7, 4),)  # 2*2 = 4 = 1 mod 3 drops the place 3
     assert (a + -a).is_zero()
     assert not a.is_zero()
 
@@ -232,11 +231,8 @@ def test_moore_lift_random_kernel_vectors():
 
 
 def test_moore_vector_coordinate_access():
-    v = MooreVector.make(-1, 1, {5: 4})
-    assert v.coordinate(REAL) == -1
-    assert v.coordinate(PlaceQ.prime(2)) == 1
-    assert v.coordinate(PlaceQ.prime(5)) == 4
-    assert v.coordinate(PlaceQ.prime(11)) == 1
+    v = MooreVector.make(-1, 1, {5: 4, 11: 1})
+    assert (v.real, v.two, v.odd) == (-1, 1, ((5, 4),))
 
 
 # -- factor once: proven primes are not tested again -------------------------------

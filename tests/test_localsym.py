@@ -10,17 +10,13 @@ from k2sym.arith import primes_below
 from k2sym.k2q import K2QClass, MooreVector, SymbolExpr, lambda_tate, moore_map
 from k2sym.localsym import (
     REAL,
-    MuValue,
     PlaceQ,
     _residue,
     _tame,
-    conic_local,
     h_p,
     hilbert,
     hilbert_factors,
     local_data,
-    milnor_sign_class,
-    norm_residue,
     odd_primes,
     s_2,
     s_infinity,
@@ -184,7 +180,7 @@ def test_h_p_matches_congruence_oracle_small_primes():
                 continue
             place = PlaceQ.prime(p)
             solvable = oracles.conic_has_primitive_solution_mod(x, y, p, k)
-            assert conic_local(x, y, place) == solvable, (x, y, p)
+            assert (hilbert(x, y, place) == 1) == solvable, (x, y, p)
 
 
 def test_hilbert_symbol_values():
@@ -201,74 +197,18 @@ def test_hilbert_symmetric(x, y):
         assert hilbert(x, y, place) == hilbert(y, x, place)
 
 
-# -- norm residue ----------------------------------------------------------------
-
-
-def test_norm_residue_values():
-    v = norm_residue(3, 5, PlaceQ.prime(5))
-    assert v == MuValue(PlaceQ.prime(5), 3)
-    assert norm_residue(-1, -1, REAL) == MuValue(REAL, -1)
-    assert norm_residue(2, 3, PlaceQ.prime(2)).value == -1
-
-
-def test_norm_residue_is_tame_at_odd_p():
-    rng = random.Random(13)
-    for _ in range(100):
-        x = Fraction(rng.randint(-100, 100), rng.randint(1, 100))
-        y = Fraction(rng.randint(-100, 100), rng.randint(1, 100))
-        if 0 in (x, y):
-            continue
-        p = rng.choice([3, 5, 7, 11])
-        assert norm_residue(x, y, PlaceQ.prime(p)).value == tame(x, y, p)
-
-
-def test_mu_value_range_checks():
-    with pytest.raises(ValueError):
-        MuValue(PlaceQ.prime(2), 3)
-    with pytest.raises(ValueError):
-        MuValue(PlaceQ.prime(7), 0)
-
-
 # -- places ----------------------------------------------------------------------
 
 
 def test_place_validation():
     with pytest.raises(ValueError):
         PlaceQ.prime(6)
-    assert PlaceQ.prime(2).mu_order == 2
-    assert PlaceQ.prime(13).mu_order == 12
-    assert REAL.mu_order == 2
 
 
 def test_support_places():
     places = support_places(Fraction(12), Fraction(-5, 7))
     assert places[0] == REAL
     assert [pl.p for pl in places[1:]] == [2, 3, 5, 7]
-
-
-# -- milnor sign class ------------------------------------------------------------
-
-
-def test_milnor_sign_class():
-    assert milnor_sign_class([-2, Fraction(-1, 3), -5]) == 1
-    assert milnor_sign_class([-2, 3]) == 0
-    assert milnor_sign_class([]) == 1
-    assert milnor_sign_class([7]) == 0
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(nonzero_rationals, max_size=5))
-def test_milnor_sign_class_is_all_negative_indicator(xs):
-    expected = 1 if all(x < 0 for x in xs) else 0
-    assert milnor_sign_class(xs) == expected
-
-
-def test_milnor_sign_multiplicative_structure():
-    # appending a positive entry kills the class; appending a negative one
-    # preserves it (multiplication by the degree-one generator)
-    assert milnor_sign_class([-1, -1]) == 1
-    assert milnor_sign_class([-1, -1, 2]) == 0
-    assert milnor_sign_class([-1, -1, -2]) == 1
 
 
 # -- cross-place consistency -------------------------------------------------------
@@ -317,7 +257,6 @@ def test_record_evaluators_match_fraction_oracle():
             t = oracles.tame_fraction(x, y, p)
             assert _tame(*_residue(rx, p), *_residue(ry, p), p) == t, (x, y, p)
             assert tame(x, y, p) == t
-            assert norm_residue(x, y, PlaceQ.prime(p)).value == t
     # symbol expressions with multiplicities: Tate's map and the real slot
     for _ in range(60):
         shared = rng.choice(odd[:10])

@@ -13,7 +13,6 @@ from k2sym.parsing import (
     ParseError,
     Pow,
     Var,
-    format_expression,
     parse_charp,
     parse_expression,
     parse_funcfield,
@@ -142,6 +141,41 @@ def random_ast(rng, depth):
         random_ast(rng, depth - 1),
         random_ast(rng, rng.randrange(depth)),
     )
+
+
+def format_expression(node) -> str:
+    """Canonical printing, the parser's round-trip reference:
+    parse_expression(format_expression(e)) rebuilds e exactly."""
+    if isinstance(node, Num):
+        return str(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        inner = format_expression(node.arg)
+        if isinstance(node.arg, BinOp):
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(node, Pow):
+        base = format_expression(node.base)
+        if not isinstance(node.base, (Num, Var)):
+            base = f"({base})"
+        return f"{base}^{node.exponent}"
+    if isinstance(node, BinOp):
+        # the left spine of a chain is folded in a loop, as in evaluate
+        spine = []
+        while isinstance(node, BinOp):
+            spine.append(node)
+            node = node.left
+        text = format_expression(node)
+        for op in reversed(spine):
+            if op.op in "*/" and isinstance(op.left, BinOp) and op.left.op in "+-":
+                text = f"({text})"
+            right = format_expression(op.right)
+            if isinstance(op.right, BinOp):
+                right = f"({right})"
+            text = f"{text} {op.op} {right}"
+        return text
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def test_parse_after_print_is_identity():
