@@ -109,6 +109,14 @@ CATALOGUE = (
            "top = Poly.const(F, F.one if ab % 2 == 0 else F.neg(F.one))",
            "top = Poly.const(F, F.one)",
            ("tests/test_regnum.py::test_tame_symbol_frozen_examples",)),
+    Mutant("exact-div-row-remainder", "charpforms.py",
+           "            if r:\n                raise ValueError(\"not an exact division\")\n            Q[k] = q",
+           "            Q[k] = q",
+           ("tests/test_charpforms.py::test_exact_div_roundtrip",)),
+    Mutant("miller-rabin-witness-41", "arith.py",
+           "_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
+           "_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)",
+           ("tests/test_arith.py::test_is_prime_sees_through_the_least_strong_pseudoprime_to_bases_below_41",)),
 )
 
 

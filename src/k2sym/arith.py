@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -18,8 +17,11 @@ from math import comb, isqrt
 # accidental integer arithmetic on it is loud (it propagates as -inf).
 NEG_INF = float("-inf")
 
-# Witness set making Miller-Rabin deterministic for n < 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The primes 2..41 as Miller-Rabin witnesses decide primality exactly below
+# psi_13 = 3317044064679887385961981, the least strong pseudoprime to all of
+# them (Sorenson and Webster, 2015); is_prime refuses n >= PRIME_BOUND.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
 
 # Factorization refuses inputs whose prime parts exceed this bound.
 FACTOR_BOUND = 10**12
@@ -29,10 +31,13 @@ _TRIAL_LIMIT = 10**6
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
+    """Deterministic Miller-Rabin primality test, exact for n < PRIME_BOUND;
+    ValueError at or above it."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    if n >= PRIME_BOUND:
+        raise ValueError(f"primality of {n} is beyond the bound {PRIME_BOUND}")
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -94,31 +99,6 @@ def _unchecked(cls, **fields):
     return out
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization of a positive rational: ((p, e), ...) with the
-    primes strictly increasing and e nonzero (negative e for denominator
-    primes)."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        last = 1
-        for p, e in self.factors:
-            if p <= last or e == 0 or not is_prime(p):
-                raise ValueError(f"malformed factorization: {self.factors}")
-            last = p
-
-    def value(self) -> Fraction:
-        v = Fraction(1)
-        for p, e in self.factors:
-            v *= Fraction(p) ** e
-        return v
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-
 def _factor_positive(n: int) -> dict[int, int]:
     """Trial division by the cached sieve; Miller-Rabin certifies the cofactor."""
     out: dict[int, int] = {}
@@ -136,12 +116,12 @@ def _factor_positive(n: int) -> dict[int, int]:
     return out
 
 
-def factorize(x: int | Fraction) -> tuple[int, Factorization]:
+def factorize(x: int | Fraction) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Factor a nonzero rational as sign * prod p^e.
 
-    Returns (sign, Factorization).  Denominator primes appear with negative
-    exponent.  Raises ValueError on 0 and on inputs beyond the supported
-    factor bound.
+    Returns (sign, ((p, e), ...)) with the primes increasing and each e
+    nonzero; denominator primes appear with negative exponent.  Raises
+    ValueError on 0 and on inputs beyond the supported factor bound.
     """
     x = Fraction(x)
     if x == 0:
@@ -152,8 +132,7 @@ def factorize(x: int | Fraction) -> tuple[int, Factorization]:
     fac = _factor_positive(abs(x.numerator))
     for p, e in _factor_positive(x.denominator).items():
         fac[p] = fac.get(p, 0) - e
-    items = tuple(sorted((p, e) for p, e in fac.items() if e != 0))
-    return sign, _unchecked(Factorization, factors=items)
+    return sign, tuple(sorted((p, e) for p, e in fac.items() if e != 0))
 
 
 def _split(x, p: int) -> tuple[int, int, int]:
@@ -597,9 +576,9 @@ def field(q: int) -> Fq:
     """The finite field with q elements; q must be a prime power, at most
     FIELD_LIMIT unless prime."""
     sign, fac = factorize(q)
-    if sign < 0 or len(fac.factors) != 1 or fac.factors[0][1] < 1:
+    if sign < 0 or len(fac) != 1 or fac[0][1] < 1:
         raise ValueError(f"{q} is not a prime power")
-    p, k = fac.factors[0]
+    p, k = fac[0]
     return Fq(p, k)
 
 

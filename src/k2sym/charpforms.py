@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import (PolyFraction, _fp_divmod, _fp_gcd, _fp_mul, _fp_sub, _fp_trim, _unchecked, is_prime,
+from .arith import (PolyFraction, _fp_divmod, _fp_gcd, _fp_mul, _fp_sub, _unchecked, is_prime,
                     square_and_multiply)
 
 
@@ -29,49 +29,42 @@ def _grlex(term):
     return (i + j, i, j)
 
 
-def _sorted_terms(p: int, coeffs: dict) -> tuple:
-    """The terms of a coefficient dict: reduced mod p, zeros dropped,
-    sorted by graded lex."""
-    items = [(ij, r) for ij, c in coeffs.items() if (r := c % p)]
-    items.sort(key=_grlex)
-    return tuple(items)
-
-
 def _kernel(p: int, coeffs: dict) -> "BiPoly":
-    """A BiPoly out of this module's own arithmetic: p was checked when the
-    operands were built and _sorted_terms orders the terms, so it skips
-    __post_init__."""
-    return _unchecked(BiPoly, p=p, terms=_sorted_terms(p, coeffs))
+    """A BiPoly out of this module's own arithmetic: coefficients reduced
+    mod p and zeros dropped; p was checked when the operands were built, so
+    it skips __post_init__."""
+    return _unchecked(BiPoly, p=p, coeffs={ij: r for ij, c in coeffs.items() if (r := c % p)})
 
 
 @dataclass(frozen=True)
 class BiPoly:
-    """Sparse bivariate polynomial over F_p; terms sorted by graded lex.
+    """Sparse bivariate polynomial over F_p: a dict from (i, j) to the
+    nonzero coefficient of s^i t^j mod p, in no order.  Graded lex is
+    computed where it is read: by terms, the sorted tuple a report prints,
+    and by leading.
 
-    BiPoly(p, terms) and BiPoly.make check p and the terms; the results of
-    its own arithmetic are built by _kernel without a second check."""
+    BiPoly(p, coeffs) and BiPoly.make check p and the coefficients; the
+    results of its own arithmetic are built by _kernel without a second
+    check."""
 
     p: int
-    terms: tuple[tuple[tuple[int, int], int], ...]
+    coeffs: dict[tuple[int, int], int]
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"coefficient modulus must be prime, got {self.p}")
-        last = None
-        for term in self.terms:
-            (i, j), c = term
+        for (i, j), c in self.coeffs.items():
             if i < 0 or j < 0:
                 raise ValueError("negative exponent")
             if not 0 < c < self.p:
                 raise ValueError("coefficient not reduced")
-            key = _grlex(term)
-            if last is not None and key <= last:
-                raise ValueError("terms out of order")
-            last = key
+
+    def __hash__(self):
+        return hash((self.p, frozenset(self.coeffs.items())))
 
     @staticmethod
     def make(p: int, coeffs: dict) -> "BiPoly":
-        return BiPoly(p, _sorted_terms(p, coeffs))
+        return BiPoly(p, {ij: r for ij, c in coeffs.items() if (r := c % p)})
 
     @staticmethod
     def const(p: int, c: int) -> "BiPoly":
@@ -85,21 +78,25 @@ class BiPoly:
     def var_t(p: int) -> "BiPoly":
         return BiPoly.make(p, {(0, 1): 1})
 
+    @property
+    def terms(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        """The terms ((i, j), c) sorted by graded lex."""
+        return tuple(sorted(self.coeffs.items(), key=_grlex))
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def is_constant(self) -> bool:
-        # (0, 0) comes first in graded lex, so a constant has at most it
-        terms = self.terms
-        return not terms or (len(terms) == 1 and terms[0][0] == (0, 0))
+        coeffs = self.coeffs
+        return not coeffs or (len(coeffs) == 1 and (0, 0) in coeffs)
 
     def total_degree(self) -> int:
-        return max((i + j for (i, j), _ in self.terms), default=-1)
+        return max((i + j for i, j in self.coeffs), default=-1)
 
     def leading(self) -> tuple[tuple[int, int], int]:
         if self.is_zero():
             raise ValueError("leading term of 0")
-        return self.terms[-1]
+        return max(self.coeffs.items(), key=_grlex)
 
     def _check(self, other):
         if self.p != other.p:
@@ -107,13 +104,13 @@ class BiPoly:
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
         self._check(other)
-        out = dict(self.terms)
-        for ij, c in other.terms:
+        out = dict(self.coeffs)
+        for ij, c in other.coeffs.items():
             out[ij] = out.get(ij, 0) + c
         return _kernel(self.p, out)
 
     def __neg__(self) -> "BiPoly":
-        return _unchecked(BiPoly, p=self.p, terms=tuple((ij, self.p - c) for ij, c in self.terms))
+        return _unchecked(BiPoly, p=self.p, coeffs={ij: self.p - c for ij, c in self.coeffs.items()})
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         return self + (-other)
@@ -121,14 +118,14 @@ class BiPoly:
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         self._check(other)
         out: dict = {}
-        for (i1, j1), c1 in self.terms:
-            for (i2, j2), c2 in other.terms:
+        for (i1, j1), c1 in self.coeffs.items():
+            for (i2, j2), c2 in other.coeffs.items():
                 ij = (i1 + i2, j1 + j2)
                 out[ij] = out.get(ij, 0) + c1 * c2
         return _kernel(self.p, out)
 
     def scale(self, c: int) -> "BiPoly":
-        return _kernel(self.p, {ij: a * c for ij, a in self.terms})
+        return _kernel(self.p, {ij: a * c for ij, a in self.coeffs.items()})
 
     def __pow__(self, e: int) -> "BiPoly":
         if e < 0:
@@ -138,33 +135,36 @@ class BiPoly:
     def exact_div(self, d: "BiPoly") -> "BiPoly":
         """Quotient self/d when d divides exactly; ValueError otherwise.
 
-        Greedy leading-term cancellation under grlex: for a true multiple
-        the leading monomial is always divisible, so failure mid-loop is
-        proof of non-divisibility.
+        Long division in t over F_p[s] on the t-major rows: each step
+        divides the leading row of the remainder by that of d, and a
+        multiple of d always passes, so the first row that does not divide
+        (or a remainder of t-degree below d's) proves non-divisibility.
         """
         self._check(d)
         if d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         p = self.p
-        (di, dj), dc = d.leading()
-        dc_inv = pow(dc, -1, p)
-        rem = self
-        q: dict = {}
-        while not rem.is_zero():
-            (ri, rj), rc = rem.leading()
-            mi, mj = ri - di, rj - dj
-            if mi < 0 or mj < 0:
+        R, D = _tmajor(self), _tmajor(d)
+        dD = len(D) - 1
+        Q: list[list[int]] = [[] for _ in range(len(R) - dD)]
+        while _trim_t(R):
+            k = len(R) - 1 - dD
+            if k < 0:
                 raise ValueError("not an exact division")
-            c = rc * dc_inv % p
-            q[(mi, mj)] = c
-            rem = rem - d * _unchecked(BiPoly, p=p, terms=(((mi, mj), c),))
-        return _kernel(p, q)
+            q, r = _fp_divmod(R[-1], D[-1], p)
+            if r:
+                raise ValueError("not an exact division")
+            Q[k] = q
+            R.pop()  # q t^k D cancels the leading row
+            for idx in range(dD):
+                R[idx + k] = _fp_sub(R[idx + k], _fp_mul(q, D[idx], p), p)
+        return _from_tmajor(p, Q)
 
     def derivative_s(self) -> "BiPoly":
-        return _kernel(self.p, {(i - 1, j): i * c for (i, j), c in self.terms if i})
+        return _kernel(self.p, {(i - 1, j): i * c for (i, j), c in self.coeffs.items() if i})
 
     def derivative_t(self) -> "BiPoly":
-        return _kernel(self.p, {(i, j - 1): j * c for (i, j), c in self.terms if j})
+        return _kernel(self.p, {(i, j - 1): j * c for (i, j), c in self.coeffs.items() if j})
 
     def __repr__(self):
         return f"BiPoly({self.p}, {dict(self.terms)})"
@@ -175,23 +175,20 @@ class BiPoly:
 
 def _tmajor(f: BiPoly) -> list[list[int]]:
     """Coefficients as s-polynomials (int lists) indexed by t-degree."""
-    dt = max((j for (_, j), _ in f.terms), default=-1)
+    dt = max((j for _, j in f.coeffs), default=-1)
     out: list[list[int]] = [[] for _ in range(dt + 1)]
-    for (i, j), c in f.terms:
+    for (i, j), c in f.coeffs.items():
         col = out[j]
         while len(col) <= i:
             col.append(0)
-        col[i] = c
-    return [_fp_trim(col) for col in out]
+        col[i] = c  # each row ends at its highest term, so it is trimmed
+    return out
 
 
 def _from_tmajor(p: int, cols: list[list[int]]) -> BiPoly:
-    coeffs = {}
-    for j, col in enumerate(cols):
-        for i, c in enumerate(col):
-            if c:
-                coeffs[(i, j)] = c
-    return _kernel(p, coeffs)
+    """The BiPoly of reduced rows."""
+    coeffs = {(i, j): c for j, col in enumerate(cols) for i, c in enumerate(col) if c}
+    return _unchecked(BiPoly, p=p, coeffs=coeffs)
 
 
 def _trim_t(cols):
@@ -273,7 +270,7 @@ class MultiRatFunc(PolyFraction):
 
     @staticmethod
     def _one(f: BiPoly) -> BiPoly:
-        return _unchecked(BiPoly, p=f.p, terms=(((0, 0), 1),))
+        return _unchecked(BiPoly, p=f.p, coeffs={(0, 0): 1})
 
     @staticmethod
     def _cancel(num: BiPoly, den: BiPoly) -> tuple[BiPoly, BiPoly]:
@@ -391,7 +388,7 @@ def _cartier(h: MultiRatFunc, shift_s: int, shift_t: int) -> MultiRatFunc:
     p = h.p
     P = h.num * h.den ** (p - 1)
     out = {}
-    for (i, j), c in P.terms:
+    for (i, j), c in P.coeffs.items():
         if (i + shift_s) % p == 0 and (j + shift_t) % p == 0:
             out[((i + shift_s) // p - shift_s, (j + shift_t) // p - shift_t)] = c
     return MultiRatFunc(_kernel(p, out), h.den)

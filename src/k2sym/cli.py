@@ -24,7 +24,6 @@ from fractions import Fraction
 from . import charpforms, funcfield, k2q, localsym, quadforms, regnum, zeta
 from .arith import Poly, RatFunc, field, generator, is_prime
 from .charpforms import Form0, Form1, Form2
-from .funcfield import PlaceFq
 from .localsym import REAL, PlaceQ
 from .parsing import (
     parse_charp,
@@ -204,9 +203,9 @@ def _cmd_ffdecompose(args):
 
 def _cmd_fflift(args):
     F = field(args.q)
-    entries = _components(args.component, lambda text: PlaceFq(parse_poly(text, args.q)).pi,
-                          lambda text: parse_poly(text, args.q))
-    target = funcfield.K2FFClass._at_places(F, entries)  # PlaceFq tested each key
+    poly = functools.partial(parse_poly, q=args.q)
+    entries = _components(args.component, poly, poly)
+    target = funcfield.K2FFClass.make(F, entries)  # checks that each key is a place
     expr = funcfield.lift_ff(F, target)
     roundtrip = funcfield.decompose(expr, F) == target
     terms = [[_ratfunc(a), _ratfunc(b), m] for a, b, m in expr.terms]

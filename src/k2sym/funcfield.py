@@ -67,11 +67,6 @@ class PlaceFq:
     def is_infinite(self) -> bool:
         return self.pi is None
 
-    @property
-    def degree(self) -> int:
-        """Degree of the residue field over F_q (infinity has degree 1)."""
-        return 1 if self.pi is None else self.pi.degree
-
 
 def _check_place(pi: Poly) -> None:
     """The distinct-degree test: pi must be monic irreducible."""

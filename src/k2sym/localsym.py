@@ -199,7 +199,7 @@ def local_data(x) -> LocalData:
     """Factor a nonzero rational once, for evaluation at every place."""
     x = _as_nonzero_fraction(x)
     _, fac = factorize(x)
-    return LocalData(x.numerator, x.denominator, dict(fac.factors))
+    return LocalData(x.numerator, x.denominator, dict(fac))
 
 
 def odd_primes(*records: LocalData) -> list[int]:

@@ -161,7 +161,7 @@ def _square_scale(r: Fraction) -> tuple[int, Fraction, list[int]]:
     sf, fac = factorize(r)
     t = Fraction(1)
     odd = []
-    for p, e in fac.factors:
+    for p, e in fac:
         t *= Fraction(p) ** (e // 2)
         if e % 2:
             sf *= p

@@ -158,7 +158,6 @@ class GaussField(PolyKernels):
     char = 0
     zero = GaussRat(0)
     one = GaussRat(1)
-    i = GaussRat(0, 1)
 
     def from_int(self, n):
         return GaussRat(n)

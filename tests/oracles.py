@@ -597,7 +597,7 @@ def square_class_by_factoring(r) -> int:
         raise ValueError("zero has no square class")
     sign, fac = factorize(r)
     out = sign
-    for p, e in fac.factors:
+    for p, e in fac:
         if e % 2:
             out *= p
     return out
@@ -701,6 +701,29 @@ def bipoly_pair_by_gcd(num, den):
         num, den = num.exact_div(g), den.exact_div(g)
     inv = pow(den.leading()[1], -1, den.p)
     return num.scale(inv), den.scale(inv)
+
+
+def exact_div_greedy(f, d):
+    """f / d for BiPolys by greedy leading-term cancellation under graded
+    lex, the library's former BiPoly.exact_div: for a true multiple the
+    leading monomial of the remainder is always divisible by that of d, so
+    a failure mid-loop proves non-divisibility (ValueError)."""
+    from k2sym.charpforms import BiPoly
+
+    p = f.p
+    (di, dj), dc = d.leading()
+    dc_inv = pow(dc, -1, p)
+    rem = f
+    q: dict = {}
+    while not rem.is_zero():
+        (ri, rj), rc = rem.leading()
+        mi, mj = ri - di, rj - dj
+        if mi < 0 or mj < 0:
+            raise ValueError("not an exact division")
+        c = rc * dc_inv % p
+        q[(mi, mj)] = c
+        rem = rem - d * BiPoly.make(p, {(mi, mj): c})
+    return BiPoly.make(p, q)
 
 
 def fraction_op_by_cross_products(op, x, y, canonical):
@@ -825,7 +848,7 @@ def norm_by_exponent(value, place):
 
     F = value.field
     pi = Poly.x(F) if place.is_infinite else place.pi
-    e = (F.q**place.degree - 1) // (F.q - 1)
+    e = (F.q**pi.degree - 1) // (F.q - 1)
     norm = value.pow_mod(e, pi)
     assert norm.is_constant(), "the norm lies in F_q"
     return norm.constant_value()

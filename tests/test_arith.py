@@ -14,6 +14,7 @@ from k2sym import arith, charpforms
 from k2sym.arith import (
     FIELD_LIMIT,
     NEG_INF,
+    PRIME_BOUND,
     Poly,
     PolyKernels,
     RatFunc,
@@ -44,6 +45,22 @@ def test_is_prime_matches_naive_oracle_below_2000():
         assert is_prime(n) == oracles.naive_is_prime(n), n
 
 
+def test_is_prime_sees_through_the_least_strong_pseudoprime_to_bases_below_41():
+    # psi_12 passes Miller-Rabin to every base 2..37; base 41 exposes it
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+
+
+def test_is_prime_refuses_inputs_from_its_bound():
+    # psi_13 is a strong pseudoprime to every base 2..41: the witnesses stop there
+    psi13 = 3317044064679887385961981
+    assert psi13 == 1287836182261 * 2575672364521 == PRIME_BOUND
+    with pytest.raises(ValueError):
+        is_prime(psi13)
+    assert not is_prime(psi13 - 4)  # below the bound, and divisible by 3
+
+
 def test_primes_below_agrees_with_sieve_oracle():
     ps = primes_below(500)
     assert ps == tuple(n for n in range(500) if oracles.naive_is_prime(n))
@@ -52,21 +69,20 @@ def test_primes_below_agrees_with_sieve_oracle():
 def test_factorize_12():
     sign, fac = factorize(12)
     assert sign == 1
-    assert fac.factors == ((2, 2), (3, 1))
+    assert fac == ((2, 2), (3, 1))
 
 
 def test_factorize_negative_rational():
     sign, fac = factorize(Fraction(-9, 10))
     assert sign == -1
-    assert fac.factors == ((2, -1), (3, 2), (5, -1))
-    assert sign * fac.value() == Fraction(-9, 10)
+    assert fac == ((2, -1), (3, 2), (5, -1))
 
 
 def test_factorize_large_prime():
     # 999983 is prime by the naive oracle
     assert oracles.naive_is_prime(999983)
     sign, fac = factorize(999983)
-    assert sign == 1 and fac.factors == ((999983, 1),)
+    assert sign == 1 and fac == ((999983, 1),)
 
 
 def test_factorize_zero_rejected():
@@ -79,15 +95,19 @@ def test_factorize_zero_rejected():
 def test_factorize_roundtrip(n, d):
     x = Fraction(n, d)
     sign, fac = factorize(x)
-    assert sign * fac.value() == x
-    ps = fac.primes()
-    assert list(ps) == sorted(ps)
+    value = Fraction(sign)
+    for p, e in fac:
+        assert e != 0 and is_prime(p)
+        value *= Fraction(p) ** e
+    assert value == x
+    ps = [p for p, _ in fac]
+    assert ps == sorted(set(ps))
 
 
 def test_factorize_matches_naive_oracle_small():
     for n in range(1, 400):
         _, fac = factorize(n)
-        assert dict(fac.factors) == oracles.naive_factor(n)
+        assert dict(fac) == oracles.naive_factor(n)
 
 
 def test_valuation():

@@ -22,7 +22,7 @@ from k2sym.charpforms import (
     in_B2,
     nu_member,
 )
-from oracles import in_span_mod_p
+from oracles import exact_div_greedy, in_span_mod_p
 
 
 def mk(p, coeffs):
@@ -116,6 +116,7 @@ def test_bipoly_ring_ops():
             b = random_bipoly(rng, p, 3, allow_zero=True)
             c = random_bipoly(rng, p, 2, allow_zero=True)
             assert a + b == b + a
+            assert hash(a + b) == hash(b + a)  # equal maps, whatever their order
             assert a * b == b * a
             assert a * (b + c) == a * b + a * c
             assert (a - a).is_zero()
@@ -133,11 +134,11 @@ def test_bipoly_pow_matches_repeated_mul():
 
 def test_bipoly_validation():
     with pytest.raises(ValueError):
-        BiPoly(4, ())
+        BiPoly(4, {})
     with pytest.raises(ValueError):
-        BiPoly(3, (((0, 0), 5),))
+        BiPoly(3, {(0, 0): 5})
     with pytest.raises(ValueError):
-        BiPoly(3, (((1, 0), 1), ((0, 0), 1)))  # out of grlex order
+        BiPoly(3, {(1, 0): 1, (0, 0): 0})  # a stored coefficient is never 0
     with pytest.raises(ValueError):
         BiPoly.make(3, {(-1, 0): 1})
 
@@ -151,6 +152,35 @@ def test_exact_div_roundtrip():
             assert (a * b).exact_div(b) == a
     with pytest.raises(ValueError):
         mk(3, {(1, 0): 1, (0, 0): 1}).exact_div(mk(3, {(0, 1): 1}))
+    with pytest.raises(ValueError):  # (s + 1) t / s: the leading row s + 1 leaves 1
+        mk(3, {(1, 1): 1, (0, 1): 1}).exact_div(mk(3, {(1, 0): 1}))
+
+
+@st.composite
+def bipolys(draw, p, deg=2):
+    """A BiPoly over F_p of total degree at most deg, maybe zero."""
+    cells = [(i, j) for i in range(deg + 1) for j in range(deg + 1 - i)]
+    return mk(p, {ij: draw(st.integers(0, p - 1)) for ij in cells})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3, 5)).flatmap(lambda p: st.tuples(bipolys(p), bipolys(p), bipolys(p, 1))))
+def test_exact_div_matches_greedy_reference(polys):
+    a, b, c = polys
+    if b.is_zero():
+        return
+    # a product: both return a
+    assert (a * b).exact_div(b) == exact_div_greedy(a * b, b) == a
+    # a product plus c: a multiple of b exactly when c is, and then both
+    # give the same quotient; otherwise both raise
+    f = a * b + c
+    try:
+        expected = exact_div_greedy(f, b)
+    except ValueError:
+        with pytest.raises(ValueError):
+            f.exact_div(b)
+    else:
+        assert f.exact_div(b) == expected
 
 
 def test_gcd_divides_and_contains_common_factor():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k2sym import arith, k2q, localsym
-from k2sym.arith import Factorization, is_prime, legendre, primes_below
+from k2sym.arith import is_prime, legendre, primes_below
 from k2sym.k2q import (
     K2Q_ZERO,
     K2QClass,
@@ -241,8 +241,6 @@ def test_moore_vector_coordinate_access():
 def test_public_constructors_still_check_primes():
     with pytest.raises(ValueError):
         PlaceQ.prime(9)
-    with pytest.raises(ValueError):
-        Factorization(((4, 1),))
     with pytest.raises(ValueError):
         K2QClass(1, ((9, 2),))
     with pytest.raises(ValueError):
