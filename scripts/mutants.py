@@ -117,6 +117,18 @@ CATALOGUE = (
            "_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
            "_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)",
            ("tests/test_arith.py::test_is_prime_sees_through_the_least_strong_pseudoprime_to_bases_below_41",)),
+    Mutant("parse-sum-fold-swapped", "parsing.py",
+           "value = _BINARY[op](value, self.term())",
+           "value = _BINARY[op](self.term(), value)",
+           ("tests/test_parsing.py::test_precedence_and_associativity",)),
+    Mutant("parse-paren-keeps-depth", "parsing.py",
+           "            self.pos += 1\n            self.depth -= 1\n            return value",
+           "            self.pos += 1\n            return value",
+           ("tests/test_parsing.py::test_long_funcfield_chain_matches_left_fold",)),
+    Mutant("dlog2-jacobian-sign", "charpforms.py",
+           "f.derivative_s() * g.derivative_t() - f.derivative_t() * g.derivative_s()",
+           "f.derivative_t() * g.derivative_s() - f.derivative_s() * g.derivative_t()",
+           ("tests/test_charpforms.py::test_dlog2_orientation_and_wedge_reference",)),
 )
 
 

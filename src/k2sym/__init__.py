@@ -42,7 +42,7 @@ from k2sym.k2q import (
     symbol,
 )
 from k2sym.localsym import REAL, PlaceQ, hilbert, s_2, s_infinity, tame
-from k2sym.parsing import parse_expression, parse_rational
+from k2sym.parsing import parse_rational
 from k2sym.quadforms import (
     DiagForm,
     conic_point_search,

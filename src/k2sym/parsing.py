@@ -7,18 +7,18 @@ Grammar, whitespace-insensitive, with ^ for powers and unary minus:
     factor := '-' factor | base ('^' uint)?
     base   := uint | identifier | '(' expr ')'
 
-One evaluator serves every domain with the values' own operators; a domain
-supplies only how to make a constant and a table of its variables (T for
-function fields, s and t in characteristic p, z and i over the Gaussian
-rationals; plain rational expressions have none).  The unicode minus sign
-is accepted as a synonym for '-'.  Parentheses and unary minus nest at most
-MAX_NESTING deep, and an exponent is at most MAX_EXPONENT.  Errors carry
-the character offset.
+One pass that evaluates as it parses serves every domain with the values'
+own operators; a domain supplies only how to make a constant and a table of
+its variables (T for function fields, s and t in characteristic p, z and i
+over the Gaussian rationals; plain rational expressions have none).  The
+unicode minus sign is accepted as a synonym for '-'.  Parentheses and unary
+minus nest at most MAX_NESTING deep, and an exponent is at most
+MAX_EXPONENT.  Errors carry the character offset; an input with several
+faults reports the first one from the left.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Poly, RatFunc, field
@@ -44,42 +44,8 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num var op end
-    text: str
-    offset: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tuples, kind one of num var op end."""
     src = text.replace("−", "-")
     out = []
     k = 0
@@ -89,140 +55,120 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             k += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = k
-            while k < n and src[k].isdigit():
+            while k < n and src[k].isdecimal():
                 k += 1
-            out.append(_Token("num", src[start:k], start))
+            out.append(("num", src[start:k], start))
             continue
         if ch.isalpha():
             start = k
             while k < n and src[k].isalpha():
                 k += 1
-            out.append(_Token("var", src[start:k], start))
+            out.append(("var", src[start:k], start))
             continue
         if ch in "+-*/^()":
-            out.append(_Token("op", ch, k))
+            out.append(("op", ch, k))
             k += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", k)
-    out.append(_Token("end", "", n))
+    out.append(("end", "", n))
     return out
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent that folds each production into its value as it
+    goes: `const(n)` makes the value of an integer literal, `names` maps each
+    identifier to a function that makes its value, and `where` finishes the
+    error for any other identifier.
+
+    The expr and term loops fold a chain a + b - c ... left to right, so
+    recursion goes only as deep as the nesting budget.
+    """
+
+    def __init__(self, text: str, const, names, where):
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.const = const
+        self.names = names
+        self.where = where
 
-    def nest(self, tok: _Token) -> None:
+    def nest(self, offset: int) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING}", tok.offset)
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", offset)
 
     def expr(self):
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.take().text
-            node = BinOp(op, node, self.term())
-        return node
+        value = self.term()
+        while True:
+            kind, op, _ = self.tokens[self.pos]
+            if kind != "op" or op not in "+-":
+                return value
+            self.pos += 1
+            value = _BINARY[op](value, self.term())
 
     def term(self):
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.take().text
-            node = BinOp(op, node, self.factor())
-        return node
+        value = self.factor()
+        while True:
+            kind, op, _ = self.tokens[self.pos]
+            if kind != "op" or op not in "*/":
+                return value
+            self.pos += 1
+            value = _BINARY[op](value, self.factor())
 
     def factor(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.nest(self.take())
-            node = Neg(self.factor())
+        kind, text, offset = self.tokens[self.pos]
+        if kind == "op" and text == "-":
+            self.pos += 1
+            self.nest(offset)
+            value = -self.factor()
             self.depth -= 1
-            return node
-        node = self.base()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.take()
-            etok = self.peek()
-            if etok.kind != "num":
-                raise ParseError("expected an exponent", etok.offset)
-            self.take()
-            exponent = int(etok.text)
+            return value
+        value = self.base()
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "op" and text == "^":
+            kind, text, offset = self.tokens[self.pos + 1]
+            if kind != "num":
+                raise ParseError("expected an exponent", offset)
+            self.pos += 2
+            exponent = int(text)
             if exponent > MAX_EXPONENT:
-                raise ParseError(f"exponent larger than {MAX_EXPONENT}", etok.offset)
-            node = Pow(node, exponent)
-        return node
+                raise ParseError(f"exponent larger than {MAX_EXPONENT}", offset)
+            value = value ** exponent
+        return value
 
     def base(self):
-        tok = self.take()
-        if tok.kind == "num":
-            return Num(int(tok.text))
-        if tok.kind == "var":
-            return Var(tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            self.nest(tok)
-            node = self.expr()
-            closing = self.take()
-            if not (closing.kind == "op" and closing.text == ")"):
-                raise ParseError("expected ')'", closing.offset)
+        kind, text, offset = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "num":
+            return self.const(int(text))
+        if kind == "var":
+            make = self.names.get(text)
+            if make is None:
+                raise ValueError(f"no variable {text!r} {self.where}")
+            return make()
+        if kind == "op" and text == "(":
+            self.nest(offset)
+            value = self.expr()
+            kind, text, offset = self.tokens[self.pos]
+            if kind != "op" or text != ")":
+                raise ParseError("expected ')'", offset)
+            self.pos += 1
             self.depth -= 1
-            return node
-        raise ParseError("expected an operand", tok.offset)
+            return value
+        raise ParseError("expected an operand", offset)
 
 
-def parse_expression(text: str):
-    parser = _Parser(_tokenize(text))
-    node = parser.expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError("trailing input", tail.offset)
-    return node
-
-
-def evaluate(node, const, names, where):
-    """Fold the tree with the values' own + - * / ** and unary minus.
-
-    `const(n)` makes the value of an integer literal, `names` maps each
-    identifier to a function that makes its value, and `where` finishes the
-    error for any other identifier.  Division by a zero value, in any
-    domain, is a ValueError.
-
-    A chain a + b - c ... is a left-deep tree as deep as it is long, so its
-    left spine is folded in a loop; recursion goes only as deep as the
-    parser's nesting budget.
-    """
-    if isinstance(node, BinOp):
-        spine = []
-        while isinstance(node, BinOp):
-            spine.append(node)
-            node = node.left
-        acc = evaluate(node, const, names, where)
-        for op in reversed(spine):
-            acc = _BINARY[op.op](acc, evaluate(op.right, const, names, where))
-        return acc
-    if isinstance(node, Num):
-        return const(node.value)
-    if isinstance(node, Var):
-        make = names.get(node.name)
-        if make is None:
-            raise ValueError(f"no variable {node.name!r} {where}")
-        return make()
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, const, names, where)
-    if isinstance(node, Pow):
-        return evaluate(node.base, const, names, where) ** node.exponent
-    raise TypeError(f"not an expression node: {node!r}")
+def _evaluate(text: str, const, names, where):
+    """The value of text in one domain; division by a zero value, in any
+    domain, is a ValueError."""
+    parser = _Parser(text, const, names, where)
+    value = parser.expr()
+    kind, _, offset = parser.tokens[parser.pos]
+    if kind != "end":
+        raise ParseError("trailing input", offset)
+    return value
 
 
 def _divide(a, b):
@@ -236,15 +182,14 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide
 
 
 def parse_rational(text: str) -> Fraction:
-    return evaluate(parse_expression(text), Fraction, {}, "in a rational expression")
+    return _evaluate(text, Fraction, {}, "in a rational expression")
 
 
 def parse_funcfield(text: str, q: int) -> RatFunc:
     """A rational function of T over F_q."""
-    node = parse_expression(text)
     F = field(q)
-    return evaluate(
-        node,
+    return _evaluate(
+        text,
         lambda n: RatFunc.from_poly(Poly.const(F, F.from_int(n))),
         {"T": lambda: RatFunc.from_poly(Poly.x(F))},
         "over a function field; use T",
@@ -261,8 +206,8 @@ def parse_poly(text: str, q: int) -> Poly:
 
 def parse_charp(text: str, p: int) -> MultiRatFunc:
     """A bivariate rational function of s, t in characteristic p."""
-    return evaluate(
-        parse_expression(text),
+    return _evaluate(
+        text,
         lambda n: MultiRatFunc.const(p, n),
         {
             "s": lambda: MultiRatFunc.from_poly(BiPoly.var_s(p)),
@@ -274,8 +219,8 @@ def parse_charp(text: str, p: int) -> MultiRatFunc:
 
 def parse_gauss_ratfunc(text: str) -> RatFunc:
     """A rational function of z over the Gaussian rationals; i is the unit."""
-    return evaluate(
-        parse_expression(text),
+    return _evaluate(
+        text,
         lambda n: ratfunc_z([n]),
         {
             "z": lambda: ratfunc_z([0, 1]),

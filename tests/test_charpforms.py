@@ -287,6 +287,21 @@ def test_dlog2_of_unit_times_pth_power_drops_power():
     assert dlog2((f**p) * g, h) == dlog2(g, h)
 
 
+def test_dlog2_orientation_and_wedge_reference():
+    for p in (3, 5, 7):
+        s, t = sv(p), tv(p)
+        # ds/s ^ dt/t = ds^dt / (s t); odd p, where the sign is visible
+        assert dlog2(s, t) == Form2(one(p) / (s * t))
+    rng = random.Random(73)
+    for p in (2, 3, 5):
+        for _ in range(8):
+            f = random_mrf(rng, p, 2)
+            g = random_mrf(rng, p, 2)
+            # reference: the wedge of two dlog1 forms
+            a, b = dlog1(f), dlog1(g)
+            assert dlog2(f, g) == Form2(a.ds * b.dt - a.dt * b.ds)
+
+
 # -- Cartier operator -------------------------------------------------------------
 
 

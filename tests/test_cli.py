@@ -152,6 +152,7 @@ def test_dilog_catalan(capsys):
         ["ffdecompose", "--q", "5", "0", "T+1"],
         ["hilbert", "--place", "318665857834031151167461", "2", "3"],
         ["hilbert", "--place", "3317044064679887385961981", "2", "3"],
+        ["reciprocity", "1/0 +", "2"],
     ],
     ids=["syntax", "bad-place", "singular-curve", "not-closed", "div-zero", "field-too-large",
          "deep-nesting", "huge-exponent", "reducible-key", "non-monic-key", "repeated-prime",
@@ -160,7 +161,7 @@ def test_dilog_catalan(capsys):
          "key-0", "reducible-key-trivial", "non-monic-key-trivial", "split-key-trivial",
          "zero-key", "steinberg-beyond-field-limit", "zero-reciprocity", "zero-quaternion",
          "zero-pfister", "zero-hilbert", "conic-height-0", "zero-weil-f", "zero-weil-g",
-         "zero-ffdecompose", "spsp-place", "place-beyond-prime-bound"],
+         "zero-ffdecompose", "spsp-place", "place-beyond-prime-bound", "div-zero-before-syntax"],
 )
 def test_invalid_inputs_exit_2(capsys, argv):
     code, _, rep = run(capsys, argv)

@@ -1,20 +1,16 @@
 """Tests for the expression language and its evaluation in each domain."""
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from k2sym.arith import Poly, RatFunc, field
 from k2sym.parsing import (
     MAX_EXPONENT,
     MAX_NESTING,
-    BinOp,
-    Neg,
-    Num,
     ParseError,
-    Pow,
-    Var,
     parse_charp,
-    parse_expression,
     parse_funcfield,
     parse_gauss_point,
     parse_gauss_ratfunc,
@@ -25,34 +21,46 @@ from k2sym.regnum import GaussRat
 
 
 def test_precedence_and_associativity():
-    assert parse_expression("1+2*3") == BinOp("+", Num(1), BinOp("*", Num(2), Num(3)))
-    assert parse_expression("1-2-3") == BinOp("-", BinOp("-", Num(1), Num(2)), Num(3))
-    assert parse_expression("2^3") == Pow(Num(2), 3)
-    assert parse_expression("-x^2") == Neg(Pow(Var("x"), 2))
-    assert parse_expression("(1+2)*3") == BinOp("*", BinOp("+", Num(1), Num(2)), Num(3))
+    assert parse_rational("1+2*3") == 7
+    assert parse_rational("(1+2)*3") == 9
+    assert parse_rational("1-2-3") == -4
+    assert parse_rational("8/4/2") == 1
+    assert parse_rational("2*3/4*5") == Fraction(15, 2)
+    assert parse_rational("2^3") == 8
+    assert parse_rational("-2^2") == -4
+    assert parse_rational("1 - -2") == 3
+    x = parse_funcfield("T", 7)
+    assert parse_funcfield("-T^2", 7) == -(x * x)
+    assert parse_funcfield("T - 1 - T", 7) == parse_funcfield("-1", 7)
 
 
 def test_whitespace_and_unicode_minus():
-    assert parse_expression(" 1 +  2 ") == parse_expression("1+2")
+    assert parse_rational(" 1 +\t2 *  3 ") == parse_rational("1+2*3") == 7
+    assert parse_funcfield(" ( T + 1 ) ^ 2 ", 5) == parse_funcfield("(T+1)^2", 5)
     assert parse_rational("−3/4") == Fraction(-3, 4)
 
 
 def test_syntax_error_offsets():
-    with pytest.raises(ParseError) as exc:
-        parse_expression("1 +")
-    assert exc.value.offset == 3
-    with pytest.raises(ParseError) as exc:
-        parse_expression("(1+2")
-    assert exc.value.offset == 4
-    with pytest.raises(ParseError) as exc:
-        parse_expression("1 @ 2")
-    assert exc.value.offset == 2
-    with pytest.raises(ParseError) as exc:
-        parse_expression("2^x")
-    assert exc.value.offset == 2
-    with pytest.raises(ParseError) as exc:
-        parse_expression("1 2")
-    assert exc.value.offset == 2
+    for text, message in [
+        ("1 +", "expected an operand at offset 3"),
+        ("(1+2", "expected ')' at offset 4"),
+        ("1 @ 2", "unexpected character '@' at offset 2"),
+        ("2^x", "expected an exponent at offset 2"),
+        ("1 2", "trailing input at offset 2"),
+        ("2²", "unexpected character '²' at offset 1"),  # a digit to isdigit(), not to int()
+        ("1 + (2 * )", "expected an operand at offset 9"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_rational(text)
+        assert str(exc.value) == message
+        assert exc.value.offset == int(message.rsplit(" ", 1)[1])
+
+
+def test_first_fault_from_the_left_is_reported():
+    with pytest.raises(ValueError, match="division by zero"):
+        parse_rational("1/0 +")
+    with pytest.raises(ParseError, match="expected an operand at offset 3"):
+        parse_rational("1+ +1/0")
 
 
 def test_nesting_budget():
@@ -61,20 +69,22 @@ def test_nesting_budget():
     assert parse_rational("-" * MAX_NESTING + "2") == 2
     for deep in ("(" + inner + ")", "-" + "-(" * (MAX_NESTING // 2) + "2" + ")" * (MAX_NESTING // 2)):
         with pytest.raises(ParseError, match="nesting"):
-            parse_expression(deep)
+            parse_rational(deep)
     with pytest.raises(ParseError) as exc:
-        parse_expression("(" * 2000 + "2" + ")" * 2000)
+        parse_rational("(" * 2000 + "2" + ")" * 2000)
     assert exc.value.offset == MAX_NESTING
+    # the budget bounds depth, not count: closed groups give theirs back
+    assert parse_rational("+".join([inner] * 3)) == 6
 
 
 def test_exponent_budget():
     assert parse_rational(f"1^{MAX_EXPONENT}") == 1
     assert parse_funcfield(f"T^{MAX_EXPONENT}", 3).num.degree == MAX_EXPONENT
     with pytest.raises(ParseError, match="exponent") as exc:
-        parse_expression(f"1 + T^{MAX_EXPONENT + 1}")
+        parse_funcfield(f"1 + T^{MAX_EXPONENT + 1}", 3)
     assert exc.value.offset == 6
     with pytest.raises(ParseError) as exc:
-        parse_expression("T^999999")
+        parse_funcfield("T^999999", 3)
     assert exc.value.offset == 2
 
 
@@ -128,100 +138,75 @@ def test_charp_and_gauss_evaluation():
         parse_gauss_ratfunc("z/0")
 
 
-def random_ast(rng, depth):
-    if depth == 0:
-        return rng.choice([Num(rng.randrange(12)), Var(rng.choice("Tstzi"))])
-    pick = rng.randrange(4)
+# Levels of the grammar: 0 a sum, 1 a product, 2 a factor (-x or x^n),
+# 3 a base (a literal or a parenthesized expression).
+def random_expression(rng, depth):
+    """(text, level, value): random text written with only the parentheses
+    the grammar needs, and its value from Fraction's own operators."""
+    if depth == 0 or rng.random() < 0.2:
+        n = rng.randrange(12)
+        return str(n), 3, Fraction(n)
+
+    def operand(least):
+        text, level, value = random_expression(rng, depth - 1)
+        if level < least or rng.random() < 0.1:
+            text, level = f"({text})", 3
+        return text, value
+
+    sp = rng.choice(("", " "))
+    pick = rng.randrange(5)
     if pick == 0:
-        return Neg(random_ast(rng, depth - 1))
+        text, value = operand(2)
+        return f"-{sp}{text}", 2, -value
     if pick == 1:
-        return Pow(random_ast(rng, depth - 1), rng.randrange(5))
-    return BinOp(
-        rng.choice("+-*/"),
-        random_ast(rng, depth - 1),
-        random_ast(rng, rng.randrange(depth)),
-    )
+        e = rng.randrange(4)
+        text, value = operand(3)
+        return f"{text}^{e}", 2, value**e
+    op = rng.choice("+-*/")
+    least = 0 if op in "+-" else 1
+    left, a = operand(least)
+    right, b = operand(least + 1)  # the left fold needs the right one tighter
+    if op == "/" and b == 0:
+        op = "*"
+    value = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[op](a, b)
+    return f"{left}{sp}{op}{sp}{right}", least, value
 
 
-def format_expression(node) -> str:
-    """Canonical printing, the parser's round-trip reference:
-    parse_expression(format_expression(e)) rebuilds e exactly."""
-    if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = format_expression(node.arg)
-        if isinstance(node.arg, BinOp):
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Pow):
-        base = format_expression(node.base)
-        if not isinstance(node.base, (Num, Var)):
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    if isinstance(node, BinOp):
-        # the left spine of a chain is folded in a loop, as in evaluate
-        spine = []
-        while isinstance(node, BinOp):
-            spine.append(node)
-            node = node.left
-        text = format_expression(node)
-        for op in reversed(spine):
-            if op.op in "*/" and isinstance(op.left, BinOp) and op.left.op in "+-":
-                text = f"({text})"
-            right = format_expression(op.right)
-            if isinstance(op.right, BinOp):
-                right = f"({right})"
-            text = f"{text} {op.op} {right}"
-        return text
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def test_parse_after_print_is_identity():
+def test_random_expressions_match_fraction_oracle():
     rng = random.Random(2024)
-    for _ in range(200):
-        ast = random_ast(rng, 4)
-        assert parse_expression(format_expression(ast)) == ast
+    for _ in range(300):
+        text, _, value = random_expression(rng, 5)
+        assert parse_rational(text) == value, text
 
 
-def test_print_examples():
-    assert format_expression(BinOp("+", Num(1), BinOp("*", Num(2), Var("T")))) == "1 + (2 * T)"
-    assert format_expression(BinOp("*", BinOp("+", Num(1), Num(2)), Var("T"))) == "(1 + 2) * T"
-    assert format_expression(Neg(BinOp("+", Num(1), Num(2)))) == "-(1 + 2)"
-    assert format_expression(Pow(BinOp("+", Var("s"), Num(1)), 2)) == "(s + 1)^2"
+def test_long_funcfield_chain_matches_left_fold():
+    q = 5
+    F = field(q)
+    T = RatFunc.from_poly(Poly.x(F))
 
+    def c(n):
+        return RatFunc.from_poly(Poly.const(F, F.from_int(n)))
 
-def _same_tree(a, b) -> bool:
-    """Structural equality without recursion: dataclass == on a 3000-deep
-    left spine would exceed the interpreter's recursion limit."""
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, BinOp):
-            if a.op != b.op:
-                return False
-            stack += [(a.left, b.left), (a.right, b.right)]
-        elif isinstance(a, Neg):
-            stack.append((a.arg, b.arg))
-        elif isinstance(a, Pow):
-            if a.exponent != b.exponent:
-                return False
-            stack.append((a.base, b.base))
-        elif a != b:
-            return False
-    return True
-
-
-def test_long_operator_chains_round_trip():
+    # factor-level operands, so a chain of them is a left fold of its terms;
+    # the parenthesized ones check that each ')' gives its nesting back
+    operands = {
+        "7": c(7), "T": T, "(1 + T)": c(1) + T, "-2": -c(2), "T^3": T**3,
+        "(T - 1)": T - c(1), "-(T^2 + 1)": -(T * T + c(1)), "(2 * T - 1)^2": (c(2) * T - c(1)) ** 2,
+    }
     rng = random.Random(3000)
-    operands = ["7", "T", "(1 + T)", "-2", "T^3", "(T - 1) * 2"]
-    text = "1" + "".join(f" {rng.choice('+-*/')} {rng.choice(operands)}" for _ in range(2999))
-    tree = parse_expression(text)
-    printed = format_expression(tree)
-    assert _same_tree(parse_expression(printed), tree)
-    assert format_expression(parse_expression(printed)) == printed
-    chain = parse_expression("+".join(["1"] * 3000))
-    assert format_expression(chain) == " + ".join(["1"] * 3000)
+    picks = [rng.choice(list(operands)) for _ in range(3000)]
+    ops = [rng.choice("+-*/") for _ in range(2999)]
+    text = picks[0] + "".join(f" {op} {x}" for op, x in zip(ops, picks[1:]))
+    assert text.count("(") > MAX_NESTING
+    # * and / fold within a term, + and - fold the terms
+    total, sign, term = c(0), "+", operands[picks[0]]
+    for op, x in zip(ops, picks[1:]):
+        if op == "*":
+            term = term * operands[x]
+        elif op == "/":
+            term = term / operands[x]
+        else:
+            total = total + term if sign == "+" else total - term
+            sign, term = op, operands[x]
+    total = total + term if sign == "+" else total - term
+    assert parse_funcfield(text, q) == total
