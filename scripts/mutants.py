@@ -75,6 +75,23 @@ CATALOGUE = (
            "for k in range(len(rem) - 1, db - 1, -1):\n            r = rem[k]",
            "for k in range(len(rem) - 1, db, -1):\n            r = rem[k]",
            ("tests/test_arith.py::test_poly_kernels_match_schoolbook[9]",)),
+    Mutant("zech-plus-one-wrap", "arith.py",
+           "        log_succ[p - 1 :: p] = log[::p]\n",
+           "",
+           ("tests/test_arith.py::test_tables_match_doubling_reference[1024]",
+            "tests/test_arith.py::test_tables_match_doubling_reference[2187]")),
+    Mutant("zech-slot-reduction-by-p-1", "arith.py",
+           "x = (s & digits) - p * (((s + bias) & top) >> w1)",
+           "x = (s & digits) - (p - 1) * (((s + bias) & top) >> w1)",
+           ("tests/test_arith.py::test_tables_match_doubling_reference[343]",)),
+    Mutant("zech-image-reduction-bias", "arith.py",
+           "return s - p * (((s + bias) & top) >> w1)",
+           "return s - p * ((s & top) >> w1)",
+           ("tests/test_arith.py::test_tables_match_doubling_reference[625]",)),
+    Mutant("pow-mod-first-factor-shift", "arith.py",
+           "        result = base\n        e >>= 1\n",
+           "        result = base\n",
+           ("tests/test_arith.py::test_poly_kernels_match_schoolbook[9]",)),
     Mutant("mod-on-divmod", "arith.py",
            "return Poly._trusted(F, F.poly_rem(self.coeffs, other.coeffs))",
            "return Poly._trusted(F, F.poly_divmod(self.coeffs, other.coeffs)[1])",

@@ -309,16 +309,22 @@ class PolyKernels:
         return quot, self.poly_rem(a, b, quot)
 
     def poly_pow_mod(self, a, e, m) -> list:
-        """a^e mod m on coefficient lists, e >= 0 and m nonzero."""
+        """a^e mod m on coefficient lists, e >= 0 and m nonzero.  The
+        product starts from its first factor, not from 1."""
         rem, mul = self.poly_rem, self.poly_mul
-        result = rem([self.one], m)
+        if not e:
+            return rem([self.one], m)
         base = rem(a, m)
+        while not e & 1:
+            base = rem(mul(base, base), m)
+            e >>= 1
+        result = base
+        e >>= 1
         while e:
+            base = rem(mul(base, base), m)
             if e & 1:
                 result = rem(mul(result, base), m)
             e >>= 1
-            if e:
-                base = rem(mul(base, base), m)
         return result
 
     def poly_gcd(self, a, b) -> list:
@@ -386,9 +392,11 @@ class Fq(PolyKernels):
         exp[i] encodes g^i, with length 2(q - 1) so that exp[log a + log b]
         needs no reduction; log[a] is the i in [0, q - 1) with g^i = a, and
         log[0] = -1; zech[i] = log(1 + g^i), so -1 where 1 + g^i = 0.
-        """
-        import numpy  # only here: importing k2sym does not load numpy
 
+        Pure Python, at about 1 us per element: exp walks x <- g x with the
+        base-p digits of x packed into w-bit slots, and log and zech are one
+        pass each over exp.
+        """
         p, k, n = self.p, self.k, self.q - 1
         Fp = field(p)
         m = Poly(Fp, self.modulus_coeffs)
@@ -400,31 +408,62 @@ class Fq(PolyKernels):
             g = Poly(Fp, self._coords(a))
             if all(g.pow_mod(n // ell, m) != one for ell in ells):
                 break
-        # Row i of mat holds the coordinates of X^i * h, for h = g^filled:
-        # a row vector of coordinates times mat is that element times h.
+        # Digit i of x sits in bits [w i, w i + w).  A sum of two reduced
+        # slots is below 2p - 1 < 2^w; adding 2^w1 - p sets bit w1 exactly in
+        # the slots that are >= p, and those lose p.  No carry leaves a slot,
+        # so the bits from b up pass through: there a table entry carries the
+        # encoding of the digits it was built from.
+        w1 = p.bit_length()
+        w = w1 + 1
+        b = k * w
+        top = sum(1 << w * i + w1 for i in range(k))
+        bias = (top >> w1) * ((1 << w1) - p)
+        digits = (1 << b) - 1
+
+        def reduced(s):
+            return s - p * (((s + bias) & top) >> w1)
+
+        # rows[i] is X^i g packed: the image of x is the sum of c_i rows[i]
         rows, h = [], g
         for _ in range(k):
-            rows.append(list(h.coeffs) + [0] * (k - len(h.coeffs)))
+            rows.append(sum(c << w * i for i, c in enumerate(h.coeffs)))
             h = (h * Poly.x(Fp)) % m
-        mat = numpy.array(rows, dtype=numpy.int64)
-        coords = numpy.zeros((n, k), dtype=numpy.int64)
-        coords[0, 0] = 1
-        filled = 1
-        while filled < n:
-            step = min(filled, n - filled)
-            coords[filled : filled + step] = coords[:step] @ mat % p
-            mat = mat @ mat % p
-            filled += step
-        enc = coords @ p ** numpy.arange(k, dtype=numpy.int64)
-        plus_one = numpy.where(coords[:, 0] == p - 1, enc - (p - 1), enc + 1).tolist()
-        del coords
-        log = numpy.full(self.q, -1, dtype=numpy.int64)
-        log[enc] = numpy.arange(n)
-        log = log.tolist()
-        exp = enc.tolist()
-        del enc
-        zech = list(map(log.__getitem__, plus_one))  # shares log's int objects
-        return exp + exp, log, zech, n // 2 if p > 2 else 0
+
+        def images(first, last):
+            """Packed digits i in [first, last), shifted down to slot 0, ->
+            their image plus their encoding above bit b."""
+            out = {0: 0}
+            for i in range(first, last):
+                multiples = [0]
+                for _ in range(p - 1):
+                    multiples.append(reduced(multiples[-1] + rows[i]))
+                unit = p**i << b
+                out = {key | c << w * (i - first): reduced(v + multiples[c]) + c * unit
+                       for key, v in out.items() for c in range(p)}
+            return out
+
+        half = k // 2
+        low, high = images(0, half), images(half, k)
+        shift = w * half
+        mask = (1 << shift) - 1
+        exp = []
+        append = exp.append
+        x = 1
+        for _ in range(n):
+            s = low[x & mask] + high[x >> shift]
+            append(s >> b)
+            x = (s & digits) - p * (((s + bias) & top) >> w1)  # reduced(s) below bit b
+        log = [-1] * self.q
+        for i, e in enumerate(exp):
+            log[e] = i
+        # 1 + a adds 1 to digit 0 of a, so log(1 + a) is log[a + 1], or
+        # log[a - (p - 1)] when that digit is p - 1 and wraps to 0
+        log_succ = log[1:] + log[:1]
+        log_succ[p - 1 :: p] = log[::p]
+        zech = list(map(log_succ.__getitem__, exp))  # shares log's int objects
+        del log_succ
+        exp *= 2
+        return exp, log, zech, n // 2 if p > 2 else 0
 
     # -- field operations on integer encodings --
 
@@ -855,7 +894,7 @@ def _equal_degree_split(F: Fq, f: list[int], d: int, rng: random.Random) -> list
             return g
 
 
-def _equal_degree(F: Fq, f: list[int], d: int, rng: random.Random) -> list[list[int]]:
+def _equal_degree(F: Fq, f: list[int], d: int, rng: random.Random | None) -> list[list[int]]:
     if len(f) - 1 == d:
         return [f]
     g = _equal_degree_split(F, f, d, rng)
@@ -865,8 +904,8 @@ def _equal_degree(F: Fq, f: list[int], d: int, rng: random.Random) -> list[list[
 def _factor_monic(F: Fq, f: list[int]) -> dict[tuple[int, ...], int]:
     """The monic irreducible factors of monic f of positive degree, as
     coefficient tuples, with their multiplicities.  The equal-degree
-    splitting RNG is seeded from f."""
-    rng = random.Random(("poly_factor", F.p, F.k, tuple(f)).__repr__())
+    splitting RNG is seeded from f, when a first part needs splitting."""
+    rng = None
     exps: dict[tuple[int, ...], int] = {}
     remaining = f
     # Extract multiplicities by dividing out the squarefree radical repeatedly.
@@ -880,6 +919,8 @@ def _factor_monic(F: Fq, f: list[int]) -> dict[tuple[int, ...], int]:
             break
         radical = F.poly_divmod(remaining, F.poly_gcd(remaining, d))[0]
         for g, dd in _distinct_degree(F, radical):
+            if rng is None and len(g) - 1 > dd:  # g needs splitting
+                rng = random.Random(("poly_factor", F.p, F.k, tuple(f)).__repr__())
             for irr in _equal_degree(F, g, dd, rng):
                 key = tuple(irr)
                 exps[key] = exps.get(key, 0) + 1

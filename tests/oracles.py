@@ -182,6 +182,51 @@ class DigitField:
         return self.pow(a, self.q - 2)
 
 
+# -- Zech tables by matrix doubling ------------------------------------------------
+# The body Fq._tables ran before it walked x <- g x in pure Python: the
+# coordinates of g^i for all i at once, by doubling blocks of rows with numpy
+# matrix products mod p.
+
+
+def zech_tables_by_doubling(F):
+    """(exp + exp, log, zech, log(-1)) of the prime-power field F, k > 1,
+    to the base of the smallest generator, as Fq._tables returns them."""
+    from k2sym.arith import Poly, _factor_positive, field
+
+    p, k, n = F.p, F.k, F.q - 1
+    Fp = field(p)
+    m = Poly(Fp, F.modulus_coeffs)
+    one = Poly.const(Fp, Fp.one)
+    ells = list(_factor_positive(n))
+    for a in range(p, F.q):
+        g = Poly(Fp, [a // p**i % p for i in range(k)])
+        if all(g.pow_mod(n // ell, m) != one for ell in ells):
+            break
+    # Row i of mat holds the coordinates of X^i * h, for h = g^filled:
+    # a row vector of coordinates times mat is that element times h.
+    rows, h = [], g
+    for _ in range(k):
+        rows.append(list(h.coeffs) + [0] * (k - len(h.coeffs)))
+        h = (h * Poly.x(Fp)) % m
+    mat = np.array(rows, dtype=np.int64)
+    coords = np.zeros((n, k), dtype=np.int64)
+    coords[0, 0] = 1
+    filled = 1
+    while filled < n:
+        step = min(filled, n - filled)
+        coords[filled : filled + step] = coords[:step] @ mat % p
+        mat = mat @ mat % p
+        filled += step
+    enc = coords @ p ** np.arange(k, dtype=np.int64)
+    plus_one = np.where(coords[:, 0] == p - 1, enc - (p - 1), enc + 1).tolist()
+    log = np.full(F.q, -1, dtype=np.int64)
+    log[enc] = np.arange(n)
+    log = log.tolist()
+    exp = enc.tolist()
+    zech = [log[e] for e in plus_one]
+    return exp + exp, log, zech, n // 2 if p > 2 else 0
+
+
 # -- polynomials over a DigitField, by schoolbook arithmetic on its elements ------
 
 

@@ -226,6 +226,13 @@ def test_tables_match_digit_arithmetic(q):
                 assert F.div(a, b) == D.mul(a, inverses[b]), (a, b)
 
 
+@pytest.mark.parametrize("q", [2**7, 2**10, 2**16, 3**7, 5**4, 7**3, 31**2, 101**2])
+def test_tables_match_doubling_reference(q):
+    # p = 2 and odd p, even and odd k, up to 2^16 elements: the packed-digit
+    # walk against the numpy matrix-doubling build it replaced
+    assert field(q)._tables == oracles.zech_tables_by_doubling(field(q))
+
+
 @pytest.mark.parametrize("q", [2, 3, 7, 13, 4, 9, 25])
 def test_pow_negative_exponents_and_zero_base(q):
     (p, k), = oracles.naive_factor(q).items()

@@ -230,9 +230,9 @@ def test_output_is_deterministic(capsys):
 
 
 def test_startup_does_not_import_numpy():
-    # numpy is imported lazily by the two functions that use it (prime-power
-    # field tables and polynomial roots), so plain imports and symbol
-    # commands over Q stay cheap to start
+    # numpy is imported lazily by the only steps that use it (polynomial
+    # roots and loop sampling), so plain imports, symbol commands over Q and
+    # commands over prime-power fields stay cheap to start
     script = (
         "import contextlib, io, sys\n"
         "import k2sym\n"
@@ -243,6 +243,11 @@ def test_startup_does_not_import_numpy():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['hilbert', '--place', '2', '2', '3']) == 0\n"
         "assert 'numpy' not in sys.modules, 'the hilbert command loaded numpy'\n"
+        "for argv in (['weil', '--q', '9', 'T^2+1', 'T+2'], ['steinberg', '--q', '25'],\n"
+        "             ['zeta', '--q', '5', '--elliptic', '1', '1']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, f'{argv[0]} loaded numpy'\n"
     )
     src = str(Path(k2sym.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
