@@ -56,9 +56,13 @@ CATALOGUE = (
            "t *= Fraction(p) ** (abs(e) // 2)",
            ("tests/test_quadforms.py::test_point_search_fractional_coefficients",)),
     Mutant("square-class-numerator-only", "quadforms.py",
-           "        if e % 2:\n            sf *= p",
-           "        if e % 2 and e > 0:\n            sf *= p",
-           ("tests/test_quadforms.py::test_congruence_obstruction_matches_oracle",)),
+           "odd ^= {p for p, e in r.exps.items() if e % 2}",
+           "odd ^= {p for p, e in r.exps.items() if e % 2 and e > 0}",
+           ("tests/test_quadforms.py::test_square_class_examples",)),
+    Mutant("hasse-at-real-place", "quadforms.py",
+           "return -1 if neg * (neg - 1) // 2 % 2 else 1",
+           "return -1 if neg * (neg + 1) // 2 % 2 else 1",
+           ("tests/test_quadforms.py::test_hasse_product_formula",)),
     Mutant("legendre-euler", "arith.py",
            "r = pow(a, (p - 1) // 2, p)",
            "r = pow(a, (p + 1) // 2, p)",
@@ -84,6 +88,11 @@ CATALOGUE = (
            "x = (s & digits) - p * (((s + bias) & top) >> w1)",
            "x = (s & digits) - (p - 1) * (((s + bias) & top) >> w1)",
            ("tests/test_arith.py::test_tables_match_doubling_reference[343]",)),
+    Mutant("zech-walk-reduction-bias", "arith.py",
+           "x = (s & digits) - p * (((s + bias) & top) >> w1)",
+           "x = (s & digits) - p * ((s & top) >> w1)",
+           ("tests/test_arith.py::test_tables_match_doubling_reference[343]",
+            "tests/test_arith.py::test_fraction_operations_match_cross_products[F_9(T)]")),
     Mutant("zech-image-reduction-bias", "arith.py",
            "return s - p * (((s + bias) & top) >> w1)",
            "return s - p * ((s & top) >> w1)",
@@ -115,7 +124,7 @@ CATALOGUE = (
            "F.pow(b[-1], m - len(r))",
            ("tests/test_funcfield.py::test_residue_norm_is_the_exponent_formula[5]",)),
     Mutant("factor-root-multiplicity", "arith.py",
-           "exps[g] = exps.get(g, 0) + e * F.char",
+           "exps[g] = exps.get(g, 0) + e * F.p",
            "exps[g] = exps.get(g, 0) + e",
            ("tests/test_funcfield.py::test_orders_from_factorizations_match_strip[9]",)),
     Mutant("hilbert-dyadic-as-real", "localsym.py",

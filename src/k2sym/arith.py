@@ -367,7 +367,6 @@ class Fq(PolyKernels):
         self.p = p
         self.k = k
         self.q = p**k
-        self.char = p
         self.zero = 0
         self.one = 1 % self.q
         if k == 1:
@@ -881,7 +880,7 @@ def _equal_degree_split(F: Fq, f: list[int], d: int, rng: random.Random) -> list
         g = F.poly_gcd(r, f)
         if 1 < len(g) <= n:
             return g
-        if F.char == 2:
+        if F.p == 2:
             # trace map to F_2: sum of 2-power Frobenius images of r mod f
             t = acc = r
             for _ in range(F.k * d - 1):
@@ -913,9 +912,9 @@ def _factor_monic(F: Fq, f: list[int]) -> dict[tuple[int, ...], int]:
         d = F.poly_derivative(remaining)
         if not d:
             # remaining = h(T^p): factor its p-th root, multiply exponents
-            root = [F.frobenius_root(c) for c in remaining[::F.char]]
+            root = [F.frobenius_root(c) for c in remaining[::F.p]]
             for g, e in _factor_monic(F, root).items():
-                exps[g] = exps.get(g, 0) + e * F.char
+                exps[g] = exps.get(g, 0) + e * F.p
             break
         radical = F.poly_divmod(remaining, F.poly_gcd(remaining, d))[0]
         for g, dd in _distinct_degree(F, radical):

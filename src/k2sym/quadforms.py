@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .arith import _unchecked, factorize
+from .arith import _unchecked
 from .localsym import (
     REAL,
     TWO,
@@ -154,20 +154,14 @@ def square_class(r) -> int:
     return _disc_class([local_data(r)])
 
 
-def _square_scale(r: Fraction) -> tuple[int, Fraction, list[int]]:
-    """Write r = sf * t^2 with sf a squarefree integer and t > 0, from one
-    factorization of r != 0: returns (sf, t, odd), where t = prod p^(e // 2)
-    (negative exponents included) and odd lists the odd primes of sf."""
-    sf, fac = factorize(r)
+def _square_scale(r: LocalData) -> tuple[int, Fraction]:
+    """Write r = sf * t^2 with sf a squarefree integer and t > 0, from the
+    record of r != 0: returns (sf, t), where sf is its square class and
+    t = prod p^(e // 2) (negative exponents included)."""
     t = Fraction(1)
-    odd = []
-    for p, e in fac:
+    for p, e in r.exps.items():
         t *= Fraction(p) ** (e // 2)
-        if e % 2:
-            sf *= p
-            if p != 2:
-                odd.append(p)
-    return sf, t, odd
+    return _disc_class([r]), t
 
 
 @dataclass(frozen=True)
@@ -201,21 +195,28 @@ def invariants(f: DiagForm) -> FormInvariants:
         rank=n,
         disc=_disc_class(records),
         signature=(n - neg, neg),
-        hasse=_hasse(records, neg) if records else (),
+        hasse=_hasse(records) if records else (),
     )
 
 
-def _hasse(records: list[LocalData], neg: int) -> tuple[tuple[PlaceQ, int], ...]:
+def _hasse(records: list[LocalData]) -> tuple[tuple[PlaceQ, int], ...]:
     """The Hasse invariant at the real place, at 2 and at each odd prime of
     some entry; everywhere else every entry is a unit and it is +1."""
-    hasse = [
-        (REAL, -1 if neg * (neg - 1) // 2 % 2 else 1),
-        (TWO, _pairwise(_s2, [_residue8(r) for r in records])),
-    ]
-    for p in odd_primes(*records):
-        place = _unchecked(PlaceQ, kind="prime", p=p)
-        hasse.append((place, _pairwise(_h, [_residue(r, p) for r in records], p)))
-    return tuple(hasse)
+    places = [REAL, TWO] + [_unchecked(PlaceQ, kind="prime", p=p) for p in odd_primes(*records)]
+    return tuple((v, _hasse_at(v, records)) for v in places)
+
+
+def _hasse_at(place: PlaceQ, entries) -> int:
+    """The product over i < j of hilbert(a_i, a_j, place), for entries given
+    as Fractions or LocalData records: at the real place (-1) to the number
+    of pairs of negative entries, elsewhere the pairwise product of the
+    local symbols on each entry's valuation and unit residue."""
+    if place.is_real():
+        neg = sum(1 for a in entries if a.numerator < 0)
+        return -1 if neg * (neg - 1) // 2 % 2 else 1
+    if place.p == 2:
+        return _pairwise(_s2, [_residue8(a) for a in entries])
+    return _pairwise(_h, [_residue(a, place.p) for a in entries], place.p)
 
 
 def _pairwise(symbol, local, *args) -> int:
@@ -263,100 +264,48 @@ class ConicCertificate:
     failing: tuple[PlaceQ, ...]
 
 
-def conic_solvable_Q(x, y) -> tuple[bool, ConicCertificate]:
-    """Decide solvability of x R^2 + y S^2 = 1 over Q by local symbols.
+def _conic_symbols(x: LocalData, y: LocalData) -> tuple[tuple[tuple[PlaceQ, int], ...], tuple[PlaceQ, ...]]:
+    """(tested, failing): the Hilbert symbol (x, y)_v at every support place,
+    and the places where it is -1.  By Hasse-Minkowski x R^2 + y S^2 = 1 has
+    a rational point exactly when failing is empty.
 
     Raises RuntimeError if exactly one place fails: the product formula
     makes a single failure impossible, so that would be an internal error.
     """
-    x, y = Fraction(x), Fraction(y)
-    if x == 0 or y == 0:
-        raise ValueError("conic coefficients must be nonzero")
-    tested = hilbert_factors(local_data(x), local_data(y))
+    tested = hilbert_factors(x, y)
     failing = tuple(v for v, s in tested if s == -1)
     if len(failing) == 1:
         raise RuntimeError(f"single local obstruction at {failing[0]}: reciprocity violated")
-    cert = ConicCertificate(x, y, tested, failing)
-    return not failing, cert
+    return tested, failing
 
 
-_SQ64 = frozenset(t * t % 64 for t in range(64))
-_SQ64_ODD = frozenset(t * t % 64 for t in range(1, 64, 2))
-
-
-def _congruence_obstruction_odd(xs: int, ys: int, p: int) -> bool:
-    """True if x R^2 + y S^2 = 1 is p-adically obstructed, p odd, xs ys squarefree.
-
-    Case analysis on which coefficients p divides; the residual condition
-    is a quadratic-residue test done by exhaustion, so this decision shares
-    no code with the Hilbert symbol.
-    """
-    sq = {t * t % p for t in range(1, p)}
-    dx, dy = xs % p == 0, ys % p == 0
-    if not dx and not dy:
-        return False
-    if dx and not dy:
-        return ys % p not in sq
-    if dy and not dx:
-        return xs % p not in sq
-    u, v = xs // p, ys // p
-    return (-u * v) % p not in sq
-
-
-def _congruence_obstruction_2(xs: int, ys: int) -> bool:
-    """No primitive solution of xs r^2 + ys s^2 = c^2 mod 64.
-
-    Primitive means r, s, c not all even; v in the odd-square set gives an
-    odd c, otherwise r or s must supply the odd coordinate.
-    """
-    for r in range(64):
-        xr = xs * r * r
-        for s in range(64):
-            v = (xr + ys * s * s) % 64
-            if v in _SQ64_ODD:
-                return False
-            if v in _SQ64 and (r % 2 or s % 2):
-                return False
-    return True
-
-
-def conic_congruence_obstruction(x, y):
-    """Search for a cheap proof of non-solvability; returns a reason or None.
-
-    Checks the real place and, after reducing the coefficients to their
-    squarefree parts, a finite congruence condition at each prime of the
-    support.  A returned obstruction is unconditional (a rational point
-    would reduce to a primitive solution at every modulus).
-    """
-    xs, _, x_odd = _square_scale(Fraction(x))
-    ys, _, y_odd = _square_scale(Fraction(y))
-    if xs < 0 and ys < 0:
-        return "real: both coefficients negative"
-    if _congruence_obstruction_2(xs, ys):
-        return "no primitive solution mod 64"
-    for p in sorted({*x_odd, *y_odd}):
-        if _congruence_obstruction_odd(xs, ys, p):
-            return f"no primitive solution at {p}"
-    return None
+def conic_solvable_Q(x, y) -> tuple[bool, ConicCertificate]:
+    """Decide solvability of x R^2 + y S^2 = 1 over Q by local symbols."""
+    x, y = Fraction(x), Fraction(y)
+    if x == 0 or y == 0:
+        raise ValueError("conic coefficients must be nonzero")
+    tested, failing = _conic_symbols(local_data(x), local_data(y))
+    return not failing, ConicCertificate(x, y, tested, failing)
 
 
 def conic_point_search(x, y, height_bound: int):
     """Search for rational (R, S) with x R^2 + y S^2 = 1, or None.
 
     Height is max(|numerator|, |denominator|) over both coordinates in
-    lowest terms.  Obstructed instances are rejected without search; the
-    obstruction test is congruence-based and independent of the symbol
-    machinery, so agreement with conic_solvable_Q is a genuine check.
+    lowest terms.  Each coefficient is factored once: the Hilbert symbols
+    of conic_solvable_Q reject an obstructed conic without search, and the
+    search reads each coefficient's square scale off the same record.
     """
     x, y = Fraction(x), Fraction(y)
     if x == 0 or y == 0:
         raise ValueError("conic coefficients must be nonzero")
     if height_bound < 1:
         raise ValueError(f"height bound must be at least 1, got {height_bound}")
-    if conic_congruence_obstruction(x, y) is not None:
+    rx, ry = local_data(x), local_data(y)
+    if _conic_symbols(rx, ry)[1]:
         return None
-    xs, tx, _ = _square_scale(x)
-    ys, ty, _ = _square_scale(y)
+    xs, tx = _square_scale(rx)
+    ys, ty = _square_scale(ry)
     # solve xs r^2 + ys s^2 = c^2 in integers, then (R, S) = (r/(c tx), s/(c ty))
     for H in range(1, height_bound + 1):
         for r in range(H, -1, -1):
@@ -388,7 +337,7 @@ def quaternion_splits(a, b, place: PlaceQ | None = None) -> bool:
         raise ValueError("quaternion parameters must be nonzero")
     if place is not None:
         return hilbert(a, b, place) == 1
-    return all(s == 1 for _, s in hilbert_factors(local_data(a), local_data(b)))
+    return not _conic_symbols(local_data(a), local_data(b))[1]
 
 
 def pfister_form(x, y) -> DiagForm:
@@ -401,10 +350,5 @@ def pfister_hasse_identity(x, y, place: PlaceQ) -> bool:
     x, y = Fraction(x), Fraction(y)
     if x == 0 or y == 0:
         raise ValueError("parameters must be nonzero")
-    form = pfister_form(x, y)
-    h = 1
-    es = form.entries
-    for i in range(4):
-        for j in range(i + 1, 4):
-            h *= hilbert(es[i], es[j], place)
+    h = _hasse_at(place, pfister_form(x, y).entries)
     return h * hilbert(Fraction(-1), Fraction(-1), place) == hilbert(x, y, place)

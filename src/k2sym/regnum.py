@@ -155,7 +155,6 @@ class GaussField(PolyKernels):
     Poly and RatFunc use.  Its polynomial kernels (product, remainder,
     divmod, pow_mod, gcd) are the generic ones of PolyKernels."""
 
-    char = 0
     zero = GaussRat(0)
     one = GaussRat(1)
 

@@ -20,10 +20,6 @@ from math import gcd
 
 from .arith import FIELD_LIMIT, bernoulli, field, is_prime
 
-# Point counts enumerate the degree-n extension, a prime-power field for
-# n > 1, so they share its size bound.
-COUNT_LIMIT = FIELD_LIMIT
-
 # w2_of_Q searches the moduli up to this bound; w2(Q) = 24 lies well inside.
 W2_BOUND = 200
 
@@ -63,11 +59,12 @@ class CurveFq:
 
 def count_points(curve: CurveFq, n: int = 1) -> int:
     """Number of projective points over the degree-n extension, by
-    enumeration.  Refuses extensions with more than 10^6 elements."""
+    enumeration.  The degree-n extension is a prime-power field for n > 1,
+    so its size shares that bound: more than FIELD_LIMIT elements is refused."""
     if n < 1:
         raise ValueError("extension degree must be positive")
     size = curve.q**n
-    if size > COUNT_LIMIT:
+    if size > FIELD_LIMIT:
         raise ValueError(f"field too large to enumerate: {size}")
     F = field(size)
     if curve.kind == "projective_line":

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from k2sym import arith, charpforms
 from k2sym.arith import (
-    FIELD_LIMIT,
     NEG_INF,
     PRIME_BOUND,
     Poly,
@@ -32,7 +31,6 @@ from k2sym.arith import (
 )
 from k2sym.charpforms import BiPoly, MultiRatFunc
 from k2sym.regnum import CX, GaussRat
-from k2sym.zeta import COUNT_LIMIT
 
 import oracles
 
@@ -253,7 +251,6 @@ def test_prime_power_fields_are_bounded():
     with pytest.raises(ValueError, match="exceeds the bound"):
         field(1009**2)
     assert field(1000003).mul(2, 500002) == 1  # prime fields have no bound
-    assert FIELD_LIMIT == COUNT_LIMIT
 
 
 # -- polynomials --------------------------------------------------------------
@@ -455,7 +452,7 @@ def test_poly_factor_reconstructs_and_factors_irreducible():
         irr = [g for d in (1, 2) for g in irreducibles(F, d)]
         for _ in range(12):
             g, h = rng.sample(irr, 2)
-            inputs.append(Poly.const(F, rng.randrange(2, q)) * g**F.char * h**2)
+            inputs.append(Poly.const(F, rng.randrange(2, q)) * g**F.p * h**2)
     for f in inputs:
         F = f.field
         lead, fac = poly_factor(f)
@@ -565,14 +562,17 @@ def _fraction_domains():
 
 
 FRACTION_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-FRACTION_DOMAINS = list(_fraction_domains())
+FRACTION_DOMAINS = ("F_5(T)", "F_9(T)", "Q(i)(z)", "F_2(s, t)", "F_3(s, t)", "F_5(s, t)")
 
 
-@pytest.mark.parametrize("name, cases, canonical", FRACTION_DOMAINS, ids=[name for name, _, _ in FRACTION_DOMAINS])
-def test_fraction_operations_match_cross_products(name, cases, canonical):
+@pytest.mark.parametrize("name", FRACTION_DOMAINS)
+def test_fraction_operations_match_cross_products(name):
     # the fast paths for constant denominators and the trusted results of
     # -x and x^e give the pairs of the generic cross-product formula
-    # followed by a gcd, whichever side has den 1
+    # followed by a gcd, whichever side has den 1.  The cases are built
+    # here, not at import, so that a fault in a field's tables fails these
+    # tests instead of the collection of the whole module
+    cases, canonical = next((c, k) for n, c, k in _fraction_domains() if n == name)
     shapes = set()
     for x in cases:
         assert (-x).num == -x.num and (-x).den == x.den

@@ -255,6 +255,26 @@ def test_startup_does_not_import_numpy():
     assert done.returncode == 0, done.stderr
 
 
+def test_conic_with_a_prime_near_the_factor_bound_is_quick():
+    # 999999999989 is the largest prime below FACTOR_BOUND = 10^12; the
+    # decision reads one factorization per coefficient and builds nothing of
+    # the size of the prime.  The address-space cap and the timeout keep a
+    # regression bounded
+    script = (
+        "import resource, sys\n"
+        "cap = 1536 * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "from k2sym.cli import main\n"
+        "sys.exit(main(['conic', '1', '999999999989']))\n"
+    )
+    src = str(Path(k2sym.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+    rep = json.loads(done.stdout)
+    assert rep["result"]["solvable"] and rep["certificates"]["point"] == ["1", "0"]
+
+
 @pytest.mark.parametrize("f, g, log_tame", [
     ("z+1", "(z-1)^2", math.log(4)),
     ("(z-1)^3/(z+2)", "(z-1)^2*(z+3)", -math.log(576)),

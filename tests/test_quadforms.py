@@ -1,19 +1,20 @@
 """Tests for quadratic form invariants and conic/quaternion decisions."""
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k2sym import arith
 from k2sym.arith import FACTOR_BOUND
 from k2sym.localsym import REAL, PlaceQ, hilbert, support_places
 from k2sym.quadforms import (
     ConicCertificate,
     DiagForm,
     GramMatrix,
-    conic_congruence_obstruction,
     conic_point_search,
     conic_solvable_Q,
     diagonalize,
@@ -285,23 +286,45 @@ def test_point_search_agrees_with_symbols_small_range():
                 assert x * R * R + y * S * S == 1
 
 
-def test_congruence_obstruction_matches_oracle():
+def test_conic_symbols_match_the_congruence_oracle():
+    # the Hilbert symbols decide the conic; a conic is blocked exactly when
+    # some p of its squarefree parts (2 included) admits no primitive
+    # solution mod p^4, or both coefficients are negative.  The fractions
+    # have square factors and odd negative exponents, which the integer
+    # grid of the acceptance suite does not cover; n/d has the square class
+    # of n d
     rng = random.Random(83)
     pairs = [(rng.choice([n for n in range(-30, 31) if n]), rng.choice([n for n in range(-30, 31) if n]))
              for _ in range(50)]
-    # square factors and odd negative exponents; n/d has the square class of n d
     fractions = [Fraction(12, 25), Fraction(-18, 49), Fraction(45, 8), Fraction(1, 8),
                  Fraction(7, 3), Fraction(-5, 27), Fraction(-2, 7), Fraction(20, 3)]
     pairs += [(x, y) for x in fractions for y in fractions]
     for x, y in pairs:
-        obstructed = conic_congruence_obstruction(x, y) is not None
         xi, yi = (Fraction(c).numerator * Fraction(c).denominator for c in (x, y))
         xs, ys = oracles.squarefree_part(xi), oracles.squarefree_part(yi)
         oracle_blocked = (xs < 0 and ys < 0) or any(
             oracles.conic_primitive_count(xi, yi, p, 4) == 0
             for p in sorted({2, *oracles.naive_factor(abs(xs * ys))})
         )
-        assert obstructed == oracle_blocked, (x, y)
+        assert conic_solvable_Q(x, y)[0] == (not oracle_blocked), (x, y)
+
+
+def test_point_search_factors_each_coefficient_once(monkeypatch):
+    # the decision and the square scales read the same two records
+    calls, factorize = [], arith.factorize
+
+    def counted(x):
+        calls.append(x)
+        return factorize(x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("k2sym") and getattr(module, "factorize", None) is factorize:
+            monkeypatch.setattr(module, "factorize", counted)
+    assert conic_point_search(5, -1, 10**4) is not None
+    assert len(calls) == 2
+    calls.clear()
+    assert conic_point_search(2, 3, 10**4) is None
+    assert len(calls) == 2
 
 
 def test_never_exactly_one_failing_place():
