@@ -114,7 +114,20 @@ CATALOGUE = (
     Mutant("conic-height", "quadforms.py",
            "if height_bound < 1:",
            "if height_bound < -10**9:",
-           ("tests/test_cli.py::test_invalid_inputs_exit_2[conic-height-0]",)),
+           ("tests/test_quadforms.py::test_point_search_refuses_a_height_bound_below_1",)),
+    Mutant("conic-height-cap", "cli.py",
+           "if not 1 <= args.height <= MAX_HEIGHT:",
+           "if not 1 <= args.height:",
+           ("tests/test_cli.py::test_invalid_inputs_exit_2[conic-height-above-bound]",)),
+    Mutant("poly-mixed-field-check", "arith.py",
+           "        if self.field is not other.field:\n            raise ValueError(\"mixed coefficient fields\")",
+           "        if self.field is not other.field:\n            pass",
+           ("tests/test_arith.py::test_polynomials_over_different_fields_do_not_mix",)),
+    Mutant("strip-order-step", "funcfield.py",
+           "f, m = f // pi, m + 1",
+           "f, m = f // pi, m + 2",
+           ("tests/test_funcfield.py::test_orders_from_factorizations_match_strip[5]",
+            "tests/test_regnum.py::test_tame_symbol_frozen_examples")),
     Mutant("resultant-sign", "funcfield.py",
            "if m * n % 2:\n            res = F.neg(res)",
            "if m * n % 2:\n            res = res",

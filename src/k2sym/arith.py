@@ -356,7 +356,8 @@ class Fq(PolyKernels):
     degree k whose non-leading coefficient vector has the smallest integer
     encoding (a deterministic, lexicographic choice), and q <= FIELD_LIMIT.
     Its arithmetic is table lookup: Zech logarithms to the base
-    generator(F), built on the first operation that needs them.
+    generator(F), built on the first operation that needs them.  Fields
+    come from field(q), one object per q, and compare by identity.
     """
 
     def __init__(self, p: int, k: int = 1):
@@ -602,12 +603,6 @@ class Fq(PolyKernels):
     def __repr__(self):
         return f"Fq({self.p}^{self.k})" if self.k > 1 else f"Fq({self.p})"
 
-    def __eq__(self, other):
-        return isinstance(other, Fq) and (self.p, self.k) == (other.p, other.k)
-
-    def __hash__(self):
-        return hash((self.p, self.k))
-
 
 @functools.lru_cache(maxsize=None)
 def field(q: int) -> Fq:
@@ -659,11 +654,8 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
-        cs = list(coeffs)
-        while cs and cs[-1] == field.zero:
-            cs.pop()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _set_field(self, field)
+        _set_coeffs(self, tuple(field._trim(list(coeffs))))
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -722,7 +714,7 @@ class Poly:
     # -- arithmetic --
 
     def _check(self, other):
-        if self.field is not other.field and self.field != other.field:
+        if self.field is not other.field:
             raise ValueError("mixed coefficient fields")
 
     def __add__(self, other):
@@ -786,21 +778,13 @@ class Poly:
         F = self.field
         return Poly._trusted(F, F.poly_derivative(self.coeffs))
 
-    def evaluate(self, x):
-        """Horner evaluation at a field element."""
-        F = self.field
-        acc = F.zero
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
-
     # -- comparisons --
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.field == other.field and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.field is other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
         return f"Poly({self.field}, {list(self.coeffs)})"

@@ -110,7 +110,14 @@ def _cmd_tame(args):
     return {"value": localsym.tame(x, y, args.p)}, {}, True
 
 
+# Largest height bound for conic: the point search is O(H^2) in the bound H
+# when the conic is solvable but has no point of small height.
+MAX_HEIGHT = 1000
+
+
 def _cmd_conic(args):
+    if not 1 <= args.height <= MAX_HEIGHT:
+        raise ValueError(f"height bound must be in 1..{MAX_HEIGHT}, got {args.height}")
     x, y = parse_rational(args.x), parse_rational(args.y)
     solvable, cert = quadforms.conic_solvable_Q(x, y)
     point = quadforms.conic_point_search(x, y, args.height) if solvable else None
@@ -482,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("conic", _cmd_conic, "solvability of z^2 = x X^2 + y Y^2 over Q")
     p.add_argument("x")
     p.add_argument("y")
-    p.add_argument("--height", type=int, default=1000)
+    p.add_argument("--height", type=int, default=MAX_HEIGHT)
 
     p = add("decompose", _cmd_decompose, "coordinates of a symbol in K2(Q)")
     p.add_argument("x")

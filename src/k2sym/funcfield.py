@@ -84,20 +84,13 @@ def as_ratfunc(f) -> RatFunc:
 
 def _strip(f: Poly, pi: Poly) -> tuple[Poly, int]:
     """f = pi^m * g with pi not dividing g, for nonzero f and a place pi;
-    returns (g, m).  Each step tests divisibility before it divides, so no
-    quotient is built for the last, failing step: by Horner at the root
-    when pi = T - r, else by the remainder alone.  This serves a place the
-    caller gives; weil_check and decompose read their orders off the
-    factorizations instead (_orders)."""
+    returns (g, m).  Each step tests divisibility by the remainder alone
+    before it divides, so no quotient is built for the last, failing step.
+    This serves a place the caller gives; weil_check and decompose read
+    their orders off the factorizations instead (_orders)."""
     m = 0
-    if pi.degree == 1:
-        F = pi.field
-        root = F.neg(pi.coeffs[0])  # pi is monic
-        while f.evaluate(root) == F.zero:
-            f, m = f // pi, m + 1
-    else:
-        while (f % pi).is_zero():
-            f, m = f // pi, m + 1
+    while (f % pi).is_zero():
+        f, m = f // pi, m + 1
     return f, m
 
 

@@ -33,8 +33,10 @@ MAX_NESTING = 100
 
 # Largest exponent literal.  Each ^ multiplies the degree (or height) of its
 # base by the exponent, and the checks downstream cost at least linear time
-# in that degree: T^1000 in a Weil check over F_3 is still quick, T^999999
-# is not.
+# in that degree.  The literal alone does not bound the cost: a Weil check
+# over F_3 on the monomial T^1000 is quick, but on T^1000 + T + 2 it
+# factors a dense polynomial of degree 1000 and runs for 90 s or more
+# (8-12 s at degree 400).  A budget on that degree is open work.
 MAX_EXPONENT = 1000
 
 

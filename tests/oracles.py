@@ -359,23 +359,35 @@ class GaussRatFraction:
 
 # -- tame symbols over Q(i) by evaluation ------------------------------------------
 # The bodies the regulator module used before it took its tame symbol from
-# funcfield: orders by evaluating at the point, units by evaluation.
+# funcfield: orders by evaluating at the point, units by evaluation.  The
+# evaluation is exact Horner on the GaussRat coefficients, written out here
+# apart from the library's polynomial kernels.
+
+
+def _synthetic_division(coeffs, a):
+    """(p(a), the coefficients of (p - p(a)) / (z - a)) by Horner's rule,
+    for the little-endian coefficients of a nonzero p."""
+    acc = coeffs[-1]
+    quotient = [acc]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * a + c
+        quotient.append(acc)
+    value = quotient.pop()
+    return value, quotient[::-1]
 
 
 def order_and_unit_by_evaluation(p, a):
-    """Vanishing order of the Poly p over Q(i) at a, plus the cofactor with
-    the root removed."""
-    from k2sym.arith import Poly
-    from k2sym.regnum import CX
-
-    lin = Poly(CX, [-a, CX.one])
+    """Vanishing order of the Poly p over Q(i) at a, plus the coefficients
+    of the cofactor with the root removed."""
+    coeffs = list(p.coeffs)
     order = 0
-    while not p.is_zero() and p.evaluate(a).is_zero():
-        q, r = p.divmod(lin)
-        assert r.is_zero()
-        p = q
+    while coeffs:
+        value, quotient = _synthetic_division(coeffs, a)
+        if not value.is_zero():
+            break
+        coeffs = quotient
         order += 1
-    return order, p
+    return order, coeffs
 
 
 def _gauss_pow(a, e):
@@ -394,8 +406,8 @@ def tame_symbol_by_evaluation(f, g, a):
     gn, gu = order_and_unit_by_evaluation(g.num, a)
     gd, gv = order_and_unit_by_evaluation(g.den, a)
     m, n = fn - fd, gn - gd
-    uf = fu.evaluate(a) / fv.evaluate(a)
-    ug = gu.evaluate(a) / gv.evaluate(a)
+    uf = _synthetic_division(fu, a)[0] / _synthetic_division(fv, a)[0]
+    ug = _synthetic_division(gu, a)[0] / _synthetic_division(gv, a)[0]
     val = _gauss_pow(uf, n) * _gauss_pow(ug, -m)
     if (m * n) % 2:
         val = -val

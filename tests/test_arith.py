@@ -264,6 +264,25 @@ def test_zero_poly_degree_marker():
     assert (z * Poly.x(F)).degree == NEG_INF
 
 
+def test_polynomials_over_different_fields_do_not_mix():
+    # field(q) is the one object for q, so Poly compares fields by identity
+    for q in (5, 25, 1000003):
+        assert field(q) is field(q)
+    f, g = Poly(field(5), [1, 1]), Poly(field(25), [1, 1])
+    for op in (operator.add, operator.mul, operator.mod, Poly.gcd):
+        with pytest.raises(ValueError, match="mixed coefficient fields"):
+            op(f, g)
+    assert Poly(field(5), [1, 1]) != Poly(field(7), [1, 1])
+    # equal polynomials hash alike, however they were built
+    for F in (field(5), field(25), CX):
+        one = Poly.const(F, F.one)
+        x = Poly.x(F)
+        built = (x + one) * (x - one)
+        direct = Poly(F, [F.neg(F.one), F.zero, F.one, F.zero])
+        assert built == direct and hash(built) == hash(direct)
+        assert len({built, direct, x * x - one}) == 1
+
+
 def test_poly_divmod_over_gaussian_rationals():
     f = Poly(CX, [GaussRat(1), GaussRat(0), GaussRat(1)])
     g = Poly(CX, [GaussRat(1), GaussRat(1)])

@@ -153,6 +153,8 @@ def test_dilog_catalan(capsys):
         ["hilbert", "--place", "318665857834031151167461", "2", "3"],
         ["hilbert", "--place", "3317044064679887385961981", "2", "3"],
         ["reciprocity", "1/0 +", "2"],
+        ["conic", "--height", "0", "2", "3"],
+        ["conic", "--height", "1001", "942407", "970106"],
     ],
     ids=["syntax", "bad-place", "singular-curve", "not-closed", "div-zero", "field-too-large",
          "deep-nesting", "huge-exponent", "reducible-key", "non-monic-key", "repeated-prime",
@@ -161,7 +163,8 @@ def test_dilog_catalan(capsys):
          "key-0", "reducible-key-trivial", "non-monic-key-trivial", "split-key-trivial",
          "zero-key", "steinberg-beyond-field-limit", "zero-reciprocity", "zero-quaternion",
          "zero-pfister", "zero-hilbert", "conic-height-0", "zero-weil-f", "zero-weil-g",
-         "zero-ffdecompose", "spsp-place", "place-beyond-prime-bound", "div-zero-before-syntax"],
+         "zero-ffdecompose", "spsp-place", "place-beyond-prime-bound", "div-zero-before-syntax",
+         "conic-height-0-unsolvable", "conic-height-above-bound"],
 )
 def test_invalid_inputs_exit_2(capsys, argv):
     code, _, rep = run(capsys, argv)
@@ -392,7 +395,7 @@ def _fuzz_argv(rng):
     grammar = {
         "hilbert": lambda: (["--place", rng.choice(["inf", atom(PRIMES)])], some(RATIONAL, 2, 2)),
         "tame": lambda: ([], some(RATIONAL, 2, 2) + [atom(PRIMES)]),
-        "conic": lambda: (opt("--height", (["1", "20"], ["0", "-4", "x"])), some(RATIONAL, 2, 2)),
+        "conic": lambda: (opt("--height", (["1", "20"], ["0", "-4", "1001", "x"])), some(RATIONAL, 2, 2)),
         "decompose": lambda: ([], some(RATIONAL, 2, 2)),
         "lift": lambda: ([], [atom((["1", "-1"], ["2", "x"]))] + [
             f"{atom((['3', '5', '7', '11'], ['4', 'x']))}:{atom((['1', '2', '3'], ['0', 'y']))}"

@@ -251,6 +251,13 @@ def test_point_search_finds_unit_point():
     assert conic_point_search(1, 1, 10**4) == (1, 0)
 
 
+def test_point_search_refuses_a_height_bound_below_1():
+    # checked before the symbols, so a solvable conic with no search rounds
+    # does not answer None
+    with pytest.raises(ValueError, match="height bound"):
+        conic_point_search(1, 1, 0)
+
+
 def test_point_search_pell_like():
     pt = conic_point_search(5, -1, 10**4)
     assert pt is not None
