@@ -124,8 +124,8 @@ CATALOGUE = (
            "        if self.field is not other.field:\n            pass",
            ("tests/test_arith.py::test_polynomials_over_different_fields_do_not_mix",)),
     Mutant("strip-order-step", "funcfield.py",
-           "f, m = f // pi, m + 1",
-           "f, m = f // pi, m + 2",
+           "f, m = quot, m + 1",
+           "f, m = quot, m + 2",
            ("tests/test_funcfield.py::test_orders_from_factorizations_match_strip[5]",
             "tests/test_regnum.py::test_tame_symbol_frozen_examples")),
     Mutant("resultant-sign", "funcfield.py",
@@ -145,8 +145,8 @@ CATALOGUE = (
            "if place.p == 2:\n        return s_infinity(x, y)",
            ("tests/test_localsym.py::test_h_p_matches_congruence_oracle_small_primes",)),
     Mutant("tame-ff-sign", "funcfield.py",
-           "top = Poly.const(F, F.one if ab % 2 == 0 else F.neg(F.one))",
-           "top = Poly.const(F, F.one)",
+           "return F.poly_scale(top, F.neg(F.one)) if ab % 2 else top",
+           "return top",
            ("tests/test_regnum.py::test_tame_symbol_frozen_examples",)),
     Mutant("exact-div-row-remainder", "charpforms.py",
            "            if r:\n                raise ValueError(\"not an exact division\")\n            Q[k] = q",
@@ -164,6 +164,10 @@ CATALOGUE = (
            "            self.pos += 1\n            self.depth -= 1\n            return value",
            "            self.pos += 1\n            return value",
            ("tests/test_parsing.py::test_long_funcfield_chain_matches_left_fold",)),
+    Mutant("poly-scale-zech", "arith.py",
+           "return [exp[lc + log[x]] if x else 0 for x in a]",
+           "return [exp[log[x]] if x else 0 for x in a]",
+           ("tests/test_arith.py::test_poly_scale_is_coefficientwise_mul",)),
     Mutant("dlog2-jacobian-sign", "charpforms.py",
            "f.derivative_s() * g.derivative_t() - f.derivative_t() * g.derivative_s()",
            "f.derivative_t() * g.derivative_s() - f.derivative_s() * g.derivative_t()",

@@ -240,8 +240,8 @@ class PolyKernels:
     """The list kernels behind Poly, for any coefficient field that supplies
     add, sub, neg, mul, inv, from_int, zero and one (von zur Gathen and
     Gerhard, *Modern Computer Algebra*, ch. 2-3).  A field with faster loops
-    overrides poly_mul and poly_rem; divmod, pow_mod and gcd run on those
-    two.  Trimming compares with self.zero, so elements need only ==."""
+    overrides poly_mul, poly_rem and poly_scale; divmod, pow_mod and gcd run
+    on those.  Trimming compares with self.zero, so elements need only ==."""
 
     def _trim(self, a: list) -> list:
         zero = self.zero
@@ -263,6 +263,13 @@ class PolyKernels:
         out = [sub(x, y) for x, y in zip(a, b)]
         out += a[n:] if len(a) > n else [neg(y) for y in b[n:]]
         return self._trim(out)
+
+    def poly_scale(self, a, c) -> list:
+        """c times a coefficient list; [] when c is zero."""
+        if c == self.zero:
+            return []
+        mul = self.mul
+        return [mul(c, x) for x in a]
 
     def poly_derivative(self, a) -> list:
         """Formal derivative of a coefficient list."""
@@ -332,10 +339,7 @@ class PolyKernels:
         rem = self.poly_rem
         while b:
             a, b = b, rem(a, b)
-        if not a:
-            return []
-        inv, mul = self.inv(a[-1]), self.mul
-        return [mul(c, inv) for c in a]
+        return self.poly_scale(a, self.inv(a[-1])) if a else []
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +361,8 @@ class Fq(PolyKernels):
     encoding (a deterministic, lexicographic choice), and q <= FIELD_LIMIT.
     Its arithmetic is table lookup: Zech logarithms to the base
     generator(F), built on the first operation that needs them.  Fields
-    come from field(q), one object per q, and compare by identity.
+    come from field(q) alone, one object per q, and compare by identity;
+    the package does not export this class.
     """
 
     def __init__(self, p: int, k: int = 1):
@@ -537,6 +542,16 @@ class Fq(PolyKernels):
 
     # -- the list kernels: _fp_* for k = 1, the Zech tables for k > 1 --
 
+    def poly_scale(self, a, c) -> list[int]:
+        if not c:
+            return []
+        if self.k == 1:
+            p = self.p
+            return [c * x % p for x in a]
+        exp, log, _, _ = self._tables
+        lc = log[c]
+        return [exp[lc + log[x]] if x else 0 for x in a]
+
     def poly_mul(self, a, b) -> list[int]:
         if self.k == 1:
             return _fp_mul(a, b, self.p)
@@ -703,10 +718,7 @@ class Poly:
         return self.coeffs[0] if self.coeffs else self.field.zero
 
     def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        inv = self.field.inv(self.lc())
-        return Poly(self.field, [self.field.mul(c, inv) for c in self.coeffs])
+        return self.scale(self.field.inv(self.lc())) if self.coeffs else self
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.lc() == self.field.one
@@ -738,7 +750,7 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         F = self.field
-        return Poly(F, [F.mul(c, a) for a in self.coeffs])
+        return Poly._trusted(F, F.poly_scale(self.coeffs, c))
 
     def __pow__(self, e: int):
         if e < 0:

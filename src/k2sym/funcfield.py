@@ -15,9 +15,11 @@ the finite places -- exactly, with no extra summand, because K_2 of a
 finite field vanishes (the Steinberg-witness argument implemented at the
 bottom of this module).
 
-Valuations and tame symbols use only the field operations of k, so the
-regulator module takes its exact side from here, at the places z - a of
-Q(i)(z).
+Valuations and tame symbols run on coefficient lists through the list
+kernels of k (arith.PolyKernels: remainder, product, power, scale), and a
+Poly is built only for each tame value returned.  They use nothing but
+those kernels, so the regulator module takes its exact side from here, at
+the places z - a of Q(i)(z).
 
 Weil reciprocity ties the places together: the product over ALL places,
 infinity included, of the norms down to F_q^* of the tame values is 1.
@@ -82,57 +84,61 @@ def as_ratfunc(f) -> RatFunc:
     raise TypeError(f"expected Poly or RatFunc, got {type(f)}")
 
 
-def _strip(f: Poly, pi: Poly) -> tuple[Poly, int]:
-    """f = pi^m * g with pi not dividing g, for nonzero f and a place pi;
-    returns (g, m).  Each step tests divisibility by the remainder alone
-    before it divides, so no quotient is built for the last, failing step.
-    This serves a place the caller gives; weil_check and decompose read
-    their orders off the factorizations instead (_orders)."""
+def _strip(F, f, pi) -> tuple[list, int]:
+    """f = pi^m * g with pi not dividing g, for a nonzero list f and a
+    place's list pi; returns (g, m).  Each step is one remainder pass that
+    also writes the quotient, kept only when the remainder is zero.  This
+    serves a place the caller gives; weil_check and decompose read their
+    orders off the factorizations instead (_orders)."""
     m = 0
-    while (f % pi).is_zero():
-        f, m = f // pi, m + 1
+    while len(f) >= len(pi):
+        quot = [F.zero] * (len(f) - len(pi) + 1)
+        if F.poly_rem(f, pi, quot):
+            break
+        f, m = quot, m + 1
     return f, m
 
 
-def _order_and_units(f: RatFunc, place: PlaceFq) -> tuple[int, Poly, Poly]:
+def _order_and_units(f: RatFunc, place: PlaceFq) -> tuple[int, list, list]:
     """(a, n, d) with f = u^a n/d, u a uniformizer at the place and n, d
-    units there, for nonzero f.  At pi: u = pi, and n, d are num and den with
-    pi stripped out.  At infinity: u = 1/T, a = deg den - deg num, and n, d
-    are the constants lc(num), lc(den), the values at u = 0 of the units."""
+    units there, for nonzero f; n and d are coefficient lists.  At pi: u =
+    pi, and n, d are num and den with pi stripped out.  At infinity: u =
+    1/T, a = deg den - deg num, and n, d are the constants lc(num), lc(den),
+    the values at u = 0 of the units."""
     if place.pi is None:
-        F = f.field
-        return f.den.degree - f.num.degree, Poly.const(F, f.num.lc()), Poly.const(F, f.den.lc())
-    n, a = _strip(f.num, place.pi)
-    d, b = _strip(f.den, place.pi)
+        return f.den.degree - f.num.degree, [f.num.lc()], [f.den.lc()]
+    F, pi = f.field, place.pi.coeffs
+    n, a = _strip(F, f.num.coeffs, pi)
+    d, b = _strip(F, f.den.coeffs, pi)
     return a - b, n, d
 
 
-def _residue_inv(a: Poly, pi: Poly) -> Poly:
-    """Inverse of a mod pi (pi irreducible, a not divisible by pi): by the
-    field inverse when a mod pi is constant, else by the extended Euclidean
-    algorithm, tracking only the cofactor of a."""
-    F = pi.field
-    r1 = a % pi
-    if r1.is_constant():
-        if r1.is_zero():
+def _residue_inv(F, a, pi) -> list:
+    """Inverse of the list a mod the list pi (pi irreducible, a not
+    divisible by pi): by the field inverse when a mod pi is constant, else
+    by the extended Euclidean algorithm, tracking only the cofactor of a."""
+    r1 = F.poly_rem(a, pi)
+    if len(r1) <= 1:
+        if not r1:
             raise ZeroDivisionError("element not invertible mod pi")
-        return Poly.const(F, F.inv(r1.coeffs[0]))
+        return [F.inv(r1[0])]
     # invariant: r_i = s_i * a mod pi
-    r0, s0, s1 = pi, Poly(F, []), Poly.const(F, F.one)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
+    r0, s0, s1 = pi, [], [F.one]
+    while r1:
+        q, r = F.poly_divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree != 0:
+        s0, s1 = s1, F.poly_sub(s0, F.poly_mul(q, s1))
+    if len(r0) != 1:
         raise ZeroDivisionError("element not invertible mod pi")
     # deg s0 < deg pi, so the scaled cofactor is already reduced
-    return s0.scale(F.inv(r0.coeffs[0]))
+    return F.poly_scale(s0, F.inv(r0[0]))
 
 
-def _modulus(place: PlaceFq, F) -> Poly:
-    """The polynomial whose quotient of k[T] is the residue field: pi, or
-    T at infinity, where the unit parts are constants."""
-    return Poly.x(F) if place.pi is None else place.pi
+def _modulus(place: PlaceFq, F) -> tuple:
+    """The coefficients of the polynomial whose quotient of k[T] is the
+    residue field: pi, or T at infinity, where the unit parts are
+    constants."""
+    return (F.zero, F.one) if place.pi is None else place.pi.coeffs
 
 
 def tame_ff(f, g, place: PlaceFq) -> Poly:
@@ -153,24 +159,31 @@ def tame_with_orders(f: RatFunc, g: RatFunc, place: PlaceFq) -> tuple[int, int, 
     """(v(f), v(g), tame symbol) at the place, for nonzero f and g.  The
     unit parts are reduced mod pi, or mod T at infinity, where the residue
     field k = k[T]/(T) holds the leading-coefficient constants."""
+    F = f.field
     a, fn, fd = _order_and_units(f, place)
     b, gn, gd = _order_and_units(g, place)
-    return a, b, _symbol(a * b, ((fn, b), (fd, -b), (gn, -a), (gd, a)), _modulus(place, f.field))
+    return a, b, Poly._trusted(F, _symbol(F, a * b, ((fn, b), (fd, -b), (gn, -a), (gd, a)), _modulus(place, F)))
 
 
-def _symbol(ab: int, powers, pi: Poly) -> Poly:
+def _mul_mod(F, a, b, pi) -> list:
+    """a * b mod pi on coefficient lists, where a None stands for 1."""
+    return b if a is None else F.poly_rem(F.poly_mul(a, b), pi)
+
+
+def _symbol(F, ab: int, powers, pi) -> list:
     """(-1)^ab times the product of unit^e over (unit, e) in powers, reduced
-    mod pi, as top / bottom with one inversion."""
-    F = pi.field
-    top = Poly.const(F, F.one if ab % 2 == 0 else F.neg(F.one))
-    bottom = None
+    mod pi, as top / bottom with one inversion; units and pi are lists."""
+    top = bottom = None
     for unit, e in powers:
         if e > 0:
-            top = top * unit.pow_mod(e, pi) % pi
+            top = _mul_mod(F, top, F.poly_pow_mod(unit, e, pi), pi)
         elif e < 0:
-            power = unit.pow_mod(-e, pi)
-            bottom = power if bottom is None else bottom * power % pi
-    return top if bottom is None else top * _residue_inv(bottom, pi) % pi
+            bottom = _mul_mod(F, bottom, F.poly_pow_mod(unit, -e, pi), pi)
+    if bottom is not None:
+        top = _mul_mod(F, top, _residue_inv(F, bottom, pi), pi)
+    if top is None:
+        top = [F.one]
+    return F.poly_scale(top, F.neg(F.one)) if ab % 2 else top
 
 
 def _orders(f: RatFunc) -> dict[Poly, int]:
@@ -183,29 +196,33 @@ def _orders(f: RatFunc) -> dict[Poly, int]:
     return orders
 
 
-def _units(f: RatFunc, pi: Poly, a: int) -> tuple[Poly, Poly]:
-    """num and den of f with pi^|a| divided out of the one it divides,
-    where a = v_pi(f): one exact division, or none at order 0."""
-    if a > 0:
-        return f.num // pi**a, f.den
-    if a < 0:
-        return f.num, f.den // pi**-a
-    return f.num, f.den
+def _units(F, f: RatFunc, pi, a: int) -> tuple:
+    """The lists of num and den of f with pi^|a| divided out of the one it
+    divides, where a = v_pi(f): |a| exact divisions by the list pi, and no
+    power of pi is built."""
+    num, den = f.num.coeffs, f.den.coeffs
+    for _ in range(a):
+        num = F.poly_divmod(num, pi)[0]
+    for _ in range(-a):
+        den = F.poly_divmod(den, pi)[0]
+    return num, den
 
 
-def _tame_at(f: RatFunc, f_orders: dict[Poly, int], g: RatFunc, g_orders: dict[Poly, int], pi: Poly) -> Poly:
-    """tame_ff at the finite place pi, with the orders of f and g read off
-    _orders.  f's units enter with exponent v(g) and g's with -v(f), so a
-    function's units are computed only where the other one has an order."""
+def _tame_at(f: RatFunc, f_orders: dict[Poly, int], g: RatFunc, g_orders: dict[Poly, int], pi: Poly) -> list:
+    """The list of tame_ff at the finite place pi, with the orders of f and
+    g read off _orders.  f's units enter with exponent v(g) and g's with
+    -v(f), so a function's units are computed only where the other one has
+    an order."""
     a, b = f_orders.get(pi, 0), g_orders.get(pi, 0)
+    F, m = pi.field, pi.coeffs
     powers = []
     if b:
-        fn, fd = _units(f, pi, a)
+        fn, fd = _units(F, f, m, a)
         powers += [(fn, b), (fd, -b)]
     if a:
-        gn, gd = _units(g, pi, b)
+        gn, gd = _units(F, g, m, b)
         powers += [(gn, -a), (gd, a)]
-    return _symbol(a * b, powers, pi)
+    return _symbol(F, a * b, powers, m)
 
 
 def _support(orders) -> list[Poly]:
@@ -218,7 +235,7 @@ def residue_norm(value: Poly, place: PlaceFq) -> int:
     of the monic place polynomial pi (T at infinity) and a representative v,
     the product of v over the roots of pi.  Returns the F_q encoding."""
     F = value.field
-    return _resultant(F, _modulus(place, F).coeffs, value.coeffs)
+    return _resultant(F, _modulus(place, F), value.coeffs)
 
 
 def _resultant(F: Fq, a, b) -> int:
@@ -270,8 +287,9 @@ def ff_symbol(f, g) -> FFSymbolExpr:
     return FFSymbolExpr.of((f, g))
 
 
-def _check_value(pi: Poly, v: Poly) -> None:
-    if v.is_zero() or v.degree >= pi.degree:
+def _check_value(pi: Poly, v) -> None:
+    """v, a coefficient sequence, must be a nonzero residue mod pi."""
+    if not v or len(v) > len(pi.coeffs) - 1:
         raise ValueError(f"value not reduced mod {pi}")
 
 
@@ -291,8 +309,8 @@ class K2FFClass:
             if pi in seen:
                 raise ValueError("duplicate place")
             seen.add(pi)
-            _check_value(pi, v)
-            if v == Poly.const(self.base, self.base.one):
+            _check_value(pi, v.coeffs)
+            if v.coeffs == (self.base.one,):
                 raise ValueError("identity values must be dropped")
 
     @staticmethod
@@ -302,19 +320,20 @@ class K2FFClass:
         is not raises ValueError, even when its value is the identity."""
         for pi in entries:
             _check_place(pi)
-        return K2FFClass._at_places(base, entries)
+        return K2FFClass._at_places(base, {pi: (v % pi).coeffs for pi, v in entries.items()})
 
     @staticmethod
-    def _at_places(base: Fq, entries: dict[Poly, Poly]) -> "K2FFClass":
-        """make, for keys already known to be places; the key test, the
-        distinct-degree one, is skipped (arith._unchecked)."""
-        one = Poly.const(base, base.one)
+    def _at_places(base: Fq, values: dict) -> "K2FFClass":
+        """make, for keys already known to be places and values already
+        reduced mod their key, as coefficient sequences; the key test, the
+        distinct-degree one, is skipped (arith._unchecked), and each value
+        becomes a Poly here."""
+        one = base.one
         items = []
-        for pi, v in entries.items():
-            v = v % pi
+        for pi, v in values.items():
             _check_value(pi, v)
-            if v != one:
-                items.append((pi, v))
+            if len(v) > 1 or v[0] != one:
+                items.append((pi, Poly._trusted(base, v)))
         items.sort(key=lambda pv: pv[0].sort_key())
         return _unchecked(K2FFClass, base=base, entries=tuple(items))
 
@@ -324,13 +343,15 @@ class K2FFClass:
     def __add__(self, other: "K2FFClass") -> "K2FFClass":
         if self.base != other.base:
             raise ValueError("mixed base fields")
-        vals = dict(self.entries)
+        F = self.base
+        vals = {pi: v.coeffs for pi, v in self.entries}
         for pi, v in other.entries:
-            vals[pi] = vals.get(pi, Poly.const(self.base, self.base.one)) * v % pi
-        return K2FFClass._at_places(self.base, vals)
+            vals[pi] = _mul_mod(F, vals.get(pi), v.coeffs, pi.coeffs)
+        return K2FFClass._at_places(F, vals)
 
     def __neg__(self) -> "K2FFClass":
-        return K2FFClass._at_places(self.base, {pi: _residue_inv(v, pi) for pi, v in self.entries})
+        F = self.base
+        return K2FFClass._at_places(F, {pi: _residue_inv(F, v.coeffs, pi.coeffs) for pi, v in self.entries})
 
     def __sub__(self, other: "K2FFClass") -> "K2FFClass":
         return self + (-other)
@@ -351,14 +372,13 @@ def decompose(e: FFSymbolExpr, base: Fq | None = None) -> K2FFClass:
         return K2FFClass._at_places(base, {})
     base = e.terms[0][0].field
     terms = [(f, _orders(f), g, _orders(g), m) for f, g, m in e.terms]
-    vals: dict[Poly, Poly] = {}
-    one = Poly.const(base, base.one)
+    vals: dict[Poly, list] = {}
     for pi in _support(o for _, fo, _, go, _ in terms for o in (fo, go)):
-        acc = one
-        group_order = base.q**pi.degree - 1
+        m_pi, group_order = pi.coeffs, base.q**pi.degree - 1
+        acc = None
         for f, fo, g, go, m in terms:
-            t = _tame_at(f, fo, g, go, pi)
-            acc = acc * t.pow_mod(m % group_order, pi) % pi
+            power = base.poly_pow_mod(_tame_at(f, fo, g, go, pi), m % group_order, m_pi)
+            acc = _mul_mod(base, acc, power, m_pi)
         vals[pi] = acc
     return K2FFClass._at_places(base, vals)
 
@@ -390,7 +410,7 @@ def weil_check(f, g) -> WeilResult:
     _check_entries(f, g)
     base = f.field
     f_orders, g_orders = _orders(f), _orders(g)
-    values = [(_unchecked(PlaceFq, pi=pi), _tame_at(f, f_orders, g, g_orders, pi))
+    values = [(_unchecked(PlaceFq, pi=pi), Poly._trusted(base, _tame_at(f, f_orders, g, g_orders, pi)))
               for pi in _support((f_orders, g_orders))]
     infinity = PlaceFq.infinity()
     values.append((infinity, tame_ff(f, g, infinity)))

@@ -353,6 +353,31 @@ def test_poly_kernels_match_schoolbook(q):
             assert Poly(F, a).pow_mod(e, unit) == zero       # everything is 0 mod a unit
 
 
+@pytest.mark.parametrize("F", [field(5), field(1000003), field(9), field(25), field(8), CX],
+                         ids=["5", "1000003", "9", "25", "8", "Q(i)"])
+def test_poly_scale_is_coefficientwise_mul(F):
+    """poly_scale, inline mod p for prime q and one log addition on the Zech
+    tables for prime powers, is F.mul on each coefficient; Poly.scale,
+    Poly.monic and the monic gcd run on it."""
+    rng = random.Random(f"scale {F}")
+    if F is CX:
+        elements = _gauss_elements()
+    else:
+        elements = [rng.randrange(F.q) for _ in range(40)] + [0, F.one, F.q - 1]
+    units = [c for c in elements if c != F.zero]
+    for _ in range(60):
+        a = [rng.choice(elements) for _ in range(rng.randint(0, 6))] + [rng.choice(units)]
+        for c in (rng.choice(units), rng.choice(elements), F.one, F.zero):
+            expected = F._trim([F.mul(c, x) for x in a])
+            assert F.poly_scale(a, c) == expected, (a, c)
+            assert Poly(F, a).scale(c).coeffs == tuple(expected)
+        monic = Poly(F, a).monic()
+        assert monic.is_monic() and monic.scale(a[-1]) == Poly(F, a)
+        assert Poly(F, a).gcd(Poly(F, [])) == monic
+    assert F.poly_scale([], rng.choice(units)) == []
+    assert Poly(F, []).monic() == Poly(F, [])
+
+
 @pytest.mark.parametrize("F", [field(5), field(9), CX], ids=["F5", "F9", "Q(i)"])
 def test_pow_mod_refuses_a_negative_exponent(F):
     m = Poly(F, [F.one, F.zero, F.one])

@@ -250,6 +250,67 @@ def test_class_group_ops():
     assert (-a).entries == ((T, Poly.const(F, 3)),)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 25])
+def test_class_plus_its_negative_is_zero(q):
+    F = field(q)
+    rng = random.Random(f"negative {q}")
+    irr_by_deg = {d: list(irreducibles(F, d)) for d in (1, 2, 3)}
+    for _ in range(20):
+        entries = {}
+        for d in (1, 1, 2, 3):
+            pi = rng.choice(irr_by_deg[d])
+            v = Poly(F, [rng.randrange(F.q) for _ in range(d)])
+            if not v.is_zero():
+                entries[pi] = v
+        c = K2FFClass.make(F, entries)
+        assert (c + (-c)).is_zero() and ((-c) + c).is_zero(), (q, entries)
+        assert -(-c) == c and (c - c).is_zero(), (q, entries)
+
+
+def _residue_inv_cases(F, rng):
+    """(pi, random element) pairs over F_5, F_9, F_25 (places of degree 1 to
+    3) or Q(i) (z - a, and z^2 - 2, z^2 - 3, irreducible over Q(i))."""
+    from k2sym.regnum import CX, gauss
+
+    if F is CX:
+        def coeff():
+            return gauss(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+
+        places = [[coeff(), CX.one] for _ in range(3)] + [[gauss(-2), CX.zero, CX.one], [gauss(-3), CX.zero, CX.one]]
+    else:
+        def coeff():
+            return rng.randrange(F.q)
+
+        places = [list(rng.choice(list(irreducibles(F, d))).coeffs) for d in (1, 2, 2, 3)]
+    for pi in places:
+        for _ in range(10):
+            yield pi, [coeff() for _ in range(rng.randint(1, 2 * len(pi)))]
+
+
+@pytest.mark.parametrize("q", [5, 9, 25, "Q(i)"])
+def test_residue_inv_inverts_units_mod_pi(q):
+    from k2sym.regnum import CX
+
+    F = CX if q == "Q(i)" else field(q)
+    rng = random.Random(f"residue inverse {q}")
+    euclid = 0  # units whose residue is not constant: the Euclidean branch
+    for pi, a in _residue_inv_cases(F, rng):
+        a = F._trim(a)
+        r = F.poly_rem(a, pi)
+        if r:
+            inv = funcfield._residue_inv(F, a, pi)
+            assert len(inv) < len(pi) and F.poly_rem(F.poly_mul(a, inv), pi) == [F.one], (pi, a)
+            euclid += len(r) > 1
+        # a multiple of pi has no inverse; pi times a plus a unit c has 1/c
+        h = F.poly_mul(pi, a)
+        if h:
+            with pytest.raises(ZeroDivisionError):
+                funcfield._residue_inv(F, h, pi)
+        c = a[-1] if a else F.one
+        assert funcfield._residue_inv(F, F.poly_add(h, [c]), pi) == [F.inv(c)], (pi, a)
+    assert euclid >= 15
+
+
 def test_lift_ff_spec_example():
     F = field(5)
     T = Poly.x(F)
