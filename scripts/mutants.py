@@ -7,7 +7,8 @@ script copies src/, tests/, scripts/, benchmarks/ and pyproject.toml to a
 temporary directory, applies one entry at a time there, runs only that
 entry's nodes, and prints one line per entry:
 
-    killed    the nodes failed
+    killed    the nodes failed, or ran past the timeout: four times the
+              unmutated run of all chosen nodes, plus 10 s ("killed (timeout)")
     survived  the nodes passed: the tests no longer see the mutant
     stale     the old text is not in the file exactly once, or a node names
               a test function that does not exist; re-aim the entry
@@ -172,6 +173,26 @@ CATALOGUE = (
            "f.derivative_s() * g.derivative_t() - f.derivative_t() * g.derivative_s()",
            "f.derivative_t() * g.derivative_s() - f.derivative_s() * g.derivative_t()",
            ("tests/test_charpforms.py::test_dlog2_orientation_and_wedge_reference",)),
+    Mutant("place-prime-check", "localsym.py",
+           "if self.p is not None and not is_prime(self.p):",
+           "if False:",
+           ("tests/test_localsym.py::test_place_validation",)),
+    Mutant("factor-bound", "arith.py",
+           "if n > FACTOR_BOUND:",
+           "if n > FACTOR_BOUND ** 2:",
+           ("tests/test_arith.py::test_trial_division_holds_the_one_factorization_bound",)),
+    Mutant("scan-bound", "arith.py",
+           "if self.q > FIELD_LIMIT:\n            raise ValueError(f\"F_{self.q} is too large to scan",
+           "if self.q > FIELD_LIMIT ** 2:\n            raise ValueError(f\"F_{self.q} is too large to scan",
+           ("tests/test_arith.py::test_scanning_a_field_is_bounded",)),
+    Mutant("dilog-bernoulli-terms", "regnum.py",
+           "for n in range(40)",
+           "for n in range(8)",
+           ("tests/test_regnum.py::test_bloch_wigner_keeps_its_relative_accuracy_near_zero",)),
+    Mutant("mixed-field-entries", "funcfield.py",
+           "    _check_field(F, f, g)\n",
+           "",
+           ("tests/test_funcfield.py::test_weil_and_expressions_refuse_mixed_fields",)),
 )
 
 
@@ -196,19 +217,22 @@ def stale_reason(m: Mutant, root: Path = ROOT) -> str | None:
     return None
 
 
-def run_nodes(nodes, work: Path) -> subprocess.CompletedProcess:
+def run_nodes(nodes, work: Path, timeout: float | None = None) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *nodes],
-                          cwd=work, env=env, capture_output=True, text=True)
+                          cwd=work, env=env, capture_output=True, text=True, timeout=timeout)
 
 
-def run_mutant(m: Mutant, work: Path) -> str:
-    """Apply m in the copy at work, run its nodes, restore the file."""
+def run_mutant(m: Mutant, work: Path, timeout: float | None = None) -> str:
+    """Apply m in the copy at work, run its nodes, restore the file.  Nodes
+    still running after timeout seconds are stopped, and count as killed."""
     source = work / "src" / "k2sym" / m.path
     original = source.read_text()
     source.write_text(original.replace(m.old, m.new))
     try:
-        code = run_nodes(m.nodes, work).returncode
+        code = run_nodes(m.nodes, work, timeout).returncode
+    except subprocess.TimeoutExpired:
+        return "killed (timeout)"
     finally:
         source.write_text(original)
     return {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
@@ -249,12 +273,13 @@ def main() -> int:
             print(baseline.stdout[-2000:])
             print(f"the unmutated tree fails its nodes (pytest exit {baseline.returncode}): no mutant run")
             return 1
+        timeout = 4 * (time.perf_counter() - start) + 10
         for m in chosen:
             reason = stale_reason(m, work)
             t = time.perf_counter()
-            outcome = f"stale: {reason}" if reason else run_mutant(m, work)
+            outcome = f"stale: {reason}" if reason else run_mutant(m, work, timeout)
             print(f"{outcome:9s} {m.name}  ({time.perf_counter() - t:.1f} s)", flush=True)
-            bad += outcome != "killed"
+            bad += not outcome.startswith("killed")
         print(f"{len(chosen) - bad} of {len(chosen)} killed in {time.perf_counter() - start:.1f} s")
     return 1 if bad else 0
 

@@ -23,11 +23,9 @@ NEG_INF = float("-inf")
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981
 
-# Factorization refuses inputs whose prime parts exceed this bound.
+# Factorization refuses numerators and denominators beyond this bound, so
+# trial division up to its square root always completes.
 FACTOR_BOUND = 10**12
-
-# Trial division stops at this prime bound; a larger cofactor must be prime.
-_TRIAL_LIMIT = 10**6
 
 
 def is_prime(n: int) -> bool:
@@ -100,11 +98,14 @@ def _unchecked(cls, **fields):
 
 
 def _factor_positive(n: int) -> dict[int, int]:
-    """Trial division by the cached sieve; Miller-Rabin certifies the cofactor."""
+    """Trial division by the cached sieve up to isqrt(n), for 0 < n <=
+    FACTOR_BOUND; Miller-Rabin certifies the cofactor."""
+    if n > FACTOR_BOUND:
+        raise ValueError(f"input beyond factorization bound: {n}")
     out: dict[int, int] = {}
     m = n
-    for p in _sieve_for(min(isqrt(n) + 2, _TRIAL_LIMIT)):
-        if p * p > m or p > _TRIAL_LIMIT:
+    for p in _sieve_for(isqrt(n) + 2):
+        if p * p > m:
             break
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
@@ -126,8 +127,6 @@ def factorize(x: int | Fraction) -> tuple[int, tuple[tuple[int, int], ...]]:
     x = Fraction(x)
     if x == 0:
         raise ValueError("cannot factor 0")
-    if abs(x.numerator) > FACTOR_BOUND or x.denominator > FACTOR_BOUND:
-        raise ValueError(f"input beyond factorization bound: {x}")
     sign = 1 if x > 0 else -1
     fac = _factor_positive(abs(x.numerator))
     for p, e in _factor_positive(x.denominator).items():
@@ -348,8 +347,9 @@ class PolyKernels:
 # c_0 + c_1 p + ... + c_{k-1} p^{k-1}.  Integer order on encodings is the
 # fixed basis ordering used by generator().
 
-# Largest prime-power field.  Its arithmetic reads tables of O(q) entries;
-# prime fields compute directly and have no bound.
+# Largest prime-power field, whose arithmetic reads tables of O(q) entries,
+# and largest field whose elements are scanned (Fq.elements).  Arithmetic in
+# a prime field computes directly and has no bound.
 FIELD_LIMIT = 10**6
 
 
@@ -531,10 +531,14 @@ class Fq(PolyKernels):
         return exp[log[a] * e % (self.q - 1)]
 
     def elements(self) -> range:
+        """Every encoding, in order: each scan of F_q runs through here, so
+        q is refused above FIELD_LIMIT, for prime q too."""
+        if self.q > FIELD_LIMIT:
+            raise ValueError(f"F_{self.q} is too large to scan: q exceeds the bound {FIELD_LIMIT}")
         return range(self.q)
 
     def units(self) -> range:
-        return range(1, self.q)
+        return self.elements()[1:]
 
     def frobenius_root(self, a: int) -> int:
         """The unique p-th root of a (inverse Frobenius)."""
@@ -639,7 +643,7 @@ def generator(q_or_field: int | Fq) -> int:
     if n == 1:
         return F.one
     prime_divs = [p for p, _ in _factor_positive(n).items()]
-    for a in F.units():
+    for a in range(1, F.q):
         if all(F.pow(a, n // ell) != F.one for ell in prime_divs):
             return a
     raise RuntimeError("no generator found")  # unreachable for a field

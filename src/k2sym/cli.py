@@ -42,13 +42,13 @@ def _frac(x) -> str:
 
 
 def _place_q(place: PlaceQ) -> str:
-    return "inf" if place.kind == "real" else str(place.p)
+    return "inf" if place.p is None else str(place.p)
 
 
 def _parse_place_q(text: str) -> PlaceQ:
     if text in ("inf", "infinity", "real", "oo"):
         return REAL
-    return PlaceQ.prime(int(text))
+    return PlaceQ(int(text))
 
 
 def _poly(p: Poly) -> list[int]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Final
 
-from .arith import FIELD_LIMIT, Fq, Poly, RatFunc, _unchecked, field, generator, is_irreducible, poly_factor
+from .arith import Fq, Poly, RatFunc, _unchecked, field, generator, is_irreducible, poly_factor
 
 # Returned by steinberg_witness over fields of characteristic 2, where the
 # relation {zeta, zeta} = {zeta, -zeta} = 0 is immediate and no quadratic
@@ -74,6 +74,14 @@ def _check_place(pi: Poly) -> None:
     """The distinct-degree test: pi must be monic irreducible."""
     if not pi.is_monic() or not is_irreducible(pi):
         raise ValueError(f"not a monic irreducible: {pi}")
+
+
+def _check_field(F, *items) -> None:
+    """Every item (a Poly or RatFunc, or None for the place at infinity) has
+    its coefficients in the field F."""
+    for x in items:
+        if x is not None and x.field is not F:
+            raise ValueError("mixed coefficient fields")
 
 
 def as_ratfunc(f) -> RatFunc:
@@ -160,6 +168,7 @@ def tame_with_orders(f: RatFunc, g: RatFunc, place: PlaceFq) -> tuple[int, int, 
     unit parts are reduced mod pi, or mod T at infinity, where the residue
     field k = k[T]/(T) holds the leading-coefficient constants."""
     F = f.field
+    _check_field(F, g, place.pi)
     a, fn, fd = _order_and_units(f, place)
     b, gn, gd = _order_and_units(g, place)
     return a, b, Poly._trusted(F, _symbol(F, a * b, ((fn, b), (fd, -b), (gn, -a), (gd, a)), _modulus(place, F)))
@@ -235,6 +244,7 @@ def residue_norm(value: Poly, place: PlaceFq) -> int:
     of the monic place polynomial pi (T at infinity) and a representative v,
     the product of v over the roots of pi.  Returns the F_q encoding."""
     F = value.field
+    _check_field(F, place.pi)
     return _resultant(F, _modulus(place, F), value.coeffs)
 
 
@@ -266,7 +276,7 @@ class FFSymbolExpr:
 
     def __post_init__(self):
         for f, g, _ in self.terms:
-            _check_entries(f, g)
+            _check_entries(f, g, self.terms[0][0].field)
 
     @staticmethod
     def of(*pairs, multiplicities=None) -> "FFSymbolExpr":
@@ -278,9 +288,11 @@ class FFSymbolExpr:
         return FFSymbolExpr(tuple((f, g, m) for (f, g), m in merged.items() if m))
 
 
-def _check_entries(f: RatFunc, g: RatFunc) -> None:
+def _check_entries(f: RatFunc, g: RatFunc, F) -> None:
+    """f and g are nonzero, with coefficients in F."""
     if f.is_zero() or g.is_zero():
         raise ValueError("symbol entries must be nonzero")
+    _check_field(F, f, g)
 
 
 def ff_symbol(f, g) -> FFSymbolExpr:
@@ -370,6 +382,8 @@ def decompose(e: FFSymbolExpr, base: Fq | None = None) -> K2FFClass:
         if base is None:
             raise ValueError("empty expression needs an explicit base field")
         return K2FFClass._at_places(base, {})
+    if base is not None:
+        _check_field(base, e.terms[0][0])
     base = e.terms[0][0].field
     terms = [(f, _orders(f), g, _orders(g), m) for f, g, m in e.terms]
     vals: dict[Poly, list] = {}
@@ -407,8 +421,8 @@ def weil_check(f, g) -> WeilResult:
     infinity is always listed.
     """
     f, g = as_ratfunc(f), as_ratfunc(g)
-    _check_entries(f, g)
     base = f.field
+    _check_entries(f, g, base)
     f_orders, g_orders = _orders(f), _orders(g)
     values = [(_unchecked(PlaceFq, pi=pi), Poly._trusted(base, _tame_at(f, f_orders, g, g_orders, pi)))
               for pi in _support((f_orders, g_orders))]
@@ -452,12 +466,10 @@ def lift_ff(base: Fq, target: K2FFClass) -> FFSymbolExpr:
 
 
 def _witness_field(q: int, zeta: int | None) -> Fq:
-    """F_q for the witness search and the counting bound, which scan F_q:
-    q is at most FIELD_LIMIT, prime fields included, and a given zeta must
-    encode a unit of F_q, 1..q-1."""
+    """F_q for the witness search and the counting bound, where a given
+    zeta must encode a unit of F_q, 1..q-1.  Both scan F_q, so q is at most
+    arith.FIELD_LIMIT, prime fields included (Fq.elements)."""
     F = field(q)
-    if F.q > FIELD_LIMIT:
-        raise ValueError(f"the witness search scans F_q: q = {F.q} exceeds the bound {FIELD_LIMIT}")
     if zeta is not None and not 1 <= zeta < F.q:
         raise ValueError(f"zeta must encode a unit of F_{F.q}, 1..{F.q - 1}; got {zeta}")
     return F

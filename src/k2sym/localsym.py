@@ -32,34 +32,20 @@ from .arith import _legendre, _split, _unchecked, factorize, is_prime
 
 @dataclass(frozen=True)
 class PlaceQ:
-    """A place of Q: the real place or a prime."""
+    """A place of Q, named by its prime: p, or None at the real place."""
 
-    kind: str  # "real" or "prime"
-    p: int | None = None
+    p: int | None
 
     def __post_init__(self):
-        if self.kind == "real":
-            if self.p is not None:
-                raise ValueError("real place has no prime")
-        elif self.kind == "prime":
-            if self.p is None or not is_prime(self.p):
-                raise ValueError(f"not a prime: {self.p}")
-        else:
-            raise ValueError(f"unknown place kind: {self.kind}")
-
-    @staticmethod
-    def prime(p: int) -> "PlaceQ":
-        return PlaceQ("prime", p)
-
-    def is_real(self) -> bool:
-        return self.kind == "real"
+        if self.p is not None and not is_prime(self.p):
+            raise ValueError(f"not a prime: {self.p}")
 
     def __repr__(self):
-        return "PlaceQ(real)" if self.kind == "real" else f"PlaceQ({self.p})"
+        return "PlaceQ(real)" if self.p is None else f"PlaceQ({self.p})"
 
 
-REAL = PlaceQ("real")
-TWO = PlaceQ("prime", 2)
+REAL = PlaceQ(None)
+TWO = PlaceQ(2)
 
 
 def _as_nonzero_fraction(x) -> Fraction:
@@ -168,7 +154,7 @@ def h_p(x, y, p: int) -> int:
 
 def hilbert(x, y, place: PlaceQ) -> int:
     """The +-1 Hilbert symbol at any place: s_infinity, s_2, or h_p."""
-    if place.is_real():
+    if place.p is None:
         return s_infinity(x, y)
     if place.p == 2:
         return s_2(x, y)
@@ -220,7 +206,7 @@ def hilbert_factors(x: LocalData, y: LocalData) -> tuple[tuple[PlaceQ, int], ...
         (TWO, _s2(*_residue8(x), *_residue8(y))),
     ]
     for p in odd_primes(x, y):
-        place = _unchecked(PlaceQ, kind="prime", p=p)
+        place = _unchecked(PlaceQ, p=p)
         factors.append((place, _h(*_residue(x, p), *_residue(y, p), p)))
     return tuple(factors)
 
@@ -236,4 +222,4 @@ def support_places(x, y) -> tuple[PlaceQ, ...]:
     Away from these places both arguments are units and the tame symbol is
     trivially 1, so any product formula over all places reduces to this set.
     """
-    return (REAL, TWO) + tuple(_unchecked(PlaceQ, kind="prime", p=p) for p in odd_support(x, y))
+    return (REAL, TWO) + tuple(_unchecked(PlaceQ, p=p) for p in odd_support(x, y))

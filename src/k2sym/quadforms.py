@@ -202,7 +202,7 @@ def invariants(f: DiagForm) -> FormInvariants:
 def _hasse(records: list[LocalData]) -> tuple[tuple[PlaceQ, int], ...]:
     """The Hasse invariant at the real place, at 2 and at each odd prime of
     some entry; everywhere else every entry is a unit and it is +1."""
-    places = [REAL, TWO] + [_unchecked(PlaceQ, kind="prime", p=p) for p in odd_primes(*records)]
+    places = [REAL, TWO] + [_unchecked(PlaceQ, p=p) for p in odd_primes(*records)]
     return tuple((v, _hasse_at(v, records)) for v in places)
 
 
@@ -211,7 +211,7 @@ def _hasse_at(place: PlaceQ, entries) -> int:
     as Fractions or LocalData records: at the real place (-1) to the number
     of pairs of negative entries, elsewhere the pairwise product of the
     local symbols on each entry's valuation and unit residue."""
-    if place.is_real():
+    if place.p is None:
         neg = sum(1 for a in entries if a.numerator < 0)
         return -1 if neg * (neg - 1) // 2 % 2 else 1
     if place.p == 2:

@@ -2,8 +2,7 @@
 
 The single-valued dilogarithm D(z) = Im Li2(z) + arg(1-z) log|z| is computed
 by reducing into |z| <= 1, Re z <= 1/2 with the inversion and reflection
-antisymmetries, then summing either the defining series (small |z|) or the
-Bernoulli series in y = -log(1-z).
+antisymmetries, then summing the Bernoulli series in y = -log(1-z).
 
 The pairing side: for nonzero f, g in C(z) the real 1-form
 
@@ -203,18 +202,6 @@ def ratfunc_z(num, den=(1,)) -> RatFunc:
 # -- the single-valued dilogarithm ------------------------------------------------
 
 
-def _li2_series(z: complex) -> complex:
-    # defining series, fast for |z| <= 1/2
-    term = z
-    acc = 0j
-    k = 1
-    while abs(term) > 1e-19 and k < 200:
-        acc += term / (k * k)
-        k += 1
-        term *= z
-    return acc
-
-
 @functools.cache
 def _bern_coeffs() -> tuple[float, ...]:
     """B_n / (n+1)! for n < 40, the coefficients of Li2 in -log(1 - z)."""
@@ -222,9 +209,8 @@ def _bern_coeffs() -> tuple[float, ...]:
 
 
 def _li2(z: complex) -> complex:
-    """Dilogarithm on |z| <= 1, Re z <= 1/2."""
-    if abs(z) <= 0.5:
-        return _li2_series(z)
+    """Dilogarithm on |z| <= 1, Re z <= 1/2, where y = -log(1 - z) has
+    |y| <= pi/3, well inside the series' radius 2 pi."""
     y = -cmath.log(1 - z)
     acc = 0j
     yp = y

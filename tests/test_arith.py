@@ -12,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from k2sym import arith, charpforms
 from k2sym.arith import (
+    FACTOR_BOUND,
     NEG_INF,
     PRIME_BOUND,
     Poly,
     PolyKernels,
     RatFunc,
+    _factor_positive,
     _split,
     bernoulli,
     factorize,
@@ -86,6 +88,16 @@ def test_factorize_large_prime():
 def test_factorize_zero_rejected():
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_trial_division_holds_the_one_factorization_bound():
+    assert _factor_positive(FACTOR_BOUND) == {2: 12, 5: 12}
+    # 10^12 + 39 is prime, so each call below would otherwise certify it
+    for beyond in (lambda: _factor_positive(FACTOR_BOUND + 1),
+                   lambda: factorize(Fraction(1, 10**12 + 39)),
+                   lambda: field(10**12 + 39)):
+        with pytest.raises(ValueError, match="beyond factorization bound"):
+            beyond()
 
 
 @settings(max_examples=200, deadline=None)
@@ -251,6 +263,15 @@ def test_prime_power_fields_are_bounded():
     with pytest.raises(ValueError, match="exceeds the bound"):
         field(1009**2)
     assert field(1000003).mul(2, 500002) == 1  # prime fields have no bound
+
+
+def test_scanning_a_field_is_bounded():
+    F = field(1000003)
+    for scan in (F.elements, F.units):
+        with pytest.raises(ValueError, match="F_1000003 is too large to scan"):
+            scan()
+    assert generator(1000003) == 2  # found without a scan of the field
+    assert list(field(4).units()) == [1, 2, 3]
 
 
 # -- polynomials --------------------------------------------------------------

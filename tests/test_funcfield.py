@@ -21,6 +21,8 @@ from k2sym.funcfield import (
     weil_check,
 )
 
+from k2sym.zeta import CurveFq, count_points
+
 import oracles
 
 
@@ -551,3 +553,52 @@ def test_counting_bound_all_odd_q():
         assert cb.zeta_squares == (q + 1) // 2
         assert cb.one_minus == (q + 1) // 2
         assert cb.exceeds_field
+
+
+def test_every_scan_of_a_field_shares_one_bound():
+    for scan in (lambda: steinberg_witness(1000003), lambda: counting_bound(1000003),
+                 lambda: count_points(CurveFq.projective_line(1000003)),
+                 lambda: count_points(CurveFq.elliptic(1000003, 1, 1))):
+        with pytest.raises(ValueError, match="^F_1000003 is too large to scan: q exceeds the bound 1000000$"):
+            scan()
+
+
+# -- one coefficient field per symbol ---------------------------------------------
+
+
+def _over(q):
+    F = field(q)
+    T = Poly.x(F)
+    return F, T, T + Poly.const(F, 1)
+
+
+def test_weil_and_expressions_refuse_mixed_fields():
+    _, T5, U5 = _over(5)
+    _, T7, U7 = _over(7)
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        weil_check(T5, U7)
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        FFSymbolExpr.of((T5, U5), (T7, U7))
+
+
+def test_tame_symbols_refuse_mixed_fields():
+    _, T5, U5 = _over(5)
+    _, T7, _ = _over(7)
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        tame_ff(T5, T7, PlaceFq(T5))
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        tame_ff(T5, U5, PlaceFq(T7))
+
+
+def test_decompose_refuses_a_base_of_another_field():
+    _, T5, U5 = _over(5)
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        decompose(ff_symbol(T5, U5), field(7))
+    assert decompose(ff_symbol(T5, U5), field(5)) == decompose(ff_symbol(T5, U5))
+
+
+def test_residue_norm_refuses_a_place_of_another_field():
+    F5, T5, _ = _over(5)
+    _, T7, _ = _over(7)
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        residue_norm(Poly.const(F5, 2), PlaceFq(T7))

@@ -126,11 +126,11 @@ def test_lift_zero_class_is_empty():
 
 def test_hilbert_reciprocity_3_5():
     r = hilbert_reciprocity(3, 5)
-    vals = {(pl.kind, pl.p): v for pl, v in r.factors}
-    assert vals[("real", None)] == 1
-    assert vals[("prime", 2)] == 1
-    assert vals[("prime", 3)] == -1
-    assert vals[("prime", 5)] == -1
+    vals = {pl.p: v for pl, v in r.factors}
+    assert vals[None] == 1
+    assert vals[2] == 1
+    assert vals[3] == -1
+    assert vals[5] == -1
     assert r.product == 1 and r.holds
 
 
@@ -240,7 +240,7 @@ def test_moore_vector_coordinate_access():
 
 def test_public_constructors_still_check_primes():
     with pytest.raises(ValueError):
-        PlaceQ.prime(9)
+        PlaceQ(9)
     with pytest.raises(ValueError):
         K2QClass(1, ((9, 2),))
     with pytest.raises(ValueError):

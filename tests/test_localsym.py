@@ -10,6 +10,7 @@ from k2sym.arith import primes_below
 from k2sym.k2q import K2QClass, MooreVector, SymbolExpr, lambda_tate, moore_map
 from k2sym.localsym import (
     REAL,
+    TWO,
     PlaceQ,
     _residue,
     _tame,
@@ -178,22 +179,22 @@ def test_h_p_matches_congruence_oracle_small_primes():
         for x, y in pairs:
             if x == 0 or y == 0:
                 continue
-            place = PlaceQ.prime(p)
+            place = PlaceQ(p)
             solvable = oracles.conic_has_primitive_solution_mod(x, y, p, k)
             assert (hilbert(x, y, place) == 1) == solvable, (x, y, p)
 
 
 def test_hilbert_symbol_values():
-    assert hilbert(2, 3, PlaceQ.prime(2)) == -1
+    assert hilbert(2, 3, PlaceQ(2)) == -1
     assert hilbert(-1, -1, REAL) == -1
-    assert hilbert(-1, -1, PlaceQ.prime(5)) == 1
-    assert hilbert(3, 5, PlaceQ.prime(5)) == -1
+    assert hilbert(-1, -1, PlaceQ(5)) == 1
+    assert hilbert(3, 5, PlaceQ(5)) == -1
 
 
 @settings(max_examples=150, deadline=None)
 @given(nonzero_rationals, nonzero_rationals)
 def test_hilbert_symmetric(x, y):
-    for place in (REAL, PlaceQ.prime(2), PlaceQ.prime(3), PlaceQ.prime(7)):
+    for place in (REAL, PlaceQ(2), PlaceQ(3), PlaceQ(7)):
         assert hilbert(x, y, place) == hilbert(y, x, place)
 
 
@@ -201,8 +202,19 @@ def test_hilbert_symmetric(x, y):
 
 
 def test_place_validation():
-    with pytest.raises(ValueError):
-        PlaceQ.prime(6)
+    assert PlaceQ(None) == REAL and PlaceQ(2) == TWO
+    assert (repr(REAL), repr(PlaceQ(7))) == ("PlaceQ(real)", "PlaceQ(7)")
+    for p in (0, 6, -3):
+        with pytest.raises(ValueError, match=f"^not a prime: {p}$"):
+            PlaceQ(p)
+
+
+def test_places_read_off_records_equal_and_hash_like_checked_places():
+    x, y = Fraction(15, 14), Fraction(-21, 11)
+    expected = [PlaceQ(p) for p in (None, 2, 3, 5, 7, 11)]
+    for places in ([pl for pl, _ in hilbert_factors(local_data(x), local_data(y))], list(support_places(x, y))):
+        assert places == expected
+        assert [hash(pl) for pl in places] == [hash(pl) for pl in expected]
 
 
 def test_support_places():
@@ -247,8 +259,8 @@ def test_record_evaluators_match_fraction_oracle():
         primes = oracles.odd_support_naive(x, y)
         assert odd_primes(rx, ry) == primes
         expected = [(REAL, oracles.hilbert_fraction(x, y, None)),
-                    (PlaceQ.prime(2), oracles.s_2_fraction(x, y))]
-        expected += [(PlaceQ.prime(p), oracles.hilbert_fraction(x, y, p)) for p in primes]
+                    (PlaceQ(2), oracles.s_2_fraction(x, y))]
+        expected += [(PlaceQ(p), oracles.hilbert_fraction(x, y, p)) for p in primes]
         assert list(hilbert_factors(rx, ry)) == expected, (x, y)
         assert s_2(x, y) == oracles.s_2_fraction(x, y)
         for place, value in expected:

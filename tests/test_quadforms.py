@@ -226,7 +226,7 @@ def test_diagonalizations_of_same_matrix_are_equivalent():
 def test_conic_2_3_fails_at_2_and_3():
     ok, cert = conic_solvable_Q(2, 3)
     assert not ok
-    assert {(v.kind, v.p) for v in cert.failing} == {("prime", 2), ("prime", 3)}
+    assert {v.p for v in cert.failing} == {2, 3}
     tested_places = {v for v, _ in cert.tested}
     assert tested_places == set(support_places(Fraction(2), Fraction(3)))
 
@@ -234,7 +234,7 @@ def test_conic_2_3_fails_at_2_and_3():
 def test_conic_negative_definite_fails_at_real_and_2():
     ok, cert = conic_solvable_Q(-1, -1)
     assert not ok
-    assert REAL in cert.failing and PlaceQ.prime(2) in cert.failing
+    assert REAL in cert.failing and PlaceQ(2) in cert.failing
 
 
 def test_conic_trivial_coefficient():
@@ -353,7 +353,7 @@ def test_hamilton_quaternions_ramified_at_real():
 
 def test_split_quaternion():
     assert quaternion_splits(1, 17)
-    assert quaternion_splits(1, 17, PlaceQ.prime(17))
+    assert quaternion_splits(1, 17, PlaceQ(17))
     assert not quaternion_splits(2, 3)
 
 
@@ -372,7 +372,7 @@ def test_pfister_identity_hand_values():
     # at the real place with x = y = -1: hasse(<1,1,1,1>) = +1, and
     # +1 * (-1,-1)_Real = -1 = (x,y)_Real
     assert pfister_hasse_identity(-1, -1, REAL)
-    assert pfister_hasse_identity(2, 3, PlaceQ.prime(2))
+    assert pfister_hasse_identity(2, 3, PlaceQ(2))
 
 
 def test_pfister_identity_steinberg_pairs():

@@ -36,3 +36,25 @@ def test_one_mutant_is_killed():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert "killed    legendre-euler" in done.stdout
+
+
+def test_a_mutant_that_hangs_its_nodes_reads_killed(tmp_path, monkeypatch):
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import mutants
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    m = mutants.CATALOGUE[0]
+    source = tmp_path / "src" / "k2sym" / m.path
+    source.parent.mkdir(parents=True)
+    source.write_text(f"before\n{m.old}\nafter\n")
+    seen = {}
+
+    def hang(argv, **kwargs):
+        seen["mutated"] = m.new in source.read_text()
+        raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+
+    monkeypatch.setattr(mutants.subprocess, "run", hang)
+    assert mutants.run_mutant(m, tmp_path, timeout=0.5) == "killed (timeout)"
+    assert seen["mutated"]
+    assert source.read_text() == f"before\n{m.old}\nafter\n"
