@@ -158,9 +158,13 @@ CATALOGUE = (
            "_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)",
            ("tests/test_arith.py::test_is_prime_sees_through_the_least_strong_pseudoprime_to_bases_below_41",)),
     Mutant("parse-sum-fold-swapped", "parsing.py",
-           "value = _BINARY[op](value, self.term())",
-           "value = _BINARY[op](self.term(), value)",
+           "value = self.fold(op, value, self.term())",
+           "value = self.fold(op, self.term(), value)",
            ("tests/test_parsing.py::test_precedence_and_associativity",)),
+    Mutant("parse-lift-on-divide", "parsing.py",
+           "return self.lifted(a) / self.lifted(b)",
+           "return a / b",
+           ("tests/test_parsing.py::test_random_expressions_match_the_fraction_field_fold",)),
     Mutant("parse-paren-keeps-depth", "parsing.py",
            "            self.pos += 1\n            self.depth -= 1\n            return value",
            "            self.pos += 1\n            return value",
@@ -189,6 +193,33 @@ CATALOGUE = (
            "for n in range(40)",
            "for n in range(8)",
            ("tests/test_regnum.py::test_bloch_wigner_keeps_its_relative_accuracy_near_zero",)),
+    Mutant("squarefree-shortcut", "arith.py",
+           "radical = remaining if len(common) == 1 else F.poly_divmod(remaining, common)[0]",
+           "radical = remaining",
+           # test_poly_factor_with_multiplicity_char2 hangs on this mutant
+           # instead of failing, so it is not named
+           ("tests/test_arith.py::test_poly_factor_reconstructs_and_factors_irreducible",)),
+    Mutant("quadrec-kernel-place", "k2q.py",
+           "hp = _h(*_residue(p, p), *_residue(q, p), p)",
+           "hp = _h(*_residue(p, p), *_residue(q, q), p)",
+           ("tests/test_k2q.py::test_quadratic_reciprocity_matches_the_public_symbols",)),
+    Mutant("make-coordinate-range", "k2q.py",
+           "    odd = _normalized(odd_map)\n    for p, a in odd:\n        if not 2 <= a <= p - 1:\n"
+           "            raise ValueError(f\"coordinate at {p} out of range: {a}\")\n    return odd\n",
+           "    return _normalized(odd_map)\n",
+           ("tests/test_k2q.py::test_make_tests_each_key_then_the_reduced_range",)),
+    Mutant("class-key-field", "funcfield.py",
+           "        _check_field(base, *entries)\n",
+           "",
+           ("tests/test_funcfield.py::test_a_class_refuses_keys_of_another_field",)),
+    Mutant("count-points-early-bound", "zeta.py",
+           "if n >= FIELD_LIMIT.bit_length():",
+           "if False:",
+           ("tests/test_zeta.py::test_count_refuses_a_huge_extension_before_building_it",)),
+    Mutant("factor-bound-message-size", "arith.py",
+           "factorization bound: an integer of {n.bit_length()} bits",
+           "factorization bound: {n}",
+           ("tests/test_cli.py::test_a_huge_integer_is_refused_by_its_size",)),
     Mutant("mixed-field-entries", "funcfield.py",
            "    _check_field(F, f, g)\n",
            "",

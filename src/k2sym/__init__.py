@@ -6,7 +6,7 @@ characteristic p, zeta special values for curves over finite fields, and a
 numerical regulator pairing on the Riemann sphere.
 """
 
-from k2sym.arith import Poly, RatFunc, field, generator
+from k2sym.arith import Poly, RatFunc, field, generator, legendre
 from k2sym.charpforms import (
     BiPoly,
     Form0,

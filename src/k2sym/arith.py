@@ -99,9 +99,10 @@ def _unchecked(cls, **fields):
 
 def _factor_positive(n: int) -> dict[int, int]:
     """Trial division by the cached sieve up to isqrt(n), for 0 < n <=
-    FACTOR_BOUND; Miller-Rabin certifies the cofactor."""
+    FACTOR_BOUND; Miller-Rabin certifies the cofactor.  A refused n is
+    described by its size: str(n) fails past 4300 digits."""
     if n > FACTOR_BOUND:
-        raise ValueError(f"input beyond factorization bound: {n}")
+        raise ValueError(f"input beyond factorization bound: an integer of {n.bit_length()} bits")
     out: dict[int, int] = {}
     m = n
     for p in _sieve_for(isqrt(n) + 2):
@@ -916,14 +917,16 @@ def _factor_monic(F: Fq, f: list[int]) -> dict[tuple[int, ...], int]:
             for g, e in _factor_monic(F, root).items():
                 exps[g] = exps.get(g, 0) + e * F.p
             break
-        radical = F.poly_divmod(remaining, F.poly_gcd(remaining, d))[0]
+        common = F.poly_gcd(remaining, d)
+        # squarefree, the common case, when the monic gcd is 1: no division
+        radical = remaining if len(common) == 1 else F.poly_divmod(remaining, common)[0]
         for g, dd in _distinct_degree(F, radical):
             if rng is None and len(g) - 1 > dd:  # g needs splitting
                 rng = random.Random(("poly_factor", F.p, F.k, tuple(f)).__repr__())
             for irr in _equal_degree(F, g, dd, rng):
                 key = tuple(irr)
                 exps[key] = exps.get(key, 0) + 1
-        remaining = F.poly_divmod(remaining, radical)[0]
+        remaining = common  # remaining / radical
     return exps
 
 

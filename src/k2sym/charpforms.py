@@ -289,10 +289,6 @@ class MultiRatFunc(PolyFraction):
     def from_poly(f: BiPoly) -> "MultiRatFunc":
         return MultiRatFunc._canonical(f, MultiRatFunc._one(f))
 
-    @staticmethod
-    def const(p: int, c: int) -> "MultiRatFunc":
-        return MultiRatFunc.from_poly(BiPoly.const(p, c))
-
     @property
     def p(self) -> int:
         return self.num.p

@@ -329,7 +329,9 @@ class K2FFClass:
     def make(base: Fq, entries: dict[Poly, Poly]) -> "K2FFClass":
         """The class with value v mod pi at each key pi; identity values are
         dropped.  Every key must be a place (monic irreducible): a key that
-        is not raises ValueError, even when its value is the identity."""
+        is not raises ValueError, even when its value is the identity, and so
+        does a key over another field than base."""
+        _check_field(base, *entries)
         for pi in entries:
             _check_place(pi)
         return K2FFClass._at_places(base, {pi: (v % pi).coeffs for pi, v in entries.items()})

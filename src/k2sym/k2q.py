@@ -16,20 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import _legendre, _unchecked, is_prime, legendre
+from .arith import _legendre, _unchecked, is_prime
 from .localsym import (
     LocalData,
     PlaceQ,
+    _h,
     _residue,
     _residue8,
     _s2,
     _tame,
-    h_p,
     hilbert_factors,
     local_data,
     odd_primes,
-    s_2,
-    s_infinity,
 )
 
 
@@ -96,14 +94,19 @@ def _check_odd(odd: tuple[tuple[int, int], ...]) -> None:
         last = p
 
 
-def _odd_prime_keys(odd_map: dict[int, int] | None) -> dict[int, int] | None:
-    """odd_map, once every key is an odd prime.  The check comes before
-    reduction, so a key that is no place is refused even when its
-    coordinate is trivial and would be dropped."""
+def _odd_coordinates(odd_map: dict[int, int] | None) -> tuple[tuple[int, int], ...]:
+    """odd_map as K2QClass and MooreVector store it, each key tested for
+    primality once.  The key test comes before reduction, so a key that is
+    no place is refused even when its coordinate is trivial and would be
+    dropped; after it only the range of each reduced coordinate is left."""
     for p in odd_map or ():
         if p == 2 or not is_prime(p):
             raise ValueError(f"key {p} is not an odd prime")
-    return odd_map
+    odd = _normalized(odd_map)
+    for p, a in odd:
+        if not 2 <= a <= p - 1:
+            raise ValueError(f"coordinate at {p} out of range: {a}")
+    return odd
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,9 @@ class K2QClass:
 
     @staticmethod
     def make(two_slot: int, odd_map: dict[int, int] | None = None) -> "K2QClass":
-        return K2QClass(two_slot, _normalized(_odd_prime_keys(odd_map)))
+        if two_slot not in (1, -1):
+            raise ValueError("two_slot must be +-1")
+        return _unchecked(K2QClass, two_slot=two_slot, odd=_odd_coordinates(odd_map))
 
     def __add__(self, other: "K2QClass") -> "K2QClass":
         odd: dict[int, int] = dict(self.odd)
@@ -273,12 +278,14 @@ def quadratic_reciprocity(p: int, q: int) -> QuadRecRecord:
     """
     if p == q or p == 2 or q == 2 or not (is_prime(p) and is_prime(q)):
         raise ValueError("need distinct odd primes")
-    lpq = legendre(p, q)
-    lqp = legendre(q, p)
-    s2 = s_2(p, q)
-    sinf = s_infinity(p, q)
-    hp = h_p(p, q, p)
-    hq = h_p(p, q, q)
+    # p and q are odd primes now: the integer kernels, with no Fractions
+    # and no second primality test (ints carry numerator and denominator)
+    lpq = _legendre(p, q)
+    lqp = _legendre(q, p)
+    s2 = _s2(*_residue8(p), *_residue8(q))
+    sinf = -1 if p < 0 and q < 0 else 1
+    hp = _h(*_residue(p, p), *_residue(q, p), p)
+    hq = _h(*_residue(p, q), *_residue(q, q), q)
     exponent = ((p - 1) // 2) * ((q - 1) // 2) % 2
     consistent = (
         hq == lpq
@@ -311,7 +318,9 @@ class MooreVector:
 
     @staticmethod
     def make(real: int, two: int, odd_map: dict[int, int] | None = None) -> "MooreVector":
-        return MooreVector(real, two, _normalized(_odd_prime_keys(odd_map)))
+        if real not in (1, -1) or two not in (1, -1):
+            raise ValueError("real and dyadic components must be +-1")
+        return _unchecked(MooreVector, real=real, two=two, odd=_odd_coordinates(odd_map))
 
 
 def moore_map(e: SymbolExpr) -> MooreVector:

@@ -8,22 +8,26 @@ Grammar, whitespace-insensitive, with ^ for powers and unary minus:
     base   := uint | identifier | '(' expr ')'
 
 One pass that evaluates as it parses serves every domain with the values'
-own operators; a domain supplies only how to make a constant and a table of
-its variables (T for function fields, s and t in characteristic p, z and i
-over the Gaussian rationals; plain rational expressions have none).  The
-unicode minus sign is accepted as a synonym for '-'.  Parentheses and unary
-minus nest at most MAX_NESTING deep, and an exponent is at most
-MAX_EXPONENT.  Errors carry the character offset; an input with several
-faults reports the first one from the left.
+own operators; a domain supplies only how to make a constant, a table of its
+variables (T for function fields, s and t in characteristic p, z and i over
+the Gaussian rationals; plain rational expressions have none) and one lift
+from its polynomials to its fractions.  Values are polynomials (ints for
+rational expressions) until a division: '/' lifts both operands, a
+polynomial that meets a fraction is lifted, and the result is lifted once
+at the end, so the canonical form of a fraction is paid for only where a
+fraction exists.  The unicode minus sign is accepted as a synonym for '-'.
+Parentheses and unary minus nest at most MAX_NESTING deep, and an exponent
+is at most MAX_EXPONENT.  Errors carry the character offset; an input with
+several faults reports the first one from the left.
 """
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
 
-from .arith import Poly, RatFunc, field
+from .arith import Poly, PolyFraction, RatFunc, field
 from .charpforms import BiPoly, MultiRatFunc
-from .regnum import GaussRat, poly_z, ratfunc_z
+from .regnum import GaussRat, poly_z
 
 
 # Nesting budget for parentheses and unary minus together.  The parser
@@ -78,23 +82,44 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+# The fraction types; every other value is a polynomial of its domain.
+_FRACTIONS = (Fraction, PolyFraction)
+
+
 class _Parser:
     """Recursive descent that folds each production into its value as it
-    goes: `const(n)` makes the value of an integer literal, `names` maps each
-    identifier to a function that makes its value, and `where` finishes the
-    error for any other identifier.
+    goes: `const(n)` makes the polynomial of an integer literal, `names` maps
+    each identifier to a function that makes its polynomial, `lift` turns a
+    polynomial into a fraction, and `where` finishes the error for any other
+    identifier.
 
     The expr and term loops fold a chain a + b - c ... left to right, so
     recursion goes only as deep as the nesting budget.
     """
 
-    def __init__(self, text: str, const, names, where):
+    def __init__(self, text: str, const, names, lift, where):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
         self.const = const
         self.names = names
+        self.lift = lift
         self.where = where
+
+    def lifted(self, value):
+        return value if isinstance(value, _FRACTIONS) else self.lift(value)
+
+    def fold(self, op: str, a, b):
+        """a op b.  Division lifts both operands; otherwise a polynomial
+        is lifted only when it meets a fraction."""
+        if op == "/":
+            try:
+                return self.lifted(a) / self.lifted(b)
+            except ZeroDivisionError:
+                raise ValueError("division by zero") from None
+        if type(a) is not type(b):
+            a, b = self.lifted(a), self.lifted(b)
+        return _BINARY[op](a, b)
 
     def nest(self, offset: int) -> None:
         self.depth += 1
@@ -108,7 +133,7 @@ class _Parser:
             if kind != "op" or op not in "+-":
                 return value
             self.pos += 1
-            value = _BINARY[op](value, self.term())
+            value = self.fold(op, value, self.term())
 
     def term(self):
         value = self.factor()
@@ -117,7 +142,7 @@ class _Parser:
             if kind != "op" or op not in "*/":
                 return value
             self.pos += 1
-            value = _BINARY[op](value, self.factor())
+            value = self.fold(op, value, self.factor())
 
     def factor(self):
         kind, text, offset = self.tokens[self.pos]
@@ -162,29 +187,22 @@ class _Parser:
         raise ParseError("expected an operand", offset)
 
 
-def _evaluate(text: str, const, names, where):
-    """The value of text in one domain; division by a zero value, in any
-    domain, is a ValueError."""
-    parser = _Parser(text, const, names, where)
+def _evaluate(text: str, const, names, lift, where):
+    """The value of text in one domain, as a fraction; division by a zero
+    value, in any domain, is a ValueError."""
+    parser = _Parser(text, const, names, lift, where)
     value = parser.expr()
     kind, _, offset = parser.tokens[parser.pos]
     if kind != "end":
         raise ParseError("trailing input", offset)
-    return value
+    return parser.lifted(value)
 
 
-def _divide(a, b):
-    try:
-        return a / b
-    except ZeroDivisionError:
-        raise ValueError("division by zero") from None
-
-
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def parse_rational(text: str) -> Fraction:
-    return _evaluate(text, Fraction, {}, "in a rational expression")
+    return _evaluate(text, int, {}, Fraction, "in a rational expression")
 
 
 def parse_funcfield(text: str, q: int) -> RatFunc:
@@ -192,8 +210,9 @@ def parse_funcfield(text: str, q: int) -> RatFunc:
     F = field(q)
     return _evaluate(
         text,
-        lambda n: RatFunc.from_poly(Poly.const(F, F.from_int(n))),
-        {"T": lambda: RatFunc.from_poly(Poly.x(F))},
+        lambda n: Poly.const(F, F.from_int(n)),
+        {"T": lambda: Poly.x(F)},
+        RatFunc.from_poly,
         "over a function field; use T",
     )
 
@@ -210,11 +229,9 @@ def parse_charp(text: str, p: int) -> MultiRatFunc:
     """A bivariate rational function of s, t in characteristic p."""
     return _evaluate(
         text,
-        lambda n: MultiRatFunc.const(p, n),
-        {
-            "s": lambda: MultiRatFunc.from_poly(BiPoly.var_s(p)),
-            "t": lambda: MultiRatFunc.from_poly(BiPoly.var_t(p)),
-        },
+        lambda n: BiPoly.const(p, n),
+        {"s": lambda: BiPoly.var_s(p), "t": lambda: BiPoly.var_t(p)},
+        MultiRatFunc.from_poly,
         "in characteristic p; use s or t",
     )
 
@@ -223,11 +240,9 @@ def parse_gauss_ratfunc(text: str) -> RatFunc:
     """A rational function of z over the Gaussian rationals; i is the unit."""
     return _evaluate(
         text,
-        lambda n: ratfunc_z([n]),
-        {
-            "z": lambda: ratfunc_z([0, 1]),
-            "i": lambda: RatFunc.from_poly(poly_z([GaussRat(0, 1)])),
-        },
+        lambda n: poly_z([n]),
+        {"z": lambda: poly_z([0, 1]), "i": lambda: poly_z([GaussRat(0, 1)])},
+        RatFunc.from_poly,
         "here; use z and i",
     )
 

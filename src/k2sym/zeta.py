@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import bernoulli, field, is_prime
+from .arith import FIELD_LIMIT, bernoulli, field, is_prime
 
 # w2_of_Q searches the moduli up to this bound; w2(Q) = 24 lies well inside.
 W2_BOUND = 200
@@ -60,9 +60,12 @@ class CurveFq:
 def count_points(curve: CurveFq, n: int = 1) -> int:
     """Number of projective points over the degree-n extension, by
     enumeration, so the extension is bounded as every scan of a field is
-    (arith.FIELD_LIMIT, through Fq.elements)."""
+    (arith.FIELD_LIMIT, through Fq.elements).  An n with 2^n beyond that
+    bound is refused before q^n is built."""
     if n < 1:
         raise ValueError("extension degree must be positive")
+    if n >= FIELD_LIMIT.bit_length():
+        raise ValueError(f"F_({curve.q}^{n}) is too large to scan: q exceeds the bound {FIELD_LIMIT}")
     F = field(curve.q**n)
     elements = F.elements()
     if curve.kind == "projective_line":

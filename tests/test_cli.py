@@ -193,6 +193,14 @@ def test_a_key_that_is_no_place_is_named(capsys, argv, key):
     assert key in rep["result"]["error"]
 
 
+def test_a_huge_integer_is_refused_by_its_size(capsys):
+    # 7^6000 has 5071 digits, past the interpreter's int-to-str limit of 4300
+    code, _, rep = run(capsys, ["reciprocity", "*".join(["7^1000"] * 6), "3"])
+    assert code == 2
+    assert rep["status"] == "invalid"
+    assert "beyond factorization bound" in rep["result"]["error"]
+
+
 def test_zeta_report_counts_points_twice(capsys, monkeypatch):
     calls = []
     count_points = zeta.count_points

@@ -590,6 +590,16 @@ def test_tame_symbols_refuse_mixed_fields():
         tame_ff(T5, U5, PlaceFq(T7))
 
 
+def test_a_class_refuses_keys_of_another_field():
+    F5, T5, _ = _over(5)
+    F7, T7, _ = _over(7)
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        K2FFClass.make(F5, {T7: Poly.const(F7, 3)})
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        K2FFClass.make(F5, {T5: Poly.const(F5, 2), T7: Poly.const(F7, 1)})
+    assert K2FFClass.make(F5, {T5: Poly.const(F5, 3)}).entries == ((T5, Poly.const(F5, 3)),)
+
+
 def test_decompose_refuses_a_base_of_another_field():
     _, T5, U5 = _over(5)
     with pytest.raises(ValueError, match="mixed coefficient fields"):

@@ -12,6 +12,7 @@ from k2sym.k2q import (
     K2Q_ZERO,
     K2QClass,
     MooreVector,
+    QuadRecRecord,
     SymbolExpr,
     hilbert_reciprocity,
     lambda_tate,
@@ -22,7 +23,7 @@ from k2sym.k2q import (
     quadratic_reciprocity,
     symbol,
 )
-from k2sym.localsym import PlaceQ
+from k2sym.localsym import PlaceQ, h_p, s_2, s_infinity
 from k2sym.quadforms import DiagForm, conic_solvable_Q, invariants, quaternion_splits
 
 import oracles
@@ -87,6 +88,23 @@ def test_k2qclass_validation():
         K2QClass(1, ((4, 3),))
     with pytest.raises(ValueError):
         K2QClass(1, ((5, 1),))  # trivial coordinate must be dropped
+
+
+def test_make_tests_each_key_then_the_reduced_range():
+    # a key that is no place is refused even with a trivial coordinate
+    with pytest.raises(ValueError, match="key 9 is not an odd prime"):
+        K2QClass.make(1, {9: 1})
+    # 3 = 0 mod 3 is no unit: only the range is left to check after the keys
+    with pytest.raises(ValueError, match="coordinate at 3 out of range: 0"):
+        K2QClass.make(1, {3: 3})
+    with pytest.raises(ValueError, match="coordinate at 3 out of range: 0"):
+        MooreVector.make(1, 1, {3: 3})
+    with pytest.raises(ValueError, match="two_slot must be"):
+        K2QClass.make(0)
+    with pytest.raises(ValueError, match="real and dyadic components must be"):
+        MooreVector.make(1, 0)
+    assert K2QClass.make(-1, {7: 8, 3: 5}) == K2QClass(-1, ((3, 2),))
+    assert MooreVector.make(-1, 1, {7: 6, 3: 4}) == MooreVector(-1, 1, ((7, 6),))
 
 
 # -- lifting ---------------------------------------------------------------------
@@ -164,11 +182,28 @@ def test_quadratic_reciprocity_all_pairs_below_100():
             assert r.legendre_q_p == legendre(q, p)
 
 
+def test_quadratic_reciprocity_matches_the_public_symbols():
+    # the record rebuilt from the single-place functions, each of which
+    # checks its own input, for every ordered pair of odd primes below 200
+    ps = [p for p in primes_below(200) if p != 2]
+    for p in ps:
+        for q in ps:
+            if p == q:
+                continue
+            lpq, lqp = legendre(p, q), legendre(q, p)
+            s2, sinf = s_2(p, q), s_infinity(p, q)
+            hp, hq = h_p(p, q, p), h_p(p, q, q)
+            exponent = ((p - 1) // 2) * ((q - 1) // 2) % 2
+            consistent = (hq == lpq and hp == lqp and sinf == 1 and s2 == (-1) ** exponent
+                          and sinf * s2 * hp * hq == 1 and lpq * lqp == (-1) ** exponent)
+            expected = QuadRecRecord(p, q, lpq, lqp, exponent, s2, sinf, hp, hq, consistent)
+            assert quadratic_reciprocity(p, q) == expected, (p, q)
+
+
 def test_quadratic_reciprocity_rejects_bad_input():
-    with pytest.raises(ValueError):
-        quadratic_reciprocity(3, 3)
-    with pytest.raises(ValueError):
-        quadratic_reciprocity(2, 7)
+    for p, q in ((3, 3), (2, 7), (2, 3), (9, 5)):
+        with pytest.raises(ValueError, match="need distinct odd primes"):
+            quadratic_reciprocity(p, q)
 
 
 # -- moore sequence ------------------------------------------------------------------

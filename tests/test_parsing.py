@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from k2sym.arith import Poly, RatFunc, field
+from k2sym.charpforms import BiPoly, MultiRatFunc
 from k2sym.parsing import (
     MAX_EXPONENT,
     MAX_NESTING,
@@ -17,7 +18,7 @@ from k2sym.parsing import (
     parse_poly,
     parse_rational,
 )
-from k2sym.regnum import GaussRat
+from k2sym.regnum import GaussRat, poly_z
 
 
 def test_precedence_and_associativity():
@@ -138,17 +139,24 @@ def test_charp_and_gauss_evaluation():
         parse_gauss_ratfunc("z/0")
 
 
+def digit(rng):
+    n = rng.randrange(12)
+    return str(n), Fraction(n)
+
+
 # Levels of the grammar: 0 a sum, 1 a product, 2 a factor (-x or x^n),
-# 3 a base (a literal or a parenthesized expression).
-def random_expression(rng, depth):
+# 3 a base (a literal, a variable or a parenthesized expression).
+def random_expression(rng, depth, leaf=digit, zero=0):
     """(text, level, value): random text written with only the parentheses
-    the grammar needs, and its value from Fraction's own operators."""
+    the grammar needs, and its value from the operators of the leaves'
+    values; leaf(rng) gives the (text, value) of a literal or a variable,
+    and a division by a value equal to zero is written as a product."""
     if depth == 0 or rng.random() < 0.2:
-        n = rng.randrange(12)
-        return str(n), 3, Fraction(n)
+        text, value = leaf(rng)
+        return text, 3, value
 
     def operand(least):
-        text, level, value = random_expression(rng, depth - 1)
+        text, level, value = random_expression(rng, depth - 1, leaf, zero)
         if level < least or rng.random() < 0.1:
             text, level = f"({text})", 3
         return text, value
@@ -166,7 +174,7 @@ def random_expression(rng, depth):
     least = 0 if op in "+-" else 1
     left, a = operand(least)
     right, b = operand(least + 1)  # the left fold needs the right one tighter
-    if op == "/" and b == 0:
+    if op == "/" and b == zero:
         op = "*"
     value = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[op](a, b)
     return f"{left}{sp}{op}{sp}{right}", least, value
@@ -177,6 +185,44 @@ def test_random_expressions_match_fraction_oracle():
     for _ in range(300):
         text, _, value = random_expression(rng, 5)
         assert parse_rational(text) == value, text
+
+
+def _fraction_field(domain):
+    """(parse, lifted values of the literal n and of each variable): the
+    oracle's leaves, every one a fraction before any operation."""
+    if domain == "rational":
+        return parse_rational, Fraction, {}
+    if domain == "char 3":
+        p = 3
+        lift = MultiRatFunc.from_poly
+        return (lambda text: parse_charp(text, p), lambda n: lift(BiPoly.const(p, n)),
+                {"s": lift(BiPoly.var_s(p)), "t": lift(BiPoly.var_t(p))})
+    if domain == "Q(i)":
+        return (parse_gauss_ratfunc, lambda n: RatFunc.from_poly(poly_z([n])),
+                {"z": RatFunc.from_poly(poly_z([0, 1])), "i": RatFunc.from_poly(poly_z([GaussRat(0, 1)]))})
+    q = int(domain[2:])
+    F = field(q)
+    return (lambda text: parse_funcfield(text, q), lambda n: RatFunc.from_poly(Poly.const(F, F.from_int(n))),
+            {"T": RatFunc.from_poly(Poly.x(F))})
+
+
+@pytest.mark.parametrize("domain", ["rational", "F_5", "F_4", "char 3", "Q(i)"])
+def test_random_expressions_match_the_fraction_field_fold(domain):
+    # the parser keeps polynomials until a division; the oracle folds the
+    # same text left to right with every value a fraction from the start
+    parse, const, names = _fraction_field(domain)
+    variables = list(names.items())
+
+    def leaf(rng):
+        if variables and rng.random() < 0.5:
+            return rng.choice(variables)
+        n = rng.randrange(12)
+        return str(n), const(n)
+
+    rng = random.Random(f"parse {domain}")
+    for _ in range(150):
+        text, _, value = random_expression(rng, 5, leaf, const(0))
+        assert parse(text) == value, text
 
 
 def test_long_funcfield_chain_matches_left_fold():

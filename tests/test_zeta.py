@@ -1,5 +1,6 @@
 """Tests for curve zeta values and the w2 product over Q."""
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -101,6 +102,17 @@ def test_count_refuses_oversized_extension():
         count_points(CurveFq.elliptic(1009, 1, 1), 2)
     with pytest.raises(ValueError):
         count_points(CurveFq.projective_line(5), 0)
+
+
+def test_count_refuses_a_huge_extension_before_building_it():
+    # 5^(10^7) alone takes seconds to build, and has no decimal string
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large to scan: q exceeds the bound"):
+        count_points(CurveFq.projective_line(5), 10**7)
+    assert time.perf_counter() - start < 0.1
+    # the smallest degree refused for q = 2: 2^20 > FIELD_LIMIT >= 2^19
+    with pytest.raises(ValueError, match="too large to scan"):
+        count_points(CurveFq.projective_line(2), 20)
 
 
 def test_elliptic_count_matches_naive_oracle():
