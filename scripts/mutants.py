@@ -193,6 +193,30 @@ CATALOGUE = (
            "for n in range(40)",
            "for n in range(8)",
            ("tests/test_regnum.py::test_bloch_wigner_keeps_its_relative_accuracy_near_zero",)),
+    Mutant("taylor-shift-sign", "regnum.py",
+           "x, y = xs[k] + p * x - q * y, ys[k] + p * y + q * x",
+           "x, y = xs[k] - p * x + q * y, ys[k] - p * y - q * x",
+           ("tests/test_regnum.py::test_loop_integral_matches_pullback_oracle_on_random_loops",)),
+    Mutant("expansion-leading-zeros", "regnum.py",
+           "    k = 0\n    while not (xs[k] or ys[k]):\n        k += 1\n",
+           "    k = 0\n",
+           ("tests/test_cli.py::test_residue_at_a_multiple_root",)),
+    Mutant("radius-root", "regnum.py",
+           "_log_sqrt(z.a * z.a + z.b * z.b, z.d * z.d) / j",
+           "_log_sqrt(z.a * z.a + z.b * z.b, z.d * z.d)",
+           ("tests/test_regnum.py::test_residue_radius_keeps_the_other_zeros_and_poles_outside_twice_it",)),
+    Mutant("radius-factor", "regnum.py",
+           "return 0.25 * math.exp(-max(logs))",
+           "return 0.5 * math.exp(-max(logs))",
+           ("tests/test_regnum.py::test_residue_radius_keeps_the_other_zeros_and_poles_outside_twice_it",)),
+    Mutant("unit-derivative-weight", "regnum.py",
+           "pairs.append((c, j * c))",
+           "pairs.append((c, c))",
+           ("tests/test_regnum.py::test_loop_integral_matches_pullback_oracle_on_random_loops",)),
+    Mutant("new-nodes-only", "regnum.py",
+           "values += sample([k * step for k in range(1, n, 2)])",
+           "values += sample([k * step for k in range(0, n, 2)])",
+           ("tests/test_regnum.py::test_loop_integral_matches_pullback_oracle_on_random_loops",)),
     Mutant("squarefree-shortcut", "arith.py",
            "radical = remaining if len(common) == 1 else F.poly_divmod(remaining, common)[0]",
            "radical = remaining",
@@ -220,6 +244,10 @@ CATALOGUE = (
            "factorization bound: an integer of {n.bit_length()} bits",
            "factorization bound: {n}",
            ("tests/test_cli.py::test_a_huge_integer_is_refused_by_its_size",)),
+    Mutant("prime-bound-message-size", "arith.py",
+           "primality beyond the bound {PRIME_BOUND}: an integer of {n.bit_length()} bits",
+           "primality of {n} is beyond the bound {PRIME_BOUND}",
+           ("tests/test_arith.py::test_is_prime_refuses_a_huge_integer_by_its_size",)),
     Mutant("mixed-field-entries", "funcfield.py",
            "    _check_field(F, f, g)\n",
            "",

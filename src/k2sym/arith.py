@@ -30,11 +30,12 @@ FACTOR_BOUND = 10**12
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, exact for n < PRIME_BOUND;
-    ValueError at or above it."""
+    ValueError at or above it, naming n by its size: str(n) fails past 4300
+    digits."""
     if n < 2:
         return False
     if n >= PRIME_BOUND:
-        raise ValueError(f"primality of {n} is beyond the bound {PRIME_BOUND}")
+        raise ValueError(f"primality beyond the bound {PRIME_BOUND}: an integer of {n.bit_length()} bits")
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
@@ -790,10 +791,6 @@ class Poly:
         self._check(mod)
         F = self.field
         return Poly._trusted(F, F.poly_pow_mod(self.coeffs, e, mod.coeffs))
-
-    def derivative(self) -> "Poly":
-        F = self.field
-        return Poly._trusted(F, F.poly_derivative(self.coeffs))
 
     # -- comparisons --
 

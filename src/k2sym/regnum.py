@@ -9,17 +9,26 @@ The pairing side: for nonzero f, g in C(z) the real 1-form
     eta(f, g) = log|f| d(arg g) - log|g| d(arg f)
 
 is closed away from the zeros and poles of f and g, and its loop integrals
-recover logs of tame symbol absolute values.  loop_integral samples it as
-numpy arrays, converting the coefficients of f and g and of their exact
-derivatives to complex once per call, and evaluating at each dyadic level
-only the nodes that level adds.  Its LoopIntegral records the estimate at
-every level.  The pointwise scalar form of eta lives in the tests
-(tests/oracles.py), as the independent reference for loop_integral.
+recover logs of tame symbol absolute values.  The module uses the standard
+library only.  loop_integral expands f.num, f.den, g.num and g.den exactly
+at the loop's center a, by a Taylor shift over Q(i):
 
-Coefficients are exact Gaussian rationals, and the tame side of the
-comparison is funcfield's tame symbol at the place z - a of Q(i)(z), so it
-carries no float error at all; the orders of f and g there come out of the
-same pass.
+    P(a + w) = b_k w^k (1 + sum_{j>=1} rho_j w^j),   rho_j = b_(k+j) / b_k.
+
+On the loop w = r u with |u| = 1, so log|P| and w P'/P come from the unit
+part's coefficients rho_j r^j, rounded once per call, by one Horner pass
+over the nodes that each dyadic level adds.  Its LoopIntegral records the
+estimate at every level.  The pointwise scalar form of eta lives in the
+tests (tests/oracles.py), as the independent reference for loop_integral.
+
+residue_check takes its radius from the same expansions at the point:
+r = 1/(4M), M the largest |rho_j|^(1/j) of the four.  Then
+sum_j |rho_j| (2r)^j < 1, which proves that no other zero or pole lies
+within 2r of the point, and on the loop each unit part is within 1/3 of its
+constant term, so every sample is well conditioned.  Coefficients are
+exact Gaussian rationals, and the tame side of the comparison is
+funcfield's tame symbol at the place z - a of Q(i)(z), so it carries no
+float error at all; the orders of f and g there come out of the same pass.
 """
 from __future__ import annotations
 
@@ -29,6 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .arith import Poly, PolyKernels, RatFunc, _unchecked, bernoulli
 from .funcfield import PlaceFq, tame_with_orders
@@ -256,9 +266,10 @@ class Loop:
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
 
+
 def _eta(log_f, dlog_f, log_g, dlog_g, dz):
-    """eta(f, g) on dz from log|f|, f'/f, log|g| and g'/g: scalars or
-    numpy arrays alike."""
+    """eta(f, g) on dz from log|f|, f'/f, log|g| and g'/g; or on dz/w from
+    w f'/f and w g'/g, for any w."""
     return log_f * (dlog_g * dz).imag - log_g * (dlog_f * dz).imag
 
 
@@ -274,53 +285,163 @@ class LoopIntegral:
     trajectory: tuple[tuple[int, float, float | None], ...]
 
 
-def _eta_sampler(f: RatFunc, g: RatFunc, loop: Loop):
-    """theta -> the pullback of eta(f, g) to the loop at the angles theta
-    (a numpy array).  The coefficients of the four polynomials and of their
-    exact derivatives become complex arrays once, here."""
-    import numpy  # only here: importing k2sym does not load numpy
+class _Expansion(NamedTuple):
+    """P(a + w) = b_k w^k (1 + sum_{j>=1} rho_j w^j): the exact Taylor
+    expansion of a nonzero polynomial P at a point a of Q(i), with k the
+    order of P at a, log_lead = log|b_k| and rho_j = b_(k+j)/b_k."""
 
-    def cx(p: Poly):
-        return numpy.array([c.to_complex() for c in reversed(p.coeffs)], dtype=complex)
+    order: int
+    log_lead: float
+    rho: tuple[GaussRat, ...]
 
-    parts = [(cx(p), cx(p.derivative())) for p in (f.num, f.den, g.num, g.den)]
-    spin = 1j * loop.orientation
-    lift = loop.radius * loop.orientation * 1j
 
-    def sample(theta):
-        u = numpy.exp(spin * theta)
-        zc = loop.center + loop.radius * u
-        values = [(numpy.polyval(p, zc), numpy.polyval(dp, zc)) for p, dp in parts]
-        if not all(v.all() for v, _ in values):
-            raise ValueError("evaluation at a zero or pole")
-        (fn, dfn), (fd, dfd), (gn, dgn), (gd, dgd) = values
-        log_f = numpy.log(numpy.abs(fn)) - numpy.log(numpy.abs(fd))
-        log_g = numpy.log(numpy.abs(gn)) - numpy.log(numpy.abs(gd))
-        return _eta(log_f, dfn / fn - dfd / fd, log_g, dgn / gn - dgd / gd, lift * u)
+def _taylor_shift(xs: list[int], ys: list[int], p: int, q: int) -> None:
+    """Replace the coefficients of Q(Z) by those of Q(Z + p + q i), in place:
+    Gaussian integers as lists of real and imaginary parts, little-endian.
+    Repeated synthetic division by Z - (p + q i), n(n+1)/2 steps."""
+    n = len(xs) - 1
+    for i in range(n):
+        x, y = xs[n], ys[n]
+        for k in range(n - 1, i - 1, -1):
+            x, y = xs[k] + p * x - q * y, ys[k] + p * y + q * x
+            xs[k], ys[k] = x, y
+
+
+def _log_sqrt(n: int, d: int) -> float:
+    """log sqrt(n/d) for positive ints: one log of the correctly rounded
+    quotient where that is a normal float, the difference of two logs
+    beyond."""
+    if abs(n.bit_length() - d.bit_length()) < 1000:
+        return 0.5 * math.log(n / d)
+    return 0.5 * (math.log(n) - math.log(d))
+
+
+def _expand(p: Poly, a: GaussRat) -> _Expansion:
+    """The Taylor expansion of the nonzero polynomial p at a, exactly.
+
+    With a = (s + t i)/d and e the common denominator of the coefficients,
+    Q(Z) = e d^n p(Z/d) has Gaussian integer coefficients, and the shift
+    Q(s + t i + W) = sum B_j W^j gives b_j = B_j d^j / (e d^n) at W = d w."""
+    cs, d = p.coeffs, a.d
+    n = len(cs) - 1
+    e = lcm(*(c.d for c in cs))
+    xs, ys, scale = [0] * (n + 1), [0] * (n + 1), e
+    for j in range(n, -1, -1):
+        c = cs[j]
+        m = scale // c.d
+        xs[j], ys[j] = c.a * m, c.b * m
+        scale *= d
+    if a.a or a.b:
+        _taylor_shift(xs, ys, a.a, a.b)
+    k = 0
+    while not (xs[k] or ys[k]):
+        k += 1
+    x0, y0 = xs[k], ys[k]
+    n0 = x0 * x0 + y0 * y0
+    log_lead = _log_sqrt(n0, (e * d ** (n - k)) ** 2)  # |b_k|^2 = n0 / (e d^(n-k))^2
+    rho, dj = [], 1
+    for x, y in zip(xs[k + 1:], ys[k + 1:]):
+        dj *= d  # rho_j = d^j B_(k+j) / B_k
+        rho.append(_reduced(dj * (x * x0 + y * y0), dj * (y * x0 - x * y0), n0))
+    return _Expansion(k, log_lead, tuple(rho))
+
+
+def _radius(expansions) -> float:
+    """r = 1/(4M), M the largest |rho_j|^(1/j) over the expansions; 1 when
+    every unit part is constant.  Then sum_j |rho_j| (2r)^j < 1, so no unit
+    part vanishes on |w| <= 2r, and on |w| = r each lies within 1/3 of its
+    constant term."""
+    logs = [_log_sqrt(z.a * z.a + z.b * z.b, z.d * z.d) / j
+            for ex in expansions for j, z in enumerate(ex.rho, 1) if not z.is_zero()]
+    return 0.25 * math.exp(-max(logs)) if logs else 1.0
+
+
+def _unit_coefficients(ex: _Expansion, radius: float) -> list[tuple[complex, complex]]:
+    """(c_j, j c_j) for j = 1 .. deg U, with c_j = rho_j radius^j: the unit
+    part U of ex on the circle |w| = radius as a polynomial in u = w/radius,
+    less its constant term 1.  Each c_j is the exact value correctly
+    rounded, part by part."""
+    rn, rd = radius.as_integer_ratio()
+    shift = rd.bit_length() - 1  # rd = 2^shift
+    pairs, num = [], 1
+    for j, z in enumerate(ex.rho, 1):
+        num *= rn
+        den = z.d << (shift * j)
+        c = complex(z.a * num / den, z.b * num / den)
+        pairs.append((c, j * c))
+    return pairs
+
+
+def _unit_values(pairs, us: list[complex]) -> tuple[list, list]:
+    """S = 1 + sum c_j u^j and T = sum j c_j u^j at each u of us, from the
+    pairs (c_j, j c_j) of _unit_coefficients, in one Horner pass over the
+    list of nodes."""
+    if not pairs:
+        return [1] * len(us), [0] * len(us)
+    c, jc = pairs[-1]
+    s, t = [c] * len(us), [jc] * len(us)
+    for c, jc in reversed(pairs[:-1]):
+        s = [c + x * u for x, u in zip(s, us)]
+        t = [jc + y * u for y, u in zip(t, us)]
+    return [1 + x * u for x, u in zip(s, us)], [y * u for y, u in zip(t, us)]
+
+
+def _eta_sampler(expansions, loop: Loop):
+    """thetas -> the pullback of eta(f, g) to the loop at those angles, from
+    the expansions of f.num, f.den, g.num and g.den at the loop's center.
+    On the loop w = radius u with u = e^(i orientation theta), and for each
+    polynomial P = b_k w^k U(w), log|P| = log|b_k| + k log radius + log|S|
+    and w P'/P = k + T/S; dz = i orientation w dtheta."""
+    log_r = math.log(loop.radius)
+    dz = 1j * loop.orientation
+    functions = []
+    for num, den in (expansions[:2], expansions[2:]):
+        order = num.order - den.order
+        log_abs = num.log_lead - den.log_lead + order * log_r
+        functions.append((log_abs, order, _unit_coefficients(num, loop.radius),
+                          _unit_coefficients(den, loop.radius)))
+
+    def sample(thetas):
+        us = [cmath.exp(dz * theta) for theta in thetas]
+        columns = []
+        for log_abs, order, num, den in functions:
+            sn, tn = _unit_values(num, us)
+            sd, td = _unit_values(den, us)
+            if not (all(sn) and all(sd)):
+                raise ValueError("evaluation at a zero or pole")
+            columns.append([log_abs + math.log(abs(a / b)) for a, b in zip(sn, sd)])
+            columns.append([order + c / a - d / b for a, b, c, d in zip(sn, sd, tn, td)])
+        return [_eta(*values, dz) for values in zip(*columns)]
 
     return sample
 
 
-def loop_integral(f: RatFunc, g: RatFunc, loop: Loop) -> LoopIntegral:
+def loop_integral(f: RatFunc, g: RatFunc, loop: Loop,
+                  expansions: list[_Expansion] | None = None) -> LoopIntegral:
     """(1/2pi) times the integral of eta(f, g) around the loop, refined by
     doubling until two dyadic levels agree to 1e-9.
 
-    Periodic trapezoid rule: the mean of equally spaced samples converges
-    spectrally (Trefethen and Weideman, SIAM Review 56, 2014).  Each level
-    evaluates only its new nodes, the odd multiples of 2pi/n, as one numpy
-    array, and its estimate is math.fsum of all n samples over n."""
+    f.num, f.den, g.num and g.den are expanded exactly at the loop's center,
+    unless their expansions there are passed in.  Periodic trapezoid rule:
+    the mean of equally spaced samples converges spectrally (Trefethen and
+    Weideman, SIAM Review 56, 2014).  Each level evaluates only its new
+    nodes, the odd multiples of 2pi/n, and its estimate is math.fsum of all
+    n samples over n."""
     if f.is_zero() or g.is_zero():
         raise ValueError("eta needs nonzero functions")
-    import numpy
-
-    sample = _eta_sampler(f, g, loop)
+    if expansions is None:
+        a = GaussRat(loop.center.real, loop.center.imag)
+        expansions = [_expand(p, a) for p in (f.num, f.den, g.num, g.den)]
+    sample = _eta_sampler(expansions, loop)
     n = FIRST_SAMPLES
-    values = sample(numpy.arange(n) * (2 * math.pi / n)).tolist()
+    step = 2 * math.pi / n
+    values = sample([k * step for k in range(n)])
     prev = math.fsum(values) / n
     trajectory = [(n, prev, None)]
     while n < MAX_SAMPLES:
         n *= 2
-        values += sample(numpy.arange(1, n, 2) * (2 * math.pi / n)).tolist()
+        step = 2 * math.pi / n
+        values += sample([k * step for k in range(1, n, 2)])
         cur = math.fsum(values) / n
         delta = abs(cur - prev)
         trajectory.append((n, cur, delta))
@@ -347,21 +468,6 @@ def _orders_and_tame(f: RatFunc, g: RatFunc, a: GaussRat) -> tuple[int, int, Gau
     return m, n, value.constant_value()
 
 
-def _singularities(f: RatFunc, g: RatFunc, pc: complex, m: int, n: int) -> list[complex]:
-    """Numerical zeros and poles of f and g away from pc, where f and g
-    have orders m and n.  numpy.roots splits a root of multiplicity k into
-    k roots about eps^(1/k) apart, so each polynomial drops its roots
-    nearest pc, as many as its exact multiplicity there."""
-    import numpy  # only here: importing k2sym does not load numpy
-
-    roots: list[complex] = []
-    for p, k in ((f.num, max(m, 0)), (f.den, max(-m, 0)), (g.num, max(n, 0)), (g.den, max(-n, 0))):
-        if not p.is_constant():
-            cs = [c.to_complex() for c in reversed(p.coeffs)]
-            roots.extend(sorted(numpy.roots(cs).tolist(), key=lambda r: abs(r - pc))[k:])
-    return roots
-
-
 @dataclass(frozen=True)
 class ResidueCheck:
     point: GaussRat
@@ -378,15 +484,15 @@ class ResidueCheck:
 def residue_check(f: RatFunc, g: RatFunc, point: GaussRat) -> ResidueCheck:
     """Compare the loop integral of eta around the point with log of the
     exact tame symbol's absolute value; they agree when they differ by at
-    most RESIDUE_TOLERANCE."""
+    most RESIDUE_TOLERANCE.  The loop's radius and its samples come from
+    one exact expansion of each of the four polynomials at the point."""
     m, n, tame = _orders_and_tame(f, g, point)
     if tame.is_zero():
         raise ValueError("tame symbol vanished; functions not coprime enough")
     n2 = tame.norm2()
-    expected = 0.5 * (math.log(n2.numerator) - math.log(n2.denominator))
-    pc = point.to_complex()
-    dists = [abs(r - pc) for r in _singularities(f, g, pc, m, n)]
-    radius = min(dists) / 2 if dists else 1.0
-    li = loop_integral(f, g, Loop(pc, radius))
+    expected = _log_sqrt(n2.numerator, n2.denominator)
+    expansions = [_expand(p, point) for p in (f.num, f.den, g.num, g.den)]
+    loop = Loop(point.to_complex(), _radius(expansions))
+    li = loop_integral(f, g, loop, expansions)
     diff = abs(li.value - expected)
     return ResidueCheck(point, m, n, tame, expected, li.value, diff, diff <= RESIDUE_TOLERANCE, li.trajectory)

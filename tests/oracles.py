@@ -799,9 +799,10 @@ def fraction_op_by_cross_products(op, x, y, canonical):
 
 
 # -- loop integrals by scalar samples ------------------------------------------------
-# The body the regulator module used before it sampled loops as numpy arrays:
-# every sample through the pointwise eta below, and every level re-evaluating
-# all of its nodes.  eta is written out here again, apart from regnum._eta.
+# The body the regulator module used before it sampled loops from exact
+# expansions at the center: every sample through the pointwise eta below, on
+# the unshifted coefficients, and every level re-evaluating all of its nodes.
+# eta is written out here again, apart from regnum._eta.
 
 
 def _horner(p, zc):
@@ -811,13 +812,20 @@ def _horner(p, zc):
     return acc
 
 
+def _horner_derivative(p, zc):
+    acc = 0j
+    for j in range(len(p.coeffs) - 1, 0, -1):
+        acc = acc * zc + j * p.coeffs[j].to_complex()
+    return acc
+
+
 def _log_abs_and_dlog(f, zc):
     """(log|f(z)|, f'(z)/f(z)) via numerator and denominator separately."""
     n = _horner(f.num, zc)
     d = _horner(f.den, zc)
     if n == 0 or d == 0:
         raise ValueError("evaluation at a zero or pole")
-    dlog = _horner(f.num.derivative(), zc) / n - _horner(f.den.derivative(), zc) / d
+    dlog = _horner_derivative(f.num, zc) / n - _horner_derivative(f.den, zc) / d
     return math.log(abs(n)) - math.log(abs(d)), dlog
 
 

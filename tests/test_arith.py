@@ -61,6 +61,15 @@ def test_is_prime_refuses_inputs_from_its_bound():
     assert not is_prime(psi13 - 4)  # below the bound, and divisible by 3
 
 
+def test_is_prime_refuses_a_huge_integer_by_its_size():
+    # str() of an integer past 4300 digits raises, so the refusal names the
+    # bit length rather than the number
+    huge = 7**6000
+    with pytest.raises(ValueError, match=f"primality beyond the bound {PRIME_BOUND}: an integer of "
+                                         f"{huge.bit_length()} bits"):
+        is_prime(huge)
+
+
 def test_primes_below_agrees_with_sieve_oracle():
     ps = primes_below(500)
     assert ps == tuple(n for n in range(500) if oracles.naive_is_prime(n))

@@ -3,6 +3,7 @@
 Every invocation goes through main(argv) and must print a single JSON
 report with a fixed key set, byte-identical across repeated runs.
 """
+import argparse
 import json
 import math
 import os
@@ -240,10 +241,24 @@ def test_output_is_deterministic(capsys):
     assert third == fourth
 
 
+# one well-formed argv per subcommand
+EVERY_COMMAND = [
+    ["hilbert", "--place", "2", "2", "3"], ["tame", "2", "3", "5"], ["conic", "1", "1"],
+    ["decompose", "2", "3"], ["lift", "1", "7:3"], ["reciprocity", "2", "3"], ["quadrec", "13", "17"],
+    ["moore", "2", "3"], ["weil", "--q", "9", "T^2+1", "T+2"], ["ffdecompose", "--q", "3", "T", "T+1"],
+    ["fflift", "--q", "3", "T:2"], ["steinberg", "--q", "25"], ["qform", "1", "2", "3"],
+    ["quaternion", "-1", "-1"], ["pfister", "2", "3"], ["dform", "--p", "3", "s", "t"],
+    ["cartier", "--p", "3", "s*t"], ["numember", "--p", "3", "--degree", "2", "s*t"],
+    ["zeta", "--q", "5", "--elliptic", "1", "1"], ["tateid", "--q", "5"], ["birchtate"],
+    ["dilog", "i"], ["residue", "z^2-1", "z/(z-3)", "1"], ["selftest"],
+]
+
+
 def test_startup_does_not_import_numpy():
-    # numpy is imported lazily by the only steps that use it (polynomial
-    # roots and loop sampling), so plain imports, symbol commands over Q and
-    # commands over prime-power fields stay cheap to start
+    # the library uses the standard library only: importing it, building the
+    # parser and running every subcommand leaves numpy unloaded
+    subparsers = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(argv[0] for argv in EVERY_COMMAND) == sorted(subparsers.choices)
     script = (
         "import contextlib, io, sys\n"
         "import k2sym\n"
@@ -251,11 +266,7 @@ def test_startup_does_not_import_numpy():
         "import k2sym.cli\n"
         "assert k2sym.cli._build_parser.cache_info().currsize == 0, 'import built the parser'\n"
         "from k2sym.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['hilbert', '--place', '2', '2', '3']) == 0\n"
-        "assert 'numpy' not in sys.modules, 'the hilbert command loaded numpy'\n"
-        "for argv in (['weil', '--q', '9', 'T^2+1', 'T+2'], ['steinberg', '--q', '25'],\n"
-        "             ['zeta', '--q', '5', '--elliptic', '1', '1']):\n"
+        f"for argv in {EVERY_COMMAND!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
         "    assert 'numpy' not in sys.modules, f'{argv[0]} loaded numpy'\n"
@@ -292,11 +303,19 @@ def test_conic_with_a_prime_near_the_factor_bound_is_quick():
     ("z+2", "(z-1)^2*(z+3)", math.log(9)),
 ])
 def test_residue_at_a_multiple_root(capsys, f, g, log_tame):
-    # numpy.roots splits a double root at the point into two roots about
-    # 1e-8 apart; the loop must still circle the point at half the distance
-    # to the other zeros and poles, not inside that cluster
     start = time.perf_counter()
     code, _, rep = run(capsys, ["residue", f, g, "1"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and rep["result"]["holds"]
+    assert abs(rep["result"]["integral"] - log_tame) < 1e-6
+
+
+@pytest.mark.parametrize("g, log_tame", [("z-2", 0.0), ("z-1/3", 150 * math.log(8 / 9))])
+def test_residue_of_degree_300_holds_quickly(capsys, g, log_tame):
+    # f = (z-1)^150 (z+1)^150 at 1/3 has coefficients past 2^290; a unit g
+    # makes the tame symbol 1, and g = z - 1/3 makes it f(1/3) = (8/9)^150
+    start = time.perf_counter()
+    code, _, rep = run(capsys, ["residue", "(z-1)^150*(z+1)^150", g, "1/3"])
     assert time.perf_counter() - start < 2.0
     assert code == 0 and rep["result"]["holds"]
     assert abs(rep["result"]["integral"] - log_tame) < 1e-6

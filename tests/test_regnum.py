@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from k2sym import regnum
 from k2sym.arith import RatFunc
 from k2sym.regnum import (
     CX,
@@ -392,3 +393,35 @@ def test_residue_check_frozen_and_random():
         rc = residue_check(f, g, point)
         assert rc.holds, (f, g, point, rc)
         done += 1
+
+
+def test_residue_radius_keeps_the_other_zeros_and_poles_outside_twice_it(monkeypatch):
+    """f and g from known Gaussian roots and multiplicities, the point one of
+    the roots or none of them.  The radius residue_check reads off the exact
+    expansions at the point is at most half the distance to the nearest
+    other root, and at least that distance over 4 deg (|rho_j| <=
+    C(deg, j) / distance^j), and the check holds."""
+    radii = []
+
+    def spy(f, g, loop, *expansions):
+        radii.append(loop.radius)
+        return loop_integral(f, g, loop, *expansions)
+
+    monkeypatch.setattr(regnum, "loop_integral", spy)
+    rng = random.Random(61)
+    pool = [gauss(Fraction(a, 3), Fraction(b, 2)) for a in range(-6, 7) for b in range(-3, 4)]
+    on_a_root = set()
+    for _ in range(24):
+        roots = rng.sample(pool, 6)
+        polys = [poly_z([rng.choice((1, 2, -3))]), poly_z([1]), poly_z([1]), poly_z([1])]
+        for r in roots[1:]:
+            polys[rng.randrange(4)] *= poly_z([-r, 1]) ** rng.randint(1, 3)
+        point = roots[0] if rng.random() < 0.5 else rng.choice(roots[1:])
+        on_a_root.add(point != roots[0])
+        f, g = RatFunc(polys[0], polys[1]), RatFunc(polys[2], polys[3])
+        rc = residue_check(f, g, point)
+        assert rc.holds, (f, g, point)
+        nearest = min(abs(r.to_complex() - point.to_complex()) for r in roots[1:] if r != point)
+        degree = max(p.degree for p in polys)
+        assert nearest / (4 * degree) <= radii[-1] <= nearest / 2, (f, g, point)
+    assert on_a_root == {False, True}
