@@ -206,8 +206,8 @@ CATALOGUE = (
            "_log_sqrt(z.a * z.a + z.b * z.b, z.d * z.d)",
            ("tests/test_regnum.py::test_residue_radius_keeps_the_other_zeros_and_poles_outside_twice_it",)),
     Mutant("radius-factor", "regnum.py",
-           "return 0.25 * math.exp(-max(logs))",
-           "return 0.5 * math.exp(-max(logs))",
+           "radius = 0.25 * math.exp(-max(logs))",
+           "radius = 0.5 * math.exp(-max(logs))",
            ("tests/test_regnum.py::test_residue_radius_keeps_the_other_zeros_and_poles_outside_twice_it",)),
     Mutant("unit-derivative-weight", "regnum.py",
            "pairs.append((c, j * c))",
@@ -252,6 +252,27 @@ CATALOGUE = (
            "    _check_field(F, f, g)\n",
            "",
            ("tests/test_funcfield.py::test_weil_and_expressions_refuse_mixed_fields",)),
+    Mutant("writer-nested-indent", "cli.py",
+           'sep = "[\\n" + inner',
+           'sep = "[\\n" + indent + " "',
+           ("tests/test_cli.py::test_report_writer_is_json_dumps",)),
+    Mutant("writer-unsorted-keys", "cli.py",
+           "for key in sorted(value):",
+           "for key in value:",
+           ("tests/test_cli.py::test_report_writer_is_json_dumps",)),
+    Mutant("dispatch-leftovers-dropped", "cli.py",
+           "    if extras:\n",
+           "    if False:\n",
+           ("tests/test_cli.py::test_leftover_arguments_are_refused_by_the_top_parser",
+            "tests/test_cli.py::test_one_pass_dispatch_matches_the_top_parser")),
+    Mutant("factoring-budget-off-by-one", "arith.py",
+           "if f.degree > top:",
+           "if f.degree > top + 1:",
+           ("tests/test_arith.py::test_factoring_budget_is_a_degree_per_field",)),
+    Mutant("residue-underflow-unnamed", "regnum.py",
+           "    if radius == 0:\n",
+           "    if radius < 0:\n",
+           ("tests/test_cli.py::test_residue_names_a_zero_beyond_floats",)),
 )
 
 

@@ -814,14 +814,33 @@ _set_field = Poly.field.__set__
 _set_coeffs = Poly.coeffs.__set__
 
 
+# Factoring budget: a polynomial over F_q is factored, or tested for
+# irreducibility, only up to degree FACTOR_BUDGET // q.bit_length().  The
+# distinct-degree loop takes up to n/2 Frobenius powers, each about
+# 1.5 log2(q) products mod f, so the cost grows as n^3 log q, and faster
+# than that in large prime-power fields, whose arithmetic reads tables.
+FACTOR_BUDGET = 160
+
+
+def _factoring_field(f: Poly) -> "Fq":
+    """The field of f, which must be finite, with the degree of f within
+    the factoring budget: the one check before any factoring starts."""
+    F = f.field
+    if not isinstance(F, Fq):
+        raise ValueError("factoring requires coefficients in a finite field")
+    top = FACTOR_BUDGET // F.q.bit_length()
+    if f.degree > top:
+        raise ValueError(f"degree {f.degree} is beyond the factoring budget: over F_{F.q} "
+                         f"at most {top}")
+    return F
+
+
 def is_irreducible(f: Poly) -> bool:
     """Irreducibility over F_q by the distinct-degree loop (Ben-Or): f of
     degree n is irreducible iff it has no monic factor of degree <= n/2,
     i.e. the loop finds f itself as its only part.  A repeated factor g^2
     has deg g <= n/2, so the loop also rejects f that is not squarefree."""
-    F = f.field
-    if not isinstance(F, Fq):
-        raise ValueError("irreducibility test requires a finite field")
+    F = _factoring_field(f)
     n = f.degree
     if n is NEG_INF or n < 1:
         return False
@@ -933,9 +952,7 @@ def poly_factor(f: Poly) -> tuple:
 
     Derandomized: the equal-degree splitting RNG is seeded from the input.
     """
-    F = f.field
-    if not isinstance(F, Fq):
-        raise ValueError("poly_factor requires coefficients in a finite field")
+    F = _factoring_field(f)
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     lead = f.lc()

@@ -1,6 +1,7 @@
 """Command line front end.
 
-Every subcommand prints a single JSON report with sorted keys:
+Every subcommand prints a single JSON report with sorted keys, indented by
+two spaces:
 
     {"schema": 1, "command": ..., "inputs": ..., "result": ...,
      "certificates": ..., "status": "ok" | "invalid" | "failed"}
@@ -11,6 +12,11 @@ RuntimeError out of a computation (a malformed expression, a division by
 zero, a loop integral that does not converge) is reported as invalid
 input.  Numeric inputs are expressions ("3/4", "(T^2+1)/(2*T)",
 "1/2 + 3*i"); pass "--" before arguments that start with a minus sign.
+
+argv is parsed once: by the subcommand's parser when argv[0] names one, and
+by the top parser otherwise.  The report is written in one pass of its own,
+byte for byte what json.dumps(report, sort_keys=True, indent=2) writes
+(json has no C encoder for indented output).
 """
 from __future__ import annotations
 
@@ -473,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=handler)
+        p.set_defaults(command=name, func=handler)
         return p
 
     p = add("hilbert", _cmd_hilbert, "Hilbert symbol (x, y) at a place of Q")
@@ -580,8 +586,74 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _subcommands(top: argparse.ArgumentParser) -> dict:
+    """The parser of each subcommand of top, by name."""
+    return next(a.choices for a in top._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The namespace that top.parse_args(argv) returns, read in one pass:
+    when argv[0] names a subcommand, its parser reads the rest alone, and
+    leftover arguments are refused by the top parser as parse_args refuses
+    them.  Any other argv (empty, -h, an unknown word, a leading --) goes
+    through the top parser."""
+    top = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _subcommands(top).get(argv[0]) if argv else None
+    if sub is None:
+        return top.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_NAMES = {None: "null", True: "true", False: "false"}
+
+
+def _write(value, out: list, indent: str) -> None:
+    """Append to out the text of value as json.dumps(value, sort_keys=True,
+    indent=2) writes it, nested at indent; a dict key must be a str."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None or isinstance(value, bool):
+        out.append(_NAMES[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(json.dumps(value))  # json's own NaN and Infinity spellings
+    elif isinstance(value, (list, tuple)):
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]" if value else "[]")
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _encode_str(key) + ": ")
+            _write(value[key], out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}" if value else "{}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _dumps(value) -> str:
+    """json.dumps(value, sort_keys=True, indent=2), in one pass."""
+    out = []
+    _write(value, out, "")
+    return "".join(out)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     inputs = {
         k: v for k, v in vars(args).items() if k not in ("command", "func") and v is not None
     }
@@ -594,12 +666,12 @@ def main(argv=None) -> int:
         report["result"] = {"error": str(exc)}
         report["certificates"] = {}
         report["status"] = "invalid"
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_dumps(report))
         return 2
     report["result"] = result
     report["certificates"] = certificates
     report["status"] = "ok" if ok else "failed"
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(_dumps(report))
     return 0 if ok else 3
 
 

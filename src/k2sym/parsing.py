@@ -37,10 +37,10 @@ MAX_NESTING = 100
 
 # Largest exponent literal.  Each ^ multiplies the degree (or height) of its
 # base by the exponent, and the checks downstream cost at least linear time
-# in that degree.  The literal alone does not bound the cost: a Weil check
-# over F_3 on the monomial T^1000 is quick, but on T^1000 + T + 2 it
-# factors a dense polynomial of degree 1000 and runs for 90 s or more
-# (8-12 s at degree 400).  A budget on that degree is open work.
+# in that degree.  The literal alone does not bound the cost: over F_3,
+# T^1000 + T + 2 is a dense polynomial of degree 1000 that would take 90 s
+# or more to factor (7 s at degree 400).  Over F_q that degree is bounded
+# where factoring starts, by arith.FACTOR_BUDGET.
 MAX_EXPONENT = 1000
 
 

@@ -350,10 +350,21 @@ def _radius(expansions) -> float:
     """r = 1/(4M), M the largest |rho_j|^(1/j) over the expansions; 1 when
     every unit part is constant.  Then sum_j |rho_j| (2r)^j < 1, so no unit
     part vanishes on |w| <= 2r, and on |w| = r each lies within 1/3 of its
-    constant term."""
+    constant term.  With R = 1/|w| at the nearest zero w of a unit part U,
+    R/2 <= M <= deg(U) R (Fujiwara's bound and Vieta), so a radius beyond
+    floats means a zero or pole beyond them."""
     logs = [_log_sqrt(z.a * z.a + z.b * z.b, z.d * z.d) / j
             for ex in expansions for j, z in enumerate(ex.rho, 1) if not z.is_zero()]
-    return 0.25 * math.exp(-max(logs)) if logs else 1.0
+    if not logs:
+        return 1.0
+    try:
+        radius = 0.25 * math.exp(-max(logs))
+    except OverflowError:
+        raise ValueError("the zeros and poles other than the point lie farther from it "
+                         "than floats reach") from None
+    if radius == 0:
+        raise ValueError("a zero or pole lies nearer the point than floats reach")
+    return radius
 
 
 def _unit_coefficients(ex: _Expansion, radius: float) -> list[tuple[complex, complex]]:
@@ -492,7 +503,8 @@ def residue_check(f: RatFunc, g: RatFunc, point: GaussRat) -> ResidueCheck:
     n2 = tame.norm2()
     expected = _log_sqrt(n2.numerator, n2.denominator)
     expansions = [_expand(p, point) for p in (f.num, f.den, g.num, g.den)]
-    loop = Loop(point.to_complex(), _radius(expansions))
+    radius = _radius(expansions)
+    loop = Loop(point.to_complex(), radius)
     li = loop_integral(f, g, loop, expansions)
     diff = abs(li.value - expected)
     return ResidueCheck(point, m, n, tame, expected, li.value, diff, diff <= RESIDUE_TOLERANCE, li.trajectory)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from k2sym import arith, charpforms
 from k2sym.arith import (
     FACTOR_BOUND,
+    FACTOR_BUDGET,
     NEG_INF,
     PRIME_BOUND,
     Poly,
@@ -544,6 +545,21 @@ def test_poly_factor_with_multiplicity_char2():
     lead, fac = poly_factor(f)
     assert lead == 1
     assert [(g.coeffs, e) for g, e in fac] == [((0, 1), 3), ((1, 1, 1), 2)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 9, 997, 999999999989])
+def test_factoring_budget_is_a_degree_per_field(q):
+    # the largest degree is FACTOR_BUDGET // q.bit_length(); one degree more
+    # is refused by both entry points before any factoring starts
+    F = field(q)
+    top = FACTOR_BUDGET // q.bit_length()
+    assert poly_factor(Poly.x(F) ** top)[1] == ((Poly.x(F), top),)
+    assert not is_irreducible(Poly.x(F) ** top)
+    over = Poly.x(F) ** (top + 1) + Poly.const(F, 1)
+    for entry in (poly_factor, is_irreducible):
+        with pytest.raises(ValueError, match=f"^degree {top + 1} is beyond the factoring budget: "
+                                             f"over F_{q} at most {top}$"):
+            entry(over)
 
 
 def test_irreducibles_enumeration_counts():

@@ -11,9 +11,11 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import k2sym
 from k2sym import cli, funcfield, regnum, zeta
@@ -26,6 +28,16 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out, json.loads(out)
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), argparse exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def test_report_shape_and_hilbert(capsys):
@@ -115,6 +127,17 @@ def test_dilog_catalan(capsys):
     assert rep["result"]["real_input"] is False
 
 
+# each ran for seconds and exited 0 before the factoring budget (degree at
+# most 80 over F_3 and 16 over F_997)
+OVER_BUDGET = [
+    ["weil", "--q", "3", "T^400+T+2", "T+1"],
+    ["weil", "--q", "997", "T^997-T", "T+2"],
+    ["weil", "--q", "3", "*".join(["(T^1000+1)"] * 10), "T+1"],
+    ["ffdecompose", "--q", "3", "T+1", "T^400+T+2"],
+    ["fflift", "--q", "3", "T^400+T+2:T"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -156,6 +179,7 @@ def test_dilog_catalan(capsys):
         ["reciprocity", "1/0 +", "2"],
         ["conic", "--height", "0", "2", "3"],
         ["conic", "--height", "1001", "942407", "970106"],
+        *OVER_BUDGET,
     ],
     ids=["syntax", "bad-place", "singular-curve", "not-closed", "div-zero", "field-too-large",
          "deep-nesting", "huge-exponent", "reducible-key", "non-monic-key", "repeated-prime",
@@ -165,10 +189,13 @@ def test_dilog_catalan(capsys):
          "zero-key", "steinberg-beyond-field-limit", "zero-reciprocity", "zero-quaternion",
          "zero-pfister", "zero-hilbert", "conic-height-0", "zero-weil-f", "zero-weil-g",
          "zero-ffdecompose", "spsp-place", "place-beyond-prime-bound", "div-zero-before-syntax",
-         "conic-height-0-unsolvable", "conic-height-above-bound"],
+         "conic-height-0-unsolvable", "conic-height-above-bound", "weil-degree-400",
+         "weil-degree-997", "weil-degree-10000", "ffdecompose-degree-400", "fflift-key-degree-400"],
 )
 def test_invalid_inputs_exit_2(capsys, argv):
+    start = time.perf_counter()
     code, _, rep = run(capsys, argv)
+    assert time.perf_counter() - start < 2.0
     assert code == 2
     assert rep["status"] == "invalid"
     assert "error" in rep["result"]
@@ -178,6 +205,9 @@ def test_invalid_inputs_exit_2(capsys, argv):
     if argv[0] in ("weil", "ffdecompose") and "0" in argv[-2:]:
         # a symbol over F_q(T) refuses a zero entry before any place is read
         assert rep["result"]["error"] == "symbol entries must be nonzero"
+    if argv in OVER_BUDGET:
+        # refused by the factoring budget before anything is factored
+        assert "is beyond the factoring budget" in rep["result"]["error"]
 
 
 @pytest.mark.parametrize("argv, key", [
@@ -339,15 +369,7 @@ PARSER_SEQUENCE = [
 
 
 def _run_sequence(capsys):
-    out = []
-    for argv in PARSER_SEQUENCE:
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejecting argv
-            code = exc.code
-        captured = capsys.readouterr()
-        out.append((code, captured.out, captured.err))
-    return out
+    return [_outcome(capsys, argv) for argv in PARSER_SEQUENCE]
 
 
 def test_cached_parser_does_not_leak_state(capsys, monkeypatch):
@@ -368,6 +390,17 @@ def test_residue_reports_its_convergence(capsys):
     assert [n for n, _, _ in levels] == [64 * 2**k for k in range(len(levels))]
     assert levels[0][2] is None and all(delta >= 0 for _, _, delta in levels[1:])
     assert levels[-1][1] == rep["result"]["integral"] and levels[-1][2] < 1e-9
+
+
+@pytest.mark.parametrize("f, cause", [
+    ("z-10^400", "the zeros and poles other than the point lie farther from it than floats reach"),
+    ("z-1/10^400", "a zero or pole lies nearer the point than floats reach"),
+])
+def test_residue_names_a_zero_beyond_floats(capsys, f, cause):
+    # the loop radius 1/(4M) would overflow, or underflow to 0
+    code, _, rep = run(capsys, ["residue", f, "z", "0"])
+    assert code == 2 and rep["status"] == "invalid"
+    assert rep["result"] == {"error": cause}
 
 
 def test_residue_without_convergence_exits_2(capsys, monkeypatch):
@@ -491,3 +524,62 @@ def test_fuzzed_argv_keeps_the_report_contract(capsys):
         if set(argv) & set(NON_PLACES.get(argv[0], ())):
             assert code == 2, argv
     assert time.perf_counter() - start < 30
+
+
+# -- one argparse pass and a one-pass report writer -------------------------------------
+
+
+# argv that test the dispatch rather than a subcommand: no subcommand, help,
+# a leading --, leftover arguments, abbreviated and joined options, and a
+# negative number without --
+DISPATCH_ARGV = [
+    [], ["-h"], ["--help"], ["--", "hilbert", "--place", "2", "2", "3"], ["nosuch", "1"],
+    ["hilbert", "--place", "2", "2", "3", "4"], ["quadrec", "13", "17", "--", "5"],
+    ["birchtate", "extra"], ["birchtate", "--bogus"], ["hilbert", "-h"], ["steinberg", "--help"],
+    ["hilbert", "--pl", "2", "2", "3"], ["hilbert", "--place=2", "2", "3"],
+    ["qform", "1", "-3/4"], ["qform", "--", "1", "-3/4"], ["lift", "1", "--", "7:3", "--", "5:2"],
+]
+
+
+def test_one_pass_dispatch_matches_the_top_parser(capsys, monkeypatch):
+    # with no subcommand map, every argv goes through the top parser, which
+    # hands the subcommand's arguments to its parser a second time
+    rng = random.Random(2024)
+    argvs = EVERY_COMMAND + PARSER_SEQUENCE + [_fuzz_argv(rng) for _ in range(300)] + DISPATCH_ARGV
+    one_pass = [_outcome(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_subcommands", lambda top: {})
+    through_top = [_outcome(capsys, argv) for argv in argvs]
+    assert [argv for argv, a, b in zip(argvs, one_pass, through_top) if a != b] == []
+
+
+def test_leftover_arguments_are_refused_by_the_top_parser(capsys):
+    code, out, err = _outcome(capsys, ["hilbert", "--place", "2", "2", "3", "4"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: k2sym [-h]")
+    assert err.endswith("k2sym: error: unrecognized arguments: 4\n")
+
+
+LEAVES = (st.text() | st.text(alphabet='"\\/\x00\x08\x1f\x7f\xe9\u2028\U0001f600', max_size=6)
+          | st.integers() | st.integers(min_value=2**64, max_value=2**400).map(lambda n: -n)
+          | st.floats() | st.booleans() | st.none()
+          | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300]))
+REPORT_VALUES = st.recursive(
+    LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(REPORT_VALUES)
+def test_report_writer_is_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), {"a": [{1, 2}]}, [b"x"], {"a": 1j}])
+def test_report_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        cli._dumps(value)
