@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
-"""Fingerprint the CLI's output on the benchmark's cli-mix decks.
+"""Fingerprint the output of the benchmark's decks, through the CLI or the library.
 
-For each seed, runs one deck of benchmarks/workloads.py's cli-mix stream
-(100 calls of cli.main, in process) and the oracle check of every call.
-Prints one sha256 per operation kind and one over all calls, each taken
-over (kind, exit code, stdout) in deck order, then every failing check.
-Two trees whose overall digests agree printed byte-identical reports.
+For each workload and seed, runs one deck of benchmarks/workloads.py's
+stream and the oracle check of every call.  A cli-mix deck is 100 calls of
+cli.main, in process, each recorded as (kind, exit code, stdout); an
+ff-prime or ff-prime-power deck calls the library (weil_check and lift_ff
+round trips), each recorded as (kind, repr of the result), and the reprs
+of WeilResult and K2FFClass are deterministic.  Prints, per workload, one
+sha256 per operation kind and one over all calls, each taken over the
+records in deck order, then every failing check.  Two trees whose overall
+digests agree gave byte-identical results.
 
     python3 scripts/cli_digest.py --seeds 0 1 2 3 4 5
+    python3 scripts/cli_digest.py --workload ff-prime ff-prime-power --seeds 0 1 2 3 4 5
 
 The library and the decks are imported from the tree this script sits in.
 Exits 1 when a check fails.
@@ -22,33 +27,42 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import workloads  # noqa: E402
 
-
-def _record(kind: str, code, stdout: str) -> bytes:
-    return f"{kind}\0{code}\0{stdout}\0".encode()
+DIGESTED = ("cli-mix", "ff-prime", "ff-prime-power")
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", type=int, nargs="+", default=[0])
-    args = ap.parse_args()
+def _record(kind: str, *fields) -> bytes:
+    return "".join(f"{x}\0" for x in (kind, *fields)).encode()
 
+
+def _digest(workload: str, seeds, failures: list) -> None:
     overall = hashlib.sha256()
     per_kind, counts = {}, {}
-    failures = []
-    for seed in args.seeds:
-        for i, op in enumerate(workloads.Stream("cli-mix", seed).deck()):
-            code, stdout = out = op.call()
-            record = _record(op.kind, code, stdout)
+    for seed in seeds:
+        for i, op in enumerate(workloads.Stream(workload, seed).deck()):
+            out = op.call()
+            record = _record(op.kind, *out) if workload == "cli-mix" else _record(op.kind, repr(out))
             overall.update(record)
             per_kind.setdefault(op.kind, hashlib.sha256()).update(record)
             counts[op.kind] = counts.get(op.kind, 0) + 1
             reason = op.check(out)
             if reason is not None:
-                failures.append(f"seed {seed} op {i} ({op.kind}): {reason}")
+                failures.append(f"{workload} seed {seed} op {i} ({op.kind}): {reason}")
 
+    print(f"workload {workload}")
     for kind in sorted(per_kind):
         print(f"{per_kind[kind].hexdigest()}  {counts[kind]:4d}  {kind}")
     print(f"{overall.hexdigest()}  {sum(counts.values()):4d}  overall")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[0])
+    ap.add_argument("--workload", nargs="+", choices=DIGESTED, default=["cli-mix"])
+    args = ap.parse_args()
+
+    failures = []
+    for workload in args.workload:
+        _digest(workload, args.seeds, failures)
     for line in failures:
         print(f"FAILED {line}")
     return 1 if failures else 0

@@ -273,6 +273,23 @@ CATALOGUE = (
            "    if radius == 0:\n",
            "    if radius < 0:\n",
            ("tests/test_cli.py::test_residue_names_a_zero_beyond_floats",)),
+    Mutant("linear-factor-base-case", "arith.py",
+           "    if len(f) == 2:\n        return {tuple(f): 1}\n",
+           "",
+           ("tests/test_arith.py::test_a_linear_input_is_its_own_factorization",)),
+    Mutant("factor-memo-unread", "arith.py",
+           "    known = f._factors\n    if known is None:\n",
+           "    known = None\n    if known is None:\n",
+           ("tests/test_funcfield.py::test_a_lift_round_trip_factors_representatives_only",
+            "tests/test_cli.py::test_fflift_runs_the_distinct_degree_loop_once_per_key")),
+    Mutant("irreducible-proof-not-monic", "arith.py",
+           "    if f.is_monic():\n        _set_factors(f, _IRREDUCIBLE)\n",
+           "    if True:\n        _set_factors(f, _IRREDUCIBLE)\n",
+           ("tests/test_arith.py::test_a_proof_is_recorded_for_a_monic_input_only",)),
+    Mutant("frobenius-start-last-bit", "arith.py",
+           "        if q >> i & 1:",
+           "        if i and q >> i & 1:",
+           ("tests/test_arith.py::test_frobenius_start_is_x_to_the_q",)),
 )
 
 

@@ -670,13 +670,20 @@ def square_and_multiply(x, e: int, one):
 
 class Poly:
     """Univariate polynomial, little-endian coefficient tuple, no trailing
-    zeros.  The zero polynomial has degree NEG_INF."""
+    zeros.  The zero polynomial has degree NEG_INF.
 
-    __slots__ = ("field", "coeffs")
+    A Poly over F_q remembers its factorization once it is known, in the
+    slot _factors: None until then, the factor tuple poly_factor returns,
+    or _IRREDUCIBLE for a monic irreducible, which is its own factor (so the
+    memo never refers to the Poly itself).  Equality and hashing read the
+    coefficients only."""
+
+    __slots__ = ("field", "coeffs", "_factors")
 
     def __init__(self, field, coeffs):
         _set_field(self, field)
         _set_coeffs(self, tuple(field._trim(list(coeffs))))
+        _set_factors(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -687,6 +694,7 @@ class Poly:
         f = object.__new__(Poly)
         _set_field(f, field)
         _set_coeffs(f, tuple(coeffs))
+        _set_factors(f, None)
         return f
 
     # -- constructors --
@@ -812,6 +820,7 @@ class Poly:
 # Poly's slot setters, which bypass the __setattr__ that makes it immutable.
 _set_field = Poly.field.__set__
 _set_coeffs = Poly.coeffs.__set__
+_set_factors = Poly._factors.__set__
 
 
 # Factoring budget: a polynomial over F_q is factored, or tested for
@@ -822,30 +831,48 @@ _set_coeffs = Poly.coeffs.__set__
 FACTOR_BUDGET = 160
 
 
+def factor_degree_budget(F: Fq) -> int:
+    """The largest degree that is factored over F."""
+    return FACTOR_BUDGET // F.q.bit_length()
+
+
 def _factoring_field(f: Poly) -> "Fq":
     """The field of f, which must be finite, with the degree of f within
     the factoring budget: the one check before any factoring starts."""
     F = f.field
     if not isinstance(F, Fq):
         raise ValueError("factoring requires coefficients in a finite field")
-    top = FACTOR_BUDGET // F.q.bit_length()
+    top = factor_degree_budget(F)
     if f.degree > top:
         raise ValueError(f"degree {f.degree} is beyond the factoring budget: over F_{F.q} "
                          f"at most {top}")
     return F
 
 
+# The _factors memo of a monic irreducible Poly: it is its own factorization.
+_IRREDUCIBLE = object()
+
+
 def is_irreducible(f: Poly) -> bool:
-    """Irreducibility over F_q by the distinct-degree loop (Ben-Or): f of
-    degree n is irreducible iff it has no monic factor of degree <= n/2,
-    i.e. the loop finds f itself as its only part.  A repeated factor g^2
-    has deg g <= n/2, so the loop also rejects f that is not squarefree."""
+    """Irreducibility over F_q, read off the _factors memo when f has one,
+    else by the distinct-degree loop (Ben-Or): f of degree n is irreducible
+    iff it has no monic factor of degree <= n/2, i.e. the loop finds f
+    itself as its only part.  A repeated factor g^2 has deg g <= n/2, so the
+    loop also rejects f that is not squarefree.  A monic f found
+    irreducible remembers it."""
     F = _factoring_field(f)
     n = f.degree
     if n is NEG_INF or n < 1:
         return False
+    known = f._factors
+    if known is not None:
+        return known is _IRREDUCIBLE or (len(known) == 1 and known[0][1] == 1)
     g = list(f.monic().coeffs)
-    return _distinct_degree(F, g) == [(g, n)]
+    if _distinct_degree(F, g) != [(g, n)]:
+        return False
+    if f.is_monic():
+        _set_factors(f, _IRREDUCIBLE)
+    return True
 
 
 def irreducibles(F: Fq, degree: int):
@@ -866,11 +893,28 @@ def irreducibles(F: Fq, degree: int):
 # coefficient lists; poly_factor wraps each irreducible factor once.
 
 
+def _frobenius_x(F: Fq, f: list[int]) -> list[int]:
+    """x^q mod monic f of degree n >= 2: x^e for e the leading bits of q
+    with e < n is already reduced, and each further bit of q is a square
+    mod f, times x where the bit is set."""
+    q, n = F.q, len(f) - 1
+    shift = max(q.bit_length() - n.bit_length(), 0)
+    if q >> shift >= n:
+        shift += 1
+    h = [F.zero] * (q >> shift) + [F.one]
+    rem, mul = F.poly_rem, F.poly_mul
+    for i in range(shift - 1, -1, -1):
+        h = rem(mul(h, h), f)
+        if q >> i & 1:
+            h = rem([F.zero] + h, f)
+    return h
+
+
 def _distinct_degree(F: Fq, f: list[int]) -> list[tuple[list[int], int]]:
     """Split squarefree monic f into products of irreducibles by degree."""
     out = []
     x = [F.zero, F.one]
-    h = F.poly_rem(x, f)
+    h = None
     rest = f
     d = 0
     while len(rest) > 1:
@@ -878,7 +922,7 @@ def _distinct_degree(F: Fq, f: list[int]) -> list[tuple[list[int], int]]:
         if 2 * d > len(rest) - 1:
             out.append((rest, len(rest) - 1))
             break
-        h = F.poly_pow_mod(h, F.q, rest)
+        h = _frobenius_x(F, rest) if h is None else F.poly_pow_mod(h, F.q, rest)
         g = F.poly_gcd(F.poly_sub(h, x), rest)  # deg rest >= 2: x is reduced
         if len(g) > 1:
             out.append((g, d))
@@ -920,7 +964,10 @@ def _equal_degree(F: Fq, f: list[int], d: int, rng: random.Random | None) -> lis
 def _factor_monic(F: Fq, f: list[int]) -> dict[tuple[int, ...], int]:
     """The monic irreducible factors of monic f of positive degree, as
     coefficient tuples, with their multiplicities.  The equal-degree
-    splitting RNG is seeded from f, when a first part needs splitting."""
+    splitting RNG is seeded from f, when a first part needs splitting.  A
+    linear f is its own factorization."""
+    if len(f) == 2:
+        return {tuple(f): 1}
     rng = None
     exps: dict[tuple[int, ...], int] = {}
     remaining = f
@@ -951,16 +998,25 @@ def poly_factor(f: Poly) -> tuple:
     irreducible, strictly increasing in (degree, encoding) order.
 
     Derandomized: the equal-degree splitting RNG is seeded from the input.
+    The factors are read off f's memo when it has one; else f remembers
+    them, and each factor g remembers that it is irreducible.
     """
     F = _factoring_field(f)
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     lead = f.lc()
-    f = f.monic()
     if f.degree == 0:
         return lead, ()
-    factors = [(Poly._trusted(F, g), e) for g, e in _factor_monic(F, list(f.coeffs)).items()]
-    return lead, tuple(sorted(factors, key=lambda ge: ge[0].sort_key()))
+    known = f._factors
+    if known is None:
+        monic = list(f.monic().coeffs)
+        factors = sorted(((Poly._trusted(F, g), e) for g, e in _factor_monic(F, monic).items()),
+                         key=lambda ge: ge[0].sort_key())
+        for g, _ in factors:
+            _set_factors(g, _IRREDUCIBLE)
+        known = _IRREDUCIBLE if factors == [(f, 1)] else tuple(factors)
+        _set_factors(f, known)
+    return lead, ((f, 1),) if known is _IRREDUCIBLE else known
 
 
 # ---------------------------------------------------------------------------

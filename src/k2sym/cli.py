@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 
 from . import charpforms, funcfield, k2q, localsym, quadforms, regnum, zeta
-from .arith import Poly, RatFunc, field, generator, is_prime
+from .arith import Poly, RatFunc, factor_degree_budget, field, generator, is_prime
 from .charpforms import Form0, Form1, Form2
 from .localsym import REAL, PlaceQ
 from .parsing import (
@@ -214,10 +214,21 @@ def _cmd_ffdecompose(args):
     return {"entries": entries, "q": args.q}, {}, True
 
 
+# fflift's keys may sum in degree to FFLIFT_KEY_BUDGETS times the factoring
+# budget of one key: each key is tested for irreducibility, and its value
+# (reduced below the key's degree) is factored on the way down, so five keys
+# at the budget are the most that run in under a second on every field.
+FFLIFT_KEY_BUDGETS = 5
+
+
 def _cmd_fflift(args):
     F = field(args.q)
     poly = functools.partial(parse_poly, q=args.q)
     entries = _components(args.component, poly, poly)
+    total, top = sum(max(pi.degree, 0) for pi in entries), FFLIFT_KEY_BUDGETS * factor_degree_budget(F)
+    if total > top:
+        raise ValueError(f"keys of total degree {total} are beyond the fflift bound: over F_{F.q} at most "
+                         f"{top}, {FFLIFT_KEY_BUDGETS} times the factoring budget of one key")
     target = funcfield.K2FFClass.make(F, entries)  # checks that each key is a place
     expr = funcfield.lift_ff(F, target)
     roundtrip = funcfield.decompose(expr, F) == target

@@ -26,6 +26,10 @@ infinity included, of the norms down to F_q^* of the tame values is 1.
 The norm of v mod pi is the resultant Res(pi, v), by a Euclidean loop on
 remainders.  weil_check and decompose factor each numerator and
 denominator once and read every place's orders off the multiplicities.
+A Poly remembers its factorization (arith.poly_factor), and each factor
+that it is irreducible, so a place found by factoring is never tested or
+factored again: lift_ff and the round trip through decompose run the
+distinct-degree loop on representatives only.
 """
 from __future__ import annotations
 
@@ -49,10 +53,11 @@ class PlaceFq:
     """A place of a rational function field k(T): a monic irreducible
     polynomial, or infinity.
 
-    PlaceFq(pi) runs the distinct-degree irreducibility test, so it needs k
-    finite.  A place whose polynomial is already known to be monic
-    irreducible (a factor out of poly_factor, or z - a over Q(i)) is built
-    by arith._unchecked(PlaceFq, pi=pi), which skips the test.
+    PlaceFq(pi) runs the irreducibility test, so it needs k finite; the
+    test reads pi's factorization memo first, so a Poly already proven is
+    not looped over again.  A place whose polynomial is already known to be
+    monic irreducible (a factor out of poly_factor, or z - a over Q(i)) is
+    built by arith._unchecked(PlaceFq, pi=pi), which skips the test.
     """
 
     pi: Poly | None  # None encodes the place at infinity
@@ -71,7 +76,8 @@ class PlaceFq:
 
 
 def _check_place(pi: Poly) -> None:
-    """The distinct-degree test: pi must be monic irreducible."""
+    """pi must be monic irreducible: the distinct-degree test, run once per
+    Poly (arith.is_irreducible remembers a proof)."""
     if not pi.is_monic() or not is_irreducible(pi):
         raise ValueError(f"not a monic irreducible: {pi}")
 

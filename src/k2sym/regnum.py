@@ -121,7 +121,10 @@ class GaussRat:
 
     def to_complex(self) -> complex:
         # float(Fraction(a, d)) is a / d: the same correctly rounded float
-        return complex(self.a / self.d, self.b / self.d)
+        try:
+            return complex(self.a / self.d, self.b / self.d)
+        except OverflowError:
+            raise ValueError("the point lies beyond what floats reach") from None
 
     def __eq__(self, o):
         if not isinstance(o, GaussRat):

@@ -533,7 +533,8 @@ def test_poly_factor_reconstructs_and_factors_irreducible():
         lead, fac = poly_factor(f)
         prod = Poly.const(F, lead)
         for g, e in fac:
-            assert is_irreducible(g), (F.q, g)
+            # a fresh copy, so that the test runs the loop and reads no memo
+            assert is_irreducible(Poly(F, g.coeffs)), (F.q, g)
             assert g.is_monic()
             prod = prod * g**e
         assert prod == f, (F.q, f)
@@ -545,6 +546,100 @@ def test_poly_factor_with_multiplicity_char2():
     lead, fac = poly_factor(f)
     assert lead == 1
     assert [(g.coeffs, e) for g, e in fac] == [((0, 1), 3), ((1, 1, 1), 2)]
+
+
+# -- the factorization memo ---------------------------------------------------
+
+MEMO_FIELDS = (2, 3, 4, 5, 7, 8, 9, 25)
+
+
+@st.composite
+def factor_inputs(draw):
+    """A nonzero polynomial of degree 0..12 over one of MEMO_FIELDS."""
+    F = field(draw(st.sampled_from(MEMO_FIELDS)))
+    coeffs = draw(st.lists(st.integers(0, F.q - 1), min_size=1, max_size=13).filter(any))
+    return Poly(F, coeffs)
+
+
+def memo_objects(f):
+    """Every tuple and Poly reachable from f's memo."""
+    stack = [f._factors]
+    while stack:
+        x = stack.pop()
+        yield x
+        if isinstance(x, tuple):
+            stack.extend(x)
+        elif isinstance(x, Poly):
+            stack.append(x._factors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_inputs())
+def test_a_remembered_factorization_is_the_computed_one(f):
+    F = f.field
+    computed = poly_factor(f)
+    assert f.is_constant() or f._factors is not None
+    assert poly_factor(f) == computed == poly_factor(Poly(F, f.coeffs))
+    lead, fac = computed
+    prod = Poly.const(F, lead)
+    for g, e in fac:
+        prod = prod * g**e
+    assert prod == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_inputs())
+def test_factors_answer_irreducibility_from_their_memo(f):
+    F = f.field
+    expected = is_irreducible(Poly(F, f.coeffs))
+    _, fac = poly_factor(f)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(arith, "_distinct_degree", lambda *a: pytest.fail("distinct-degree loop ran"))
+        assert all(is_irreducible(g) for g, _ in fac)
+        assert f.is_constant() or is_irreducible(f) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_inputs(), st.booleans())
+def test_a_memo_never_refers_to_its_own_poly(f, proven_first):
+    if proven_first:
+        is_irreducible(f)
+    _, fac = poly_factor(f)
+    for h in (f, *(g for g, _ in fac)):
+        assert all(x is not h for x in memo_objects(h))
+
+
+def test_a_proof_is_recorded_for_a_monic_input_only():
+    F = field(3)
+    monic, scaled = Poly.from_ints(F, [1, 0, 1]), Poly.from_ints(F, [2, 0, 2])   # T^2+1, 2(T^2+1)
+    assert is_irreducible(monic) and is_irreducible(scaled)
+    assert monic._factors is arith._IRREDUCIBLE and scaled._factors is None
+    assert poly_factor(monic) == (1, ((monic, 1),))
+    assert poly_factor(scaled) == (2, ((monic, 1),))
+    assert poly_factor(scaled)[1][0][0].is_monic()
+
+
+def test_a_linear_input_is_its_own_factorization(monkeypatch):
+    # no derivative, gcd or splitting; the fields are built first, since
+    # building one tests its modulus for irreducibility
+    fields = [field(q) for q in MEMO_FIELDS]
+    for name in ("poly_derivative", "poly_gcd"):
+        monkeypatch.setattr(arith.PolyKernels, name, lambda *a: pytest.fail(f"{name} ran"))
+    monkeypatch.setattr(arith, "_distinct_degree", lambda *a: pytest.fail("distinct-degree loop ran"))
+    for F in fields:
+        for c in range(F.q):
+            assert arith._factor_monic(F, [c, F.one]) == {(c, F.one): 1}
+
+
+@pytest.mark.parametrize("q", [q for q in FIELDS_TO_81 if q <= 25] + [997])
+def test_frobenius_start_is_x_to_the_q(q):
+    # degrees n with 2n <= q (from q = 4 on), with n <= q < 2n, and with q < n
+    F = field(q)
+    rng = random.Random(f"frobenius {q}")
+    for n in sorted({2, 3, q // 2 + 1, q + 1}):
+        for _ in range(3):
+            f = [rng.randrange(q) for _ in range(n)] + [F.one]
+            assert arith._frobenius_x(F, f) == F.poly_pow_mod([F.zero, F.one], q, f), (q, n)
 
 
 @pytest.mark.parametrize("q", [2, 3, 9, 997, 999999999989])

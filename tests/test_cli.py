@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import k2sym
-from k2sym import cli, funcfield, regnum, zeta
+from k2sym import arith, cli, funcfield, regnum, zeta
 from k2sym.cli import main
 
 REPORT_KEYS = {"certificates", "command", "inputs", "result", "schema", "status"}
@@ -114,6 +114,24 @@ def test_fflift_tests_each_key_once(capsys, monkeypatch):
     assert len(calls) == 2
 
 
+def test_fflift_runs_the_distinct_degree_loop_once_per_key(capsys, monkeypatch):
+    # each key once, where it is tested; the value T^2+1 = (T+2)(T+3) once,
+    # where lift_ff factors it, and neither again in the round trip
+    calls = []
+    original = arith._distinct_degree
+    monkeypatch.setattr(arith, "_distinct_degree", lambda F, f: calls.append(tuple(f)) or original(F, f))
+    code, _, rep = run(capsys, ["fflift", "--q", "5", "T^3+T+1:T^2+1", "T^2+2:3", "T+1:T"])
+    assert code == 0 and rep["certificates"] == {"roundtrip": True}
+    assert sorted(calls) == [(1, 0, 1), (1, 1), (1, 1, 0, 1), (2, 0, 1)]
+
+
+def test_fflift_keys_at_the_bound_pass_it(capsys):
+    # total degree 400 = 5 * 80 over F_3: the keys are read, and the first,
+    # T^80+1, is refused as no place
+    code, _, rep = run(capsys, FFLIFT_JUST_OVER[:-1])
+    assert code == 2 and rep["result"]["error"].startswith("not a monic irreducible")
+
+
 def test_weil_product(capsys):
     code, _, rep = run(capsys, ["weil", "--q", "7", "(T^2+1)/(T-2)", "T^3-T+1"])
     assert code == 0
@@ -136,6 +154,10 @@ OVER_BUDGET = [
     ["ffdecompose", "--q", "3", "T+1", "T^400+T+2"],
     ["fflift", "--q", "3", "T^400+T+2:T"],
 ]
+
+# keys of total degree 401 over F_3, one more than five times the factoring
+# budget 80: refused before any key is tested
+FFLIFT_JUST_OVER = ["fflift", "--q", "3", "T^80+1:1", "T^80+2:1", "T^80+T:1", "T^80+T+1:1", "T^80+2*T:1", "T:1"]
 
 
 @pytest.mark.parametrize(
@@ -180,6 +202,7 @@ OVER_BUDGET = [
         ["conic", "--height", "0", "2", "3"],
         ["conic", "--height", "1001", "942407", "970106"],
         *OVER_BUDGET,
+        FFLIFT_JUST_OVER,
     ],
     ids=["syntax", "bad-place", "singular-curve", "not-closed", "div-zero", "field-too-large",
          "deep-nesting", "huge-exponent", "reducible-key", "non-monic-key", "repeated-prime",
@@ -190,7 +213,8 @@ OVER_BUDGET = [
          "zero-pfister", "zero-hilbert", "conic-height-0", "zero-weil-f", "zero-weil-g",
          "zero-ffdecompose", "spsp-place", "place-beyond-prime-bound", "div-zero-before-syntax",
          "conic-height-0-unsolvable", "conic-height-above-bound", "weil-degree-400",
-         "weil-degree-997", "weil-degree-10000", "ffdecompose-degree-400", "fflift-key-degree-400"],
+         "weil-degree-997", "weil-degree-10000", "ffdecompose-degree-400", "fflift-key-degree-400",
+         "fflift-keys-over-bound"],
 )
 def test_invalid_inputs_exit_2(capsys, argv):
     start = time.perf_counter()
@@ -208,6 +232,9 @@ def test_invalid_inputs_exit_2(capsys, argv):
     if argv in OVER_BUDGET:
         # refused by the factoring budget before anything is factored
         assert "is beyond the factoring budget" in rep["result"]["error"]
+    if argv == FFLIFT_JUST_OVER:
+        assert rep["result"]["error"] == ("keys of total degree 401 are beyond the fflift bound: over F_3 "
+                                          "at most 400, 5 times the factoring budget of one key")
 
 
 @pytest.mark.parametrize("argv, key", [
@@ -401,6 +428,14 @@ def test_residue_names_a_zero_beyond_floats(capsys, f, cause):
     code, _, rep = run(capsys, ["residue", f, "z", "0"])
     assert code == 2 and rep["status"] == "invalid"
     assert rep["result"] == {"error": cause}
+
+
+@pytest.mark.parametrize("argv", [["residue", "2", "3", "10^400"], ["dilog", "10^400"]],
+                         ids=["residue", "dilog"])
+def test_a_point_beyond_floats_is_named(capsys, argv):
+    code, _, rep = run(capsys, argv)
+    assert code == 2 and rep["status"] == "invalid"
+    assert rep["result"] == {"error": "the point lies beyond what floats reach"}
 
 
 def test_residue_without_convergence_exits_2(capsys, monkeypatch):

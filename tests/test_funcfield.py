@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from k2sym import funcfield
-from k2sym.arith import Poly, RatFunc, _unchecked, field, generator, irreducibles, is_irreducible
+from k2sym import arith, funcfield
+from k2sym.arith import Poly, RatFunc, _unchecked, field, generator, irreducibles, is_irreducible, poly_factor
 from k2sym.funcfield import (
     CHAR2,
     FFSymbolExpr,
@@ -425,6 +425,32 @@ def test_weil_and_decompose_do_not_retest_factors(monkeypatch):
             assert (weil_check(f, g), decompose(ff_symbol(f, g))) == expected
             assert (target + target - target) == target and (-(-target)) == target
             assert decompose(lift_ff(F, target), F) == target
+
+
+def test_a_lift_round_trip_factors_representatives_only(monkeypatch):
+    # the places of a class built by decompose remember that they are
+    # irreducible, so the round trip runs the distinct-degree loop exactly
+    # as often as factoring each representative once does
+    rng = random.Random(73)
+    original = arith._distinct_degree
+    loops = 0
+    for q in BENCH_FIELDS:
+        F = field(q)
+        for _ in range(6):
+            target = decompose(ff_symbol(random_ratfunc(F, rng, 4), random_ratfunc(F, rng, 4)))
+            calls, expected = [], []
+            with monkeypatch.context() as m:
+                m.setattr(arith, "_distinct_degree", lambda F, f: calls.append(tuple(f)) or original(F, f))
+                expr = lift_ff(F, target)
+                assert decompose(expr, F) == target
+            reps = {id(a.num): a.num for a, _, _ in expr.terms}.values()
+            with monkeypatch.context() as m:
+                m.setattr(arith, "_distinct_degree", lambda F, f: expected.append(tuple(f)) or original(F, f))
+                for a in reps:
+                    poly_factor(Poly(F, a.coeffs))
+            assert sorted(calls) == sorted(expected), q
+            loops += len(calls)
+    assert loops  # some representative needed the loop
 
 
 def test_residue_norm_surjects_onto_units():
