@@ -3,16 +3,17 @@
 
 For each workload and seed, runs one deck of benchmarks/workloads.py's
 stream and the oracle check of every call.  A cli-mix deck is 100 calls of
-cli.main, in process, each recorded as (kind, exit code, stdout); an
-ff-prime or ff-prime-power deck calls the library (weil_check and lift_ff
-round trips), each recorded as (kind, repr of the result), and the reprs
-of WeilResult and K2FFClass are deterministic.  Prints, per workload, one
+cli.main, in process, each recorded as (kind, exit code, stdout); a
+q-symbols, ff-prime or ff-prime-power deck calls the library (reciprocity,
+lift round trips, conics and invariants over Q; weil_check and lift_ff
+round trips over F_q(T)), each recorded as (kind, repr of the result), and
+the reprs of its results are deterministic.  Prints, per workload, one
 sha256 per operation kind and one over all calls, each taken over the
 records in deck order, then every failing check.  Two trees whose overall
 digests agree gave byte-identical results.
 
     python3 scripts/cli_digest.py --seeds 0 1 2 3 4 5
-    python3 scripts/cli_digest.py --workload ff-prime ff-prime-power --seeds 0 1 2 3 4 5
+    python3 scripts/cli_digest.py --workload q-symbols ff-prime ff-prime-power --seeds 0 1 2 3 4 5
 
 The library and the decks are imported from the tree this script sits in.
 Exits 1 when a check fails.
@@ -27,7 +28,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import workloads  # noqa: E402
 
-DIGESTED = ("cli-mix", "ff-prime", "ff-prime-power")
+DIGESTED = ("cli-mix", "q-symbols", "ff-prime", "ff-prime-power")
 
 
 def _record(kind: str, *fields) -> bytes:

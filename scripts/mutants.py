@@ -290,6 +290,28 @@ CATALOGUE = (
            "        if q >> i & 1:",
            "        if i and q >> i & 1:",
            ("tests/test_arith.py::test_frobenius_start_is_x_to_the_q",)),
+    Mutant("odd-coordinates-normal-form", "k2q.py",
+           "    if odd != _odd_coordinates(dict(odd)):\n",
+           "    if False:\n",
+           ("tests/test_k2q.py::test_k2qclass_validation",
+            "tests/test_k2q.py::test_public_constructors_still_check_primes")),
+    Mutant("negative-power-check", "arith.py",
+           "    if e < 0:\n        raise ValueError(\"negative polynomial power\")\n    result = one\n",
+           "    result = one\n",
+           ("tests/test_arith.py::test_a_negative_power_is_refused_by_square_and_multiply",)),
+    Mutant("residue-orders-numerators-only", "regnum.py",
+           "fn.order - fd.order, gn.order - gd.order",
+           "fn.order, gn.order",
+           ("tests/test_regnum.py::test_tame_symbol_frozen_examples",)),
+    Mutant("tame-ff-zero-entries", "funcfield.py",
+           "    _check_entries(f, g, F)\n    _check_field(F, place.pi)\n",
+           "    _check_field(F, g, place.pi)\n",
+           ("tests/test_regnum.py::test_tame_symbol_frozen_examples",
+            "tests/test_cli.py::test_invalid_inputs_exit_2[zero-residue]")),
+    Mutant("conic-search-zero-after-height", "quadforms.py",
+           "    x, y = _as_nonzero_fraction(x), _as_nonzero_fraction(y)\n    if height_bound",
+           "    x, y = Fraction(x), Fraction(y)\n    if height_bound",
+           ("tests/test_quadforms.py::test_every_entry_point_refuses_zero_with_one_message",)),
 )
 
 

@@ -364,14 +364,11 @@ class Fq(PolyKernels):
     Its arithmetic is table lookup: Zech logarithms to the base
     generator(F), built on the first operation that needs them.  Fields
     come from field(q) alone, one object per q, and compare by identity;
-    the package does not export this class.
+    field(q) has factored q, so p is prime and k >= 1 here.  The package
+    does not export this class.
     """
 
-    def __init__(self, p: int, k: int = 1):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if k < 1:
-            raise ValueError("k must be >= 1")
+    def __init__(self, p: int, k: int):
         self.p = p
         self.k = k
         self.q = p**k
@@ -658,6 +655,8 @@ def generator(q_or_field: int | Fq) -> int:
 
 def square_and_multiply(x, e: int, one):
     """x^e for e >= 0, where x needs only * and one is its unit."""
+    if e < 0:
+        raise ValueError("negative polynomial power")
     result = one
     while e:
         if e & 1:
@@ -767,8 +766,6 @@ class Poly:
         return Poly._trusted(F, F.poly_scale(self.coeffs, c))
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative polynomial power")
         return square_and_multiply(self, e, Poly.const(self.field, self.field.one))
 
     # Each of these is one call to a list kernel of the field; %, gcd and

@@ -128,8 +128,6 @@ class BiPoly:
         return _kernel(self.p, {ij: a * c for ij, a in self.coeffs.items()})
 
     def __pow__(self, e: int) -> "BiPoly":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
         return square_and_multiply(self, e, _kernel(self.p, {(0, 0): 1}))
 
     def exact_div(self, d: "BiPoly") -> "BiPoly":

@@ -161,23 +161,17 @@ def tame_ff(f, g, place: PlaceFq) -> Poly:
     representative.  At a finite place pi the residue field is k[T]/(pi).
     Infinity is the place U = 0 of U = 1/T: there f is U^a times a unit
     whose value at U = 0 is c(f), the leading-coefficient retraction, so the
-    symbol is (-1)^{ab} c(f)^b c(g)^{-a}, a constant polynomial in k.
+    symbol is (-1)^{ab} c(f)^b c(g)^{-a}, a constant polynomial in k: the
+    unit parts are reduced mod pi, or mod T at infinity, where the residue
+    field k = k[T]/(T) holds the leading-coefficient constants.
     """
     f, g = as_ratfunc(f), as_ratfunc(g)
-    if f.is_zero() or g.is_zero():
-        raise ValueError("tame symbol needs nonzero arguments")
-    return tame_with_orders(f, g, place)[2]
-
-
-def tame_with_orders(f: RatFunc, g: RatFunc, place: PlaceFq) -> tuple[int, int, Poly]:
-    """(v(f), v(g), tame symbol) at the place, for nonzero f and g.  The
-    unit parts are reduced mod pi, or mod T at infinity, where the residue
-    field k = k[T]/(T) holds the leading-coefficient constants."""
     F = f.field
-    _check_field(F, g, place.pi)
+    _check_entries(f, g, F)
+    _check_field(F, place.pi)
     a, fn, fd = _order_and_units(f, place)
     b, gn, gd = _order_and_units(g, place)
-    return a, b, Poly._trusted(F, _symbol(F, a * b, ((fn, b), (fd, -b), (gn, -a), (gd, a)), _modulus(place, F)))
+    return Poly._trusted(F, _symbol(F, a * b, ((fn, b), (fd, -b), (gn, -a), (gd, a)), _modulus(place, F)))
 
 
 def _mul_mod(F, a, b, pi) -> list:
@@ -307,7 +301,9 @@ def ff_symbol(f, g) -> FFSymbolExpr:
 
 def _check_value(pi: Poly, v) -> None:
     """v, a coefficient sequence, must be a nonzero residue mod pi."""
-    if not v or len(v) > len(pi.coeffs) - 1:
+    if not v:
+        raise ValueError(f"value at key {list(pi.coeffs)} is 0, so not a unit")
+    if len(v) > len(pi.coeffs) - 1:
         raise ValueError(f"value not reduced mod {pi}")
 
 

@@ -83,15 +83,10 @@ def symbol(x, y) -> SymbolExpr:
 
 
 def _check_odd(odd: tuple[tuple[int, int], ...]) -> None:
-    """Odd coordinates as K2QClass and MooreVector store them: strictly
-    increasing odd primes, each with a unit in [2, p-1]."""
-    last = 1
-    for p, a in odd:
-        if p <= last or p == 2 or not is_prime(p):
-            raise ValueError(f"bad odd support: {odd}")
-        if not 2 <= a <= p - 1:
-            raise ValueError(f"coordinate at {p} out of range: {a}")
-        last = p
+    """Odd coordinates as K2QClass and MooreVector store them: their own
+    normal form under _odd_coordinates."""
+    if odd != _odd_coordinates(dict(odd)):
+        raise ValueError(f"bad odd support: {odd}")
 
 
 def _odd_coordinates(odd_map: dict[int, int] | None) -> tuple[tuple[int, int], ...]:
@@ -146,14 +141,14 @@ class K2QClass:
         return self.two_slot == 1 and not self.odd
 
 
-K2Q_ZERO = K2QClass(1, ())
-
-
 def _normalized(odd_map: dict[int, int] | None) -> tuple[tuple[int, int], ...]:
     """Sorted (p, a mod p) with the trivial coordinates dropped."""
     if not odd_map:
         return ()
     return tuple(sorted((p, a % p) for p, a in odd_map.items() if a % p != 1))
+
+
+K2Q_ZERO = K2QClass(1, ())
 
 
 def _accumulate(odd: dict[int, int], x: LocalData, y: LocalData, m: int) -> None:

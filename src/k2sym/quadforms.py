@@ -23,6 +23,7 @@ from .localsym import (
     TWO,
     LocalData,
     PlaceQ,
+    _as_nonzero_fraction,
     _h,
     _residue,
     _residue8,
@@ -281,9 +282,7 @@ def _conic_symbols(x: LocalData, y: LocalData) -> tuple[tuple[tuple[PlaceQ, int]
 
 def conic_solvable_Q(x, y) -> tuple[bool, ConicCertificate]:
     """Decide solvability of x R^2 + y S^2 = 1 over Q by local symbols."""
-    x, y = Fraction(x), Fraction(y)
-    if x == 0 or y == 0:
-        raise ValueError("conic coefficients must be nonzero")
+    x, y = _as_nonzero_fraction(x), _as_nonzero_fraction(y)
     tested, failing = _conic_symbols(local_data(x), local_data(y))
     return not failing, ConicCertificate(x, y, tested, failing)
 
@@ -296,9 +295,7 @@ def conic_point_search(x, y, height_bound: int):
     of conic_solvable_Q reject an obstructed conic without search, and the
     search reads each coefficient's square scale off the same record.
     """
-    x, y = Fraction(x), Fraction(y)
-    if x == 0 or y == 0:
-        raise ValueError("conic coefficients must be nonzero")
+    x, y = _as_nonzero_fraction(x), _as_nonzero_fraction(y)
     if height_bound < 1:
         raise ValueError(f"height bound must be at least 1, got {height_bound}")
     rx, ry = local_data(x), local_data(y)
@@ -332,9 +329,6 @@ def quaternion_splits(a, b, place: PlaceQ | None = None) -> bool:
     Locally this is hilbert(a, b, place) = +1; globally it is the
     conjunction over the support, the same criterion as for the conic.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("quaternion parameters must be nonzero")
     if place is not None:
         return hilbert(a, b, place) == 1
     return not _conic_symbols(local_data(a), local_data(b))[1]
@@ -347,8 +341,6 @@ def pfister_form(x, y) -> DiagForm:
 
 def pfister_hasse_identity(x, y, place: PlaceQ) -> bool:
     """hasse_v(<1,-x,-y,xy>) * hilbert(-1,-1,v) = hilbert(x,y,v)."""
-    x, y = Fraction(x), Fraction(y)
-    if x == 0 or y == 0:
-        raise ValueError("parameters must be nonzero")
+    x, y = _as_nonzero_fraction(x), _as_nonzero_fraction(y)
     h = _hasse_at(place, pfister_form(x, y).entries)
     return h * hilbert(Fraction(-1), Fraction(-1), place) == hilbert(x, y, place)

@@ -28,7 +28,8 @@ within 2r of the point, and on the loop each unit part is within 1/3 of its
 constant term, so every sample is well conditioned.  Coefficients are
 exact Gaussian rationals, and the tame side of the comparison is
 funcfield's tame symbol at the place z - a of Q(i)(z), so it carries no
-float error at all; the orders of f and g there come out of the same pass.
+float error at all; the orders of f and g there are read off the
+expansions.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .arith import Poly, PolyKernels, RatFunc, _unchecked, bernoulli
-from .funcfield import PlaceFq, tame_with_orders
+from .funcfield import PlaceFq, tame_ff
 
 CONVERGENCE_TARGET = 1e-9
 FIRST_SAMPLES = 64
@@ -468,20 +469,6 @@ def loop_integral(f: RatFunc, g: RatFunc, loop: Loop,
 # -- comparison against the exact tame symbol --------------------------------------
 
 
-def _place(a: GaussRat) -> PlaceFq:
-    """The degree-1 place z - a of Q(i)(z)."""
-    return _unchecked(PlaceFq, pi=Poly(CX, [-a, CX.one]))
-
-
-def _orders_and_tame(f: RatFunc, g: RatFunc, a: GaussRat) -> tuple[int, int, GaussRat]:
-    """Orders of f and g at a and their exact tame symbol there, from one
-    strip of z - a out of each of the four polynomials."""
-    if f.is_zero() or g.is_zero():
-        raise ValueError("tame symbol needs nonzero functions")
-    m, n, value = tame_with_orders(f, g, _place(a))
-    return m, n, value.constant_value()
-
-
 @dataclass(frozen=True)
 class ResidueCheck:
     point: GaussRat
@@ -498,16 +485,20 @@ class ResidueCheck:
 def residue_check(f: RatFunc, g: RatFunc, point: GaussRat) -> ResidueCheck:
     """Compare the loop integral of eta around the point with log of the
     exact tame symbol's absolute value; they agree when they differ by at
-    most RESIDUE_TOLERANCE.  The loop's radius and its samples come from
-    one exact expansion of each of the four polynomials at the point."""
-    m, n, tame = _orders_and_tame(f, g, point)
+    most RESIDUE_TOLERANCE.  The tame value is tame_ff's at the place
+    z - point, apart from the expansions.  The loop's radius, its samples
+    and the orders of f and g come from one exact expansion of each of the
+    four polynomials at the point."""
+    tame = tame_ff(f, g, _unchecked(PlaceFq, pi=Poly(CX, [-point, CX.one]))).constant_value()
     if tame.is_zero():
         raise ValueError("tame symbol vanished; functions not coprime enough")
     n2 = tame.norm2()
     expected = _log_sqrt(n2.numerator, n2.denominator)
     expansions = [_expand(p, point) for p in (f.num, f.den, g.num, g.den)]
+    fn, fd, gn, gd = expansions
     radius = _radius(expansions)
     loop = Loop(point.to_complex(), radius)
     li = loop_integral(f, g, loop, expansions)
     diff = abs(li.value - expected)
-    return ResidueCheck(point, m, n, tame, expected, li.value, diff, diff <= RESIDUE_TOLERANCE, li.trajectory)
+    return ResidueCheck(point, fn.order - fd.order, gn.order - gd.order, tame, expected, li.value, diff,
+                        diff <= RESIDUE_TOLERANCE, li.trajectory)

@@ -895,10 +895,10 @@ def tame_at_infinity_by_chart(f, g):
     """The tame symbol of f and g at infinity, as the tame symbol of their
     chart images at the place U."""
     from k2sym.arith import Poly, _unchecked
-    from k2sym.funcfield import PlaceFq, tame_with_orders
+    from k2sym.funcfield import PlaceFq, tame_ff
 
     place = _unchecked(PlaceFq, pi=Poly.x(f.field))  # U is a place over any field k
-    return tame_with_orders(to_infinity_chart(f), to_infinity_chart(g), place)[2]
+    return tame_ff(to_infinity_chart(f), to_infinity_chart(g), place)
 
 
 # -- norms from residue fields of F_q[T] by the exponent formula ---------------------

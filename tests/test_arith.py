@@ -416,6 +416,28 @@ def test_pow_mod_refuses_a_negative_exponent(F):
         Poly.x(F).pow_mod(-1, m)
 
 
+class _BoundedProduct:
+    """A multiplicand that fails after a few products, so a power loop that
+    never ends on a negative exponent fails fast instead."""
+
+    def __init__(self):
+        self.products = 0
+
+    def __mul__(self, other):
+        self.products += 1
+        assert self.products < 64, "square_and_multiply looped on a negative exponent"
+        return self
+
+
+def test_a_negative_power_is_refused_by_square_and_multiply():
+    with pytest.raises(ValueError, match="negative polynomial power"):
+        arith.square_and_multiply(_BoundedProduct(), -1, _BoundedProduct())
+    # Poly and BiPoly powers run through it and state no check of their own
+    for x in (Poly.x(field(5)), Poly.x(field(9)), Poly.x(CX), BiPoly.var_s(3)):
+        with pytest.raises(ValueError, match="negative polynomial power"):
+            x ** -1
+
+
 def _gauss_poly(rng, degree):
     """A random polynomial of the given degree over Q(i), small parts."""
     elements = _gauss_elements()

@@ -187,6 +187,35 @@ def test_exact_div_matches_greedy_reference(polys):
         assert f.exact_div(b) == expected
 
 
+@st.composite
+def forms(draw, p):
+    """(w, h): the 1-form f ds + g dt with f and g polynomials over F_p of
+    total degree at most 2, and the 2-form h ds^dt with h a quotient of two
+    such polynomials."""
+    poly = bipolys(p).map(MultiRatFunc.from_poly)
+    den = bipolys(p).filter(lambda b: not b.is_zero())
+    return Form1(draw(poly), draw(poly)), Form2(MultiRatFunc(draw(bipolys(p)), draw(den)))
+
+
+def _closed(w: Form1) -> Form1:
+    """A closed 1-form made from w: dlog of its ds coefficient (d of it
+    when that is 0) plus d of its dt coefficient."""
+    f, g = w.ds, w.dt
+    return (d0(Form0(f)) if f.is_zero() else dlog1(f)) + d0(Form0(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 5)).flatmap(lambda p: st.tuples(forms(p), forms(p))))
+def test_d1_and_cartier_are_additive_on_differences(pairs):
+    (w1, h1), (w2, h2) = pairs
+    assert d1(w1 - w2) == d1(w1) - d1(w2)
+    assert d1(-w1) == -d1(w1)
+    assert cartier2(h1 - h2) == cartier2(h1) - cartier2(h2)
+    z1, z2 = _closed(w1), _closed(w2)
+    assert cartier1(z1 - z2) == cartier1(z1) - cartier1(z2)
+    assert cartier1(-z1) == -cartier1(z1)
+
+
 def test_gcd_divides_and_contains_common_factor():
     rng = random.Random(31)
     for p in (2, 3, 5):

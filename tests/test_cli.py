@@ -159,6 +159,9 @@ OVER_BUDGET = [
 # budget 80: refused before any key is tested
 FFLIFT_JUST_OVER = ["fflift", "--q", "3", "T^80+1:1", "T^80+2:1", "T^80+T:1", "T^80+T+1:1", "T^80+2*T:1", "T:1"]
 
+# values that reduce to 0 mod their key T
+FFLIFT_ZERO_VALUE = [["fflift", "--q", "5", "T:5"], ["fflift", "--q", "5", "T:T"]]
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -203,6 +206,11 @@ FFLIFT_JUST_OVER = ["fflift", "--q", "3", "T^80+1:1", "T^80+2:1", "T^80+T:1", "T
         ["conic", "--height", "1001", "942407", "970106"],
         *OVER_BUDGET,
         FFLIFT_JUST_OVER,
+        ["conic", "0", "1"],
+        ["quaternion", "--place", "3", "0", "1"],
+        ["pfister", "--place", "3", "0", "1"],
+        ["residue", "0", "z", "1"],
+        *FFLIFT_ZERO_VALUE,
     ],
     ids=["syntax", "bad-place", "singular-curve", "not-closed", "div-zero", "field-too-large",
          "deep-nesting", "huge-exponent", "reducible-key", "non-monic-key", "repeated-prime",
@@ -214,7 +222,8 @@ FFLIFT_JUST_OVER = ["fflift", "--q", "3", "T^80+1:1", "T^80+2:1", "T^80+T:1", "T
          "zero-ffdecompose", "spsp-place", "place-beyond-prime-bound", "div-zero-before-syntax",
          "conic-height-0-unsolvable", "conic-height-above-bound", "weil-degree-400",
          "weil-degree-997", "weil-degree-10000", "ffdecompose-degree-400", "fflift-key-degree-400",
-         "fflift-keys-over-bound"],
+         "fflift-keys-over-bound", "zero-conic", "zero-quaternion-at-place", "zero-pfister-at-place",
+         "zero-residue", "fflift-constant-zero-value", "fflift-key-as-value"],
 )
 def test_invalid_inputs_exit_2(capsys, argv):
     start = time.perf_counter()
@@ -226,12 +235,15 @@ def test_invalid_inputs_exit_2(capsys, argv):
     if argv[-2:] == ["0", "1"]:
         # one message for a zero argument, at one place or at all of them
         assert "symbols are defined on nonzero arguments only" in rep["result"]["error"]
-    if argv[0] in ("weil", "ffdecompose") and "0" in argv[-2:]:
-        # a symbol over F_q(T) refuses a zero entry before any place is read
+    if argv[0] in ("weil", "ffdecompose") and "0" in argv[-2:] or argv[:2] == ["residue", "0"]:
+        # a symbol over F_q(T) or Q(i)(z) refuses a zero entry before any place is read
         assert rep["result"]["error"] == "symbol entries must be nonzero"
     if argv in OVER_BUDGET:
         # refused by the factoring budget before anything is factored
         assert "is beyond the factoring budget" in rep["result"]["error"]
+    if argv in FFLIFT_ZERO_VALUE:
+        # a reduced value that is 0, named by its key, as lift_ff names one
+        assert rep["result"]["error"] == "value at key [0, 1] is 0, so not a unit"
     if argv == FFLIFT_JUST_OVER:
         assert rep["result"]["error"] == ("keys of total degree 401 are beyond the fflift bound: over F_3 "
                                           "at most 400, 5 times the factoring budget of one key")

@@ -1,5 +1,6 @@
 """Tests for K_2 of rational function fields over finite fields."""
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -365,10 +366,27 @@ def test_k2ff_class_keys_must_be_places():
         K2FFClass.make(F, {T * T: T})
     with pytest.raises(ValueError, match="not a monic irreducible"):
         K2FFClass(F, ((T * T, T),))
-    with pytest.raises(ValueError, match="value not reduced"):
+    # T mod T is reduced, and it is 0: no unit
+    with pytest.raises(ValueError, match=re.escape("value at key [0, 1] is 0, so not a unit")):
         K2FFClass.make(F, {T: T})
     t1 = T + Poly.const(F, 1)
     assert K2FFClass.make(F, {T: Poly.const(F, 1), t1: Poly.const(F, 2)}).support() == (t1,)
+
+
+def test_a_class_constructor_checks_each_entry_after_its_place():
+    F = field(5)
+    T = Poly.x(F)
+    t1 = T + Poly.const(F, 1)
+    two = Poly.const(F, 2)
+    with pytest.raises(ValueError, match="duplicate place"):
+        K2FFClass(F, ((T, two), (T, two)))
+    with pytest.raises(ValueError, match="value not reduced"):
+        K2FFClass(F, ((t1, T),))
+    with pytest.raises(ValueError, match=re.escape("value at key [1, 1] is 0, so not a unit")):
+        K2FFClass(F, ((t1, Poly(F, [])),))
+    with pytest.raises(ValueError, match="identity values must be dropped"):
+        K2FFClass(F, ((T, Poly.const(F, 1)),))
+    assert K2FFClass(F, ((T, two), (t1, two))) == K2FFClass.make(F, {t1: two, T: two})
 
 
 def test_lift_place_degrees_never_increase():

@@ -68,6 +68,25 @@ def test_lambda_tate_additive_in_multiplicity():
     assert merged.terms == ((5, 7, 1), (x, y, 2))
 
 
+@st.composite
+def symbol_exprs(draw):
+    """A SymbolExpr of up to four terms with small nonzero rational entries."""
+    entry = st.fractions(min_value=-60, max_value=60, max_denominator=60).filter(bool)
+    terms = draw(st.lists(st.tuples(entry, entry, st.integers(-3, 3)), max_size=4))
+    return SymbolExpr.of(*[(x, y) for x, y, _ in terms], multiplicities=[m for _, _, m in terms])
+
+
+@settings(max_examples=100, deadline=None)
+@given(symbol_exprs(), symbol_exprs())
+def test_lambda_tate_is_a_homomorphism(e1, e2):
+    c1, c2 = lambda_tate(e1), lambda_tate(e2)
+    assert lambda_tate(e1 + e2) == c1 + c2
+    assert lambda_tate(-e1) == -c1
+    assert c1 - c2 == c1 + (-c2)
+    assert lambda_tate(e1 + -e2) == c1 - c2
+    assert (c1 - c2) + c2 == c1
+
+
 # -- class arithmetic ------------------------------------------------------------
 
 

@@ -251,6 +251,16 @@ def test_point_search_finds_unit_point():
     assert conic_point_search(1, 1, 10**4) == (1, 0)
 
 
+def test_every_entry_point_refuses_zero_with_one_message():
+    # the symbols' own message, and before the height bound is read
+    for x, y in ((0, 1), (1, 0)):
+        for call in (lambda: conic_solvable_Q(x, y), lambda: conic_point_search(x, y, 0),
+                     lambda: quaternion_splits(x, y), lambda: quaternion_splits(x, y, PlaceQ(3)),
+                     lambda: pfister_hasse_identity(x, y, REAL)):
+            with pytest.raises(ValueError, match="symbols are defined on nonzero arguments only"):
+                call()
+
+
 def test_point_search_refuses_a_height_bound_below_1():
     # checked before the symbols, so a solvable conic with no search rounds
     # does not answer None

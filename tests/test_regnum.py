@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k2sym import regnum
-from k2sym.arith import RatFunc
+from k2sym.arith import RatFunc, _unchecked
+from k2sym.funcfield import PlaceFq, _order_and_units, tame_ff
 from k2sym.regnum import (
     CX,
     GaussRat,
     Loop,
     LoopIntegral,
-    _orders_and_tame,
     bloch_wigner,
     gauss,
     loop_integral,
@@ -323,6 +323,14 @@ def test_eta_rejects_zero_or_pole_on_path():
         eta_pullback(f, g, Loop(-1 + 0j, 1.0), 0.0)
 
 
+def _orders_and_tame(f, g, a):
+    """Orders of f and g at the place z - a, from funcfield's strip of z - a
+    out of each polynomial, and their exact tame symbol there."""
+    place = _unchecked(PlaceFq, pi=poly_z([-a, 1]))
+    value = tame_ff(f, g, place).constant_value()
+    return _order_and_units(f, place)[0], _order_and_units(g, place)[0], value
+
+
 def test_order_at():
     f = ratfunc_z([0, 0, -1, 1], [2, 1])  # z^2 (z - 1) / (z + 2)
     for a, order in ((0, 2), (1, 1), (-2, -1), (5, 0)):
@@ -334,11 +342,22 @@ def test_tame_symbol_frozen_examples():
     two_z = ratfunc_z([0, 2])
     one_minus = ratfunc_z([1, -1])
     z_minus_1 = ratfunc_z([-1, 1])
-    assert _orders_and_tame(z, two_z, gauss(0)) == (1, 1, gauss(Fraction(-1, 2)))
-    assert _orders_and_tame(z, one_minus, gauss(0)) == (1, 0, gauss(1))
-    assert _orders_and_tame(z_minus_1, z_minus_1, gauss(1)) == (1, 1, gauss(-1))
-    with pytest.raises(ValueError, match="tame symbol needs nonzero functions"):
-        _orders_and_tame(ratfunc_z([0]), z, gauss(0))
+    frozen = [((z, two_z, gauss(0)), (1, 1, gauss(Fraction(-1, 2)))),
+              ((z, one_minus, gauss(0)), (1, 0, gauss(1))),
+              ((z_minus_1, z_minus_1, gauss(1)), (1, 1, gauss(-1))),
+              # poles of f and of g: an order is the numerator's less the denominator's
+              ((ratfunc_z([1], [0, 1]), ratfunc_z([2, 1]), gauss(0)), (-1, 0, gauss(2))),
+              ((ratfunc_z([2, 1]), ratfunc_z([0, 1], [-1, 0, 1]), gauss(1)), (0, -1, gauss(Fraction(1, 3))))]
+    for args, expected in frozen:
+        assert _orders_and_tame(*args) == expected
+        # residue_check reads its orders off its own expansions at the point
+        rc = residue_check(*args)
+        assert (rc.order_f, rc.order_g, rc.tame_value) == expected
+    for f, g in ((ratfunc_z([0]), z), (z, ratfunc_z([0]))):
+        with pytest.raises(ValueError, match="symbol entries must be nonzero"):
+            _orders_and_tame(f, g, gauss(0))
+        with pytest.raises(ValueError, match="symbol entries must be nonzero"):
+            residue_check(f, g, gauss(0))
 
 
 def test_tame_symbol_antisymmetric():

@@ -32,16 +32,20 @@ def test_script_runs(script):
 
 
 def test_digest_fingerprints_the_library_decks():
-    # the ff decks call the library, and two interpreters print the same
-    # digests: the reprs of the results hold no addresses
-    argv = [sys.executable, str(ROOT / "scripts" / "cli_digest.py"), "--workload", "ff-prime", "ff-prime-power"]
+    # the q-symbols and ff decks call the library, and two interpreters
+    # print the same digests: the reprs of the results hold no addresses
+    argv = [sys.executable, str(ROOT / "scripts" / "cli_digest.py"),
+            "--workload", "q-symbols", "ff-prime", "ff-prime-power"]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     runs = [subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120) for _ in range(2)]
     for done in runs:
         assert done.returncode == 0, done.stdout + done.stderr
     lines = runs[0].stdout.splitlines()
-    assert [line for line in lines if line.startswith("workload")] == ["workload ff-prime", "workload ff-prime-power"]
-    assert [line.split()[1:] for line in lines if line.endswith("overall")] == [["32", "overall"]] * 2
+    assert [line for line in lines if line.startswith("workload")] == [
+        "workload q-symbols", "workload ff-prime", "workload ff-prime-power"]
+    assert [line.split()[1:] for line in lines if line.endswith("overall")] == [
+        ["24", "overall"], ["32", "overall"], ["32", "overall"]]
+    assert any(line.endswith("lift_roundtrip") for line in lines)
     assert any(line.endswith("weil_check q=25") for line in lines)
     assert runs[1].stdout == runs[0].stdout
 
