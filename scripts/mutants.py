@@ -157,6 +157,10 @@ CATALOGUE = (
            "_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
            "_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)",
            ("tests/test_arith.py::test_is_prime_sees_through_the_least_strong_pseudoprime_to_bases_below_41",)),
+    Mutant("witness-division-bound", "arith.py",
+           "if n < 43 * 43:",
+           "if n <= 43 * 43:",
+           ("tests/test_arith.py::test_is_prime_matches_naive_oracle_below_2000",)),
     Mutant("parse-sum-fold-swapped", "parsing.py",
            "value = self.fold(op, value, self.term())",
            "value = self.fold(op, self.term(), value)",
@@ -189,6 +193,10 @@ CATALOGUE = (
            "if self.q > FIELD_LIMIT:\n            raise ValueError(f\"F_{self.q} is too large to scan",
            "if self.q > FIELD_LIMIT ** 2:\n            raise ValueError(f\"F_{self.q} is too large to scan",
            ("tests/test_arith.py::test_scanning_a_field_is_bounded",)),
+    Mutant("loop-integral-entry-rule", "regnum.py",
+           "    _check_entries(f, g, CX)\n",
+           "",
+           ("tests/test_regnum.py::test_loop_integral_refuses_a_zero_function_by_the_entry_rule",)),
     Mutant("dilog-bernoulli-terms", "regnum.py",
            "for n in range(40)",
            "for n in range(8)",

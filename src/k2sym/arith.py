@@ -29,9 +29,13 @@ FACTOR_BOUND = 10**12
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for n < PRIME_BOUND;
-    ValueError at or above it, naming n by its size: str(n) fails past 4300
-    digits."""
+    """Primality, exact for n < PRIME_BOUND; ValueError at or above it,
+    naming n by its size: str(n) fails past 4300 digits.
+
+    Division by the witnesses 2..41 decides every n < 43^2, since a
+    composite there has a prime factor <= 41 (trial division, Crandall and
+    Pomerance, Prime Numbers, 3.1); deterministic Miller-Rabin to those
+    bases runs only above."""
     if n < 2:
         return False
     if n >= PRIME_BOUND:
@@ -39,6 +43,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -100,7 +106,7 @@ def _unchecked(cls, **fields):
 
 def _factor_positive(n: int) -> dict[int, int]:
     """Trial division by the cached sieve up to isqrt(n), for 0 < n <=
-    FACTOR_BOUND; Miller-Rabin certifies the cofactor.  A refused n is
+    FACTOR_BOUND; is_prime certifies the cofactor.  A refused n is
     described by its size: str(n) fails past 4300 digits."""
     if n > FACTOR_BOUND:
         raise ValueError(f"input beyond factorization bound: an integer of {n.bit_length()} bits")

@@ -42,7 +42,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .arith import Poly, PolyKernels, RatFunc, _unchecked, bernoulli
-from .funcfield import PlaceFq, tame_ff
+from .funcfield import PlaceFq, _check_entries, tame_ff
 
 CONVERGENCE_TARGET = 1e-9
 FIRST_SAMPLES = 64
@@ -442,8 +442,7 @@ def loop_integral(f: RatFunc, g: RatFunc, loop: Loop,
     Weideman, SIAM Review 56, 2014).  Each level evaluates only its new
     nodes, the odd multiples of 2pi/n, and its estimate is math.fsum of all
     n samples over n."""
-    if f.is_zero() or g.is_zero():
-        raise ValueError("eta needs nonzero functions")
+    _check_entries(f, g, CX)
     if expansions is None:
         a = GaussRat(loop.center.real, loop.center.imag)
         expansions = [_expand(p, a) for p in (f.num, f.den, g.num, g.den)]

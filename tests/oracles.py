@@ -41,6 +41,22 @@ def naive_is_prime(n: int) -> bool:
     return True
 
 
+def strong_probable_prime(n: int, a: int) -> bool:
+    """n odd > 2 passes the Miller-Rabin round to base a: a^d = 1 or
+    a^(d 2^j) = -1 mod n for some j < r, where n - 1 = d 2^r, d odd."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 def squares_mod(p: int) -> set[int]:
     """The set of nonzero quadratic residues mod p, by enumeration."""
     return {x * x % p for x in range(1, p)} - {0}

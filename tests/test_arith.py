@@ -46,6 +46,28 @@ def test_is_prime_matches_naive_oracle_below_2000():
         assert is_prime(n) == oracles.naive_is_prime(n), n
 
 
+def test_is_prime_at_the_witness_division_bound():
+    # below 43^2 the division by 2..41 decides; 2021 = 43 * 47 reaches Miller-Rabin
+    assert 43 * 43 == 1849
+    assert is_prime(1847) and is_prime(1861)
+    assert not is_prime(1849) and not is_prime(2021)
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases (OEIS A014233)
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051)
+
+
+def test_is_prime_refuses_the_least_strong_pseudoprimes_psi_1_to_psi_11():
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for k, psi in enumerate(PSI, 1):
+        # psi_k passes the first k bases, and a later one proves it composite
+        assert all(oracles.strong_probable_prime(psi, a) for a in bases[:k]), k
+        assert not all(oracles.strong_probable_prime(psi, a) for a in bases), k
+        assert not is_prime(psi), k
+
+
 def test_is_prime_sees_through_the_least_strong_pseudoprime_to_bases_below_41():
     # psi_12 passes Miller-Rabin to every base 2..37; base 41 exposes it
     psi12 = 318665857834031151167461

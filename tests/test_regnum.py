@@ -360,6 +360,14 @@ def test_tame_symbol_frozen_examples():
             residue_check(f, g, gauss(0))
 
 
+def test_loop_integral_refuses_a_zero_function_by_the_entry_rule():
+    # a direct call, before any expansion, reads like residue_check
+    z = ratfunc_z([0, 1])
+    for f, g in ((ratfunc_z([0]), z), (z, ratfunc_z([0]))):
+        with pytest.raises(ValueError, match="symbol entries must be nonzero"):
+            loop_integral(f, g, Loop(0j, 1.0))
+
+
 def test_tame_symbol_antisymmetric():
     # the two sign factors coincide, so tame(f,g) * tame(g,f) = 1 always
     rng = random.Random(23)
